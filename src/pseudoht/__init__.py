@@ -7,13 +7,11 @@ pairs the resulting distributions in three independent representations, and
 certifies the constructive non-existence of tempered fundamental solutions
 for r > 0.
 """
-from ._backend import BACKEND_NAME, available_backends
 from .clifford import (
     CATALOG_SIGNATURES,
     AdmissibleModule,
     Signature,
     build_module,
-    load_shipped_catalog,
     p_form,
     validate_module,
 )
@@ -53,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibleModule",
-    "BACKEND_NAME",
     "CATALOG_SIGNATURES",
     "GaussMixture",
     "GaussPoly",
@@ -66,7 +63,6 @@ __all__ = [
     "WitnessConfig",
     "WitnessFunction",
     "a_eta_apply",
-    "available_backends",
     "b_eta_apply",
     "build_module",
     "build_witness",
@@ -78,7 +74,6 @@ __all__ = [
     "kappa",
     "kernel_q",
     "kernel_q_lm",
-    "load_shipped_catalog",
     "nonsolvability_report",
     "p_form",
     "p_i0_power",

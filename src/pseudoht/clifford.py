@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -227,8 +226,3 @@ def catalog_from_json(text: str, tol: float = 1e-12) -> dict:
                                    f"{report.residuals}")
         out[sig] = mod
     return out
-
-
-def load_shipped_catalog() -> dict:
-    text = resources.files("pseudoht").joinpath("data/catalog.json").read_text()
-    return catalog_from_json(text)

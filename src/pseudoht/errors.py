@@ -34,11 +34,15 @@ class ThetaZero(PseudoHTError):
 
 
 class OnConeRegion(PseudoHTError):
-    """Smooth-kernel representation is only valid where 4|P(x)| > |z|."""
+    """Smooth-kernel representation is only valid where |P(x)| > 4|z|."""
 
 
 class UnsupportedN(PseudoHTError):
-    """Operation requires n >= 2 (1/P^{n-1} route) or another n-range."""
+    """Operation not implemented for this n or s.
+
+    E.g. the 1/P^{n-1} route needs n >= 2, and the sphere quadrature of the
+    center directions exists only for s in (1, 2).
+    """
 
 
 class OddN(PseudoHTError):

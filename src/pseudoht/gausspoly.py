@@ -443,7 +443,7 @@ class GaussPoly:
         in dimension >= 3, where the default tolerances used by callers are
         looser than the 1-D/2-D default).
         """
-        from .quadrature import composite_legendre
+        from .quadrature import composite_legendre, tensor_rule
 
         radial = self._radial_profile()
         if radial is not None:
@@ -455,20 +455,14 @@ class GaussPoly:
 
         def eval_with(panels: int, order: int) -> float:
             x, w = composite_legendre(np.linspace(-half, half, panels + 1), order)
-            total = 0.0
-            # chunk over the first axis to bound memory
-            tail_grids = np.meshgrid(*([x] * (self.dim - 1)), indexing="ij") \
-                if self.dim > 1 else []
-            tail_w = np.meshgrid(*([w] * (self.dim - 1)), indexing="ij") \
-                if self.dim > 1 else []
             if self.dim == 1:
                 Y = x[:, None]
-                Wt = w
                 vals = np.abs(poly_eval_many(self.poly, Y @ L.T))
-                return float(detL * np.sum(Wt * vals
+                return float(detL * np.sum(w * vals
                                            * np.exp(-0.5 * np.sum(Y ** 2, axis=1))))
-            T = np.stack([g.ravel() for g in tail_grids], axis=1)
-            TW = np.prod(np.stack([g.ravel() for g in tail_w], axis=1), axis=1)
+            # chunk over the first axis to bound memory
+            T, TW = tensor_rule([x] * (self.dim - 1), [w] * (self.dim - 1))
+            total = 0.0
             for x0, w0 in zip(x, w):
                 Y = np.concatenate([np.full((T.shape[0], 1), x0), T], axis=1)
                 vals = np.abs(poly_eval_many(self.poly, Y @ L.T))

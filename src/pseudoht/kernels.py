@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _backend
 from .errors import (
     OnConeRegion,
     PolePosition,
@@ -31,20 +30,90 @@ from .quadrature import composite_legendre, genlaguerre_rule, half_disc_rule, re
 from .specfun import gamma_half, osc_weight_integral
 
 
+# ------------------------------------------------------------ array kernels
+
+def _kappa_vec(rho: np.ndarray) -> np.ndarray:
+    """(rho/4) coth(rho/2) with the continuous value 1/2 at rho = 0."""
+    rho = np.asarray(rho, float)
+    out = np.empty_like(rho)
+    small = rho < 1e-8
+    out[small] = 0.5
+    r = rho[~small]
+    out[~small] = 0.25 * r / np.tanh(0.5 * r)
+    return out
+
+
+def _volume_element_vec(rho: np.ndarray, n: int) -> np.ndarray:
+    """((rho/2) / sinh(rho/2))^n with value 1 at rho = 0, overflow-safe."""
+    rho = np.asarray(rho, float)
+    out = np.empty_like(rho)
+    x = 0.5 * rho
+    small = x < 1e-8
+    out[small] = 1.0
+    big = x > 30.0
+    mid = ~(small | big)
+    out[mid] = (x[mid] / np.sinh(x[mid])) ** n
+    # log form: n (log x - (x + log1p(-e^{-2x}) - log 2))
+    xb = x[big]
+    out[big] = np.exp(n * (np.log(xb) - xb - np.log1p(-np.exp(-2 * xb)) + np.log(2.0)))
+    return out
+
+
+def _osc_rho_sum(v: np.ndarray, rho: np.ndarray, w: np.ndarray, power: int = 0) -> np.ndarray:
+    """sum_k w_k rho_k^power exp(i v rho_k) for an array of frequencies v."""
+    v = np.asarray(v, float)
+    wk = w * rho ** power if power else w
+    out = np.empty(v.shape, dtype=complex)
+    chunk = 4096
+    for i in range(0, v.size, chunk):
+        vi = v.flat[i:i + chunk]
+        out.flat[i:i + chunk] = np.exp(1j * np.outer(vi, rho)) @ wk
+    return out
+
+
+def _offcone_accumulate(rho: np.ndarray, P: float, z2: float,
+                        qj_powers: np.ndarray, qj_coeffs: np.ndarray,
+                        qj_index: np.ndarray, n: int, s: int,
+                        branch_sign: float) -> np.ndarray:
+    """Integrand of the off-cone kernel after the rho = tanh(t) substitution.
+
+    Returns (1-rho^2)^{(n-2)/2} (2 rho)^{-n} sum_j Q_j(lam) u^{-((s+1)/2+j)}
+    with lam = i P / (4 rho) and u = z2 - P^2/(16 rho^2).  For u < 0 and even
+    s the half-integer power takes the branch exp(i pi p * branch_sign).
+    """
+    rho = np.asarray(rho, float)
+    lam = 1j * P / (4.0 * rho)
+    u = z2 - P * P / (16.0 * rho * rho)
+    pref = (1.0 - rho * rho) ** ((n - 2) / 2.0) / (2.0 * rho) ** n
+    out = np.zeros(rho.shape, dtype=complex)
+    for a, c, j in zip(qj_powers, qj_coeffs, qj_index):
+        p = (s + 1) / 2.0 + j
+        if s % 2 == 1:
+            upow = (u + 0.0j) ** (-int(round(p)))
+        else:
+            upow = np.where(
+                u >= 0,
+                (np.abs(u) + 0.0j) ** (-p),
+                np.abs(u) ** (-p) * np.exp(-1j * np.pi * p * branch_sign),
+            )
+        out += c * lam ** int(a) * upow
+    return pref * out
+
+
 # ----------------------------------------------------------- scalar helpers
 
 def kappa(rho: float) -> float:
     """(rho/4) coth(rho/2), continuously extended by kappa(0) = 1/2."""
     if rho < 0:
         raise ValueError("kappa is used for rho >= 0")
-    return float(_backend.kappa_vec(np.array([rho]))[0])
+    return float(_kappa_vec(np.array([rho]))[0])
 
 
 def volume_element(rho: float, n: int) -> float:
     """W(rho) = ((rho/2)/sinh(rho/2))^n with W(0) = 1."""
     if rho < 0:
         raise ValueError("volume element is used for rho >= 0")
-    return float(_backend.volume_element_vec(np.array([rho]), n)[0])
+    return float(_volume_element_vec(np.array([rho]), n)[0])
 
 
 # ------------------------------------------------------------ kernel family
@@ -162,30 +231,12 @@ def gbar_residual(n: int, s: int, xi, theta) -> complex:
     def eval_with(npts: int) -> complex:
         rho, w = half_disc_rule(npts, (n - 2) / 2.0)
         a = [pref * (1j / r) ** m
-             * complex(_backend.osc_rho_sum(np.array([v]), rho, w, power=m)[0])
+             * complex(_osc_rho_sum(np.array([v]), rho, w, power=m)[0])
              for m in range(3)]
         return -P * a[0] - n * r ** 2 * a[1] - r ** 2 * P * a[2]
 
     val, _, _ = refine_until(eval_with, max(32, int(abs(v) / 2.0)), 1e-13)
     return val
-
-
-def gbar_derivative_check(n: int, s: int, xi, theta, h: float = 1e-4) -> float:
-    """|analytic d/dv of the rho-integral - central differences| at (xi, theta)."""
-    from .clifford import p_form
-
-    theta = np.atleast_1d(np.asarray(theta, float))
-    r = float(np.linalg.norm(theta))
-    v = p_form(np.asarray(xi, float)) / r
-
-    def a_of(vv: float) -> complex:
-        val, _ = osc_weight_integral(n, vv)
-        return val
-
-    rho, w = half_disc_rule(256, (n - 2) / 2.0)
-    analytic = complex(_backend.osc_rho_sum(np.array([v]), rho, w, power=1)[0]) * 1j
-    fd = (a_of(v + h) - a_of(v - h)) / (2 * h)
-    return abs(analytic - fd)
 
 
 # ----------------------------------------------------- off-cone smooth kernel
@@ -260,9 +311,9 @@ def smooth_kernel_offcone(n: int, s: int, x, z, rel_tol: float = 1e-6) -> comple
         edges = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 10)]) * np.pi / 2
         u, w = composite_legendre(edges, npts)
         rho = np.sin(u)
-        # offcone_accumulate carries the full rho-integrand incl. the Jacobian
-        vals = _backend.offcone_accumulate(rho, P, z2, powers, coeffs, index,
-                                           n, s, branch)
+        # _offcone_accumulate carries the full rho-integrand incl. the Jacobian
+        vals = _offcone_accumulate(rho, P, z2, powers, coeffs, index,
+                                   n, s, branch)
         return complex((w * np.cos(u)) @ vals)
 
     val, _, _ = refine_until(eval_with, 12, rel_tol)

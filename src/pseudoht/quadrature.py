@@ -13,6 +13,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi, roots_legendre
 
+from .errors import UnsupportedN
+
 
 @lru_cache(maxsize=256)
 def legendre_rule(npts: int):
@@ -80,6 +82,19 @@ def geometric_edges(r_min: float, r_max: float, n_geo: int, n_lin: int):
     return np.array(geo + list(lin))
 
 
+def tensor_rule(axes, weights=None):
+    """Tensor-product grid of 1-D node arrays, first axis slowest.
+
+    Returns the (N, d) point array; with per-axis `weights` also the (N,)
+    product weights, as (points, weights).
+    """
+    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    if weights is None:
+        return pts
+    wgrids = np.meshgrid(*weights, indexing="ij")
+    return pts, np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+
+
 def circle_rule(npts: int):
     """Trapezoid nodes/weights on the unit circle against the arclength measure."""
     ang = np.linspace(0.0, 2.0 * np.pi, npts, endpoint=False)
@@ -97,7 +112,7 @@ def sphere_rule(s: int, npts: int):
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if s == 2:
         return circle_rule(npts)
-    raise NotImplementedError(f"sphere quadrature implemented for s in (1, 2), got s={s}")
+    raise UnsupportedN(f"sphere quadrature implemented for s in (1, 2), got s={s}")
 
 
 def refine_until(evaluate, start: int, tol: float, max_order: int = 1 << 14):

@@ -42,6 +42,21 @@ def _result(name, passed, tol, **extra):
     return out
 
 
+# a relative cross-check against a reference below this floor compares
+# rounding noise, not two methods
+VACUOUS_FLOOR = 1e-6
+
+
+def _crosscheck(a: complex, b: complex, tol: float) -> dict:
+    """Relative agreement of a with the reference b; a vacuous reference fails."""
+    rel = abs(a - b) / abs(b) if b != 0 else math.inf
+    vacuous = abs(b) < VACUOUS_FLOOR
+    out = {"relative_error": rel, "tol": tol, "passed": rel <= tol and not vacuous}
+    if vacuous:
+        out["vacuous"] = True
+    return out
+
+
 # ---------------------------------------------------------------- criterion 1
 
 def check_algebra_suite(tol_alg: float = 1e-12, tol_eig: float = 1e-10) -> dict:
@@ -166,21 +181,20 @@ def check_representation_crosscheck(quick: bool = False) -> dict:
     entries = []
     G21 = GroupStructure.from_signature(Signature(0, 1, 2))
     sel = KernelSelector.heaviside()
-    for phi in _test_functions(5)[: 2 if quick else 3]:
+    # the isotropic Gaussian is skipped: the swap (x1,x2) <-> (x3,x4) maps P to
+    # -P, so both of its pairings vanish exactly
+    for phi in _test_functions(5)[1: 2 if quick else 3]:
         a = pair_mr_heisenberg(G21, phi, with_error=False).value
         b = pair_k(2, 1, phi, sel, with_error=False).value
-        rel = abs(a - b) / max(abs(b), 1e-12)
         entries.append({"pair": "MR vs K at (2,1)", "mr": [a.real, a.imag],
-                        "k": [b.real, b.imag], "relative_error": rel,
-                        "tol": 1e-2, "passed": rel <= 1e-2})
+                        "k": [b.real, b.imag], **_crosscheck(a, b, 1e-2)})
     sel10 = KernelSelector.constant(1.0)
     for phi in _test_functions(6)[:1 if quick else 2]:
         a = pair_second_form(2, 2, phi, with_error=False).value
         b = pair_k(2, 2, phi, sel10, with_error=False).value
-        rel = abs(a - b) / max(abs(b), 1e-12)
         entries.append({"pair": "second form vs K at (2,2)",
                         "second": [a.real, a.imag], "k": [b.real, b.imag],
-                        "relative_error": rel, "tol": 1e-2, "passed": rel <= 1e-2})
+                        **_crosscheck(a, b, 1e-2)})
     # delta-reproduction through the second form
     if not quick:
         G22 = GroupStructure.from_signature(Signature(0, 2, 2))
@@ -235,17 +249,14 @@ def cone_checks(quick: bool = False) -> dict:
 
 def _offcone_pairing(n: int, s: int, phi: GaussPoly, grid: int = 8) -> complex:
     """(2 pi)^{-(n+s/2)} integral K(x,z) phi(x,z) by Gauss-Hermite on phi."""
-    from .quadrature import hermite_rule
+    from .quadrature import hermite_rule, tensor_rule
 
     d = 2 * n + s
     x, w = hermite_rule(grid)
     x = x * math.sqrt(2.0)
     w = w * math.sqrt(2.0)
     L = np.linalg.cholesky(np.linalg.inv(phi.quad))
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=1)
-    wg = np.meshgrid(*([w] * d), indexing="ij")
-    WT = np.prod(np.stack([g.ravel() for g in wg], axis=1), axis=1)
+    Y, WT = tensor_rule([x] * d, [w] * d)
     U = Y @ L.T + phi.shift
     detL = abs(np.linalg.det(L))
     vals = phi.evaluate_many(U) * np.exp(0.5 * np.sum(Y ** 2, axis=1))

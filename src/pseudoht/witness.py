@@ -25,7 +25,7 @@ from .clifford import Signature, p_form
 from .errors import BumpOutsideK, DimensionMismatch, NonTimelikeEta
 from .gausspoly import GaussMixture, GaussPoly, as_terms
 from .group import GroupStructure, tau_signs
-from .quadrature import legendre_rule
+from .quadrature import legendre_rule, tensor_rule
 
 
 # ------------------------------------------------------------- A/B operators
@@ -179,12 +179,7 @@ def _eta_ball_nodes(cfg: WitnessConfig):
     """Tensor Gauss-Legendre nodes on the bounding box of the bump ball."""
     x, w = legendre_rule(cfg.eta_grid)
     axes = [cfg.eta0[k] + cfg.delta * x for k in range(cfg.sig.center_dim)]
-    wts = [cfg.delta * w] * cfg.sig.center_dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    wgrids = np.meshgrid(*wts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wt = np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
-    return pts, wt
+    return tensor_rule(axes, [cfg.delta * w] * cfg.sig.center_dim)
 
 
 def witness_integral(w: WitnessFunction) -> float:
@@ -211,9 +206,7 @@ def _xi_grid(w: WitnessFunction):
         + w.cfg.delta ** 2
     sigma = (abs(qmax)) ** 0.25 / math.sqrt(2.0)
     half = w.cfg.xi_halfwidth_sigmas * sigma
-    axis = np.linspace(-half, half, w.cfg.xi_grid)
-    grids = np.meshgrid(*([axis] * n2), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return tensor_rule([np.linspace(-half, half, w.cfg.xi_grid)] * n2)
 
 
 def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -> dict:
@@ -265,13 +258,8 @@ def nonsolvability_report(w: WitnessFunction, z_halfwidth: float = 2.0,
     c = (2 * math.pi) ** (-sig.total_dim / 2.0) * witness_integral(w)
 
     # x-grid (coarser than certification: the transform is band-limited-ish)
-    sigma_x = 1.0
-    axis = np.linspace(-3.0, 3.0, 7)
-    grids = np.meshgrid(*([axis] * n2), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    zaxis = np.linspace(-z_halfwidth, z_halfwidth, z_grid)
-    zgrids = np.meshgrid(*([zaxis] * cd), indexing="ij")
-    Z = np.stack([g.ravel() for g in zgrids], axis=1)
+    X = tensor_rule([np.linspace(-3.0, 3.0, 7)] * n2)
+    Z = tensor_rule([np.linspace(-z_halfwidth, z_halfwidth, z_grid)] * cd)
 
     dphi_max = 0.0
     phi0 = 0.0 + 0.0j

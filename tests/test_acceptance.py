@@ -82,6 +82,18 @@ def test_criterion_05_representation_crosscheck():
     res = _record(5, verification.check_representation_crosscheck())
     assert res["passed"]
     assert res["runtime_s"] < 900.0
+    # every cross-check compares values well above zero
+    for e in res["entries"]:
+        if "k" in e:
+            assert math.hypot(*e["k"]) >= verification.VACUOUS_FLOOR, e
+
+
+def test_crosscheck_vacuous_reference_fails():
+    """Agreement between two values that are both rounding noise is no check."""
+    res = verification._crosscheck(1.5e-18, -1.3e-18 - 1.0e-16j, 1e-2)
+    assert res["vacuous"] and not res["passed"]
+    res = verification._crosscheck(0.0317091, 0.0317090, 1e-2)
+    assert res["passed"] and "vacuous" not in res
 
 
 def test_criterion_06_support_cone():
