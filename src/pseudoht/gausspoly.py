@@ -383,37 +383,19 @@ class GaussPoly:
         return GaussPoly(self.dim, new_quad, poly_scale(acc, phase0), new_shift, new_freq)
 
     # -- restriction --------------------------------------------------------
-    def restrict(self, fixed_axes, values) -> "GaussPoly":
+    def restrict(self, fixed_axes, values):
         """phi with the listed coordinates frozen at numeric values.
+
+        `values` of shape (f,) gives one GaussPoly; an (N, f) array gives the
+        N restrictions at once as a node family (see _NodeFamily), which
+        `batched_osc_integral` and `kernels.inv_p_power` accept.
 
         Works for a general quadratic form: the cross terms contribute a real
         linear exponential absorbed by recentering the kept Gaussian.
         """
-        fixed = list(fixed_axes)
-        keep = [j for j in range(self.dim) if j not in fixed]
         values = np.asarray(values, float)
-        A = self.quad
-        Akk = A[np.ix_(keep, keep)]
-        Akf = A[np.ix_(keep, fixed)]
-        Aff = A[np.ix_(fixed, fixed)]
-        q = values - self.shift[fixed]
-        dvec = Akf @ q                  # linear coefficient against (y - c_k)
-        delta = np.linalg.solve(Akk, dvec)
-        const = np.exp(-0.5 * q @ Aff @ q + 0.5 * dvec @ delta
-                       + 1j * np.dot(self.freq[fixed], values))
-        # substitute the fixed coordinates into the polynomial, then re-center
-        reduced: Poly = {}
-        for mono, c in self.poly.items():
-            coeff = c
-            for jj, j in enumerate(fixed):
-                if mono[j]:
-                    coeff = coeff * q[jj] ** mono[j]
-            key = tuple(mono[j] for j in keep)
-            reduced[key] = reduced.get(key, 0.0) + coeff
-        # poly was in w = y - c_k; the new center is c_k - delta, so w = w' - delta
-        reduced = poly_shift(reduced, -delta)
-        return GaussPoly(len(keep), Akk, poly_scale(reduced, const),
-                         shift=self.shift[keep] - delta, freq=self.freq[keep])
+        fam = _restrict_family(self, list(fixed_axes), np.atleast_2d(values))
+        return fam if values.ndim == 2 else fam.term(0)
 
     # -- integrals ----------------------------------------------------------
     def integral(self) -> complex:
@@ -619,33 +601,167 @@ def as_terms(phi) -> list:
     return [phi]
 
 
-# ------------------------------------------------- batched diagonal fast path
+# ------------------------------------------------------------- node families
+
+# The oscillatory engine evaluates at most _OSC_CHUNK (node, frequency) pairs
+# per vectorised pass, which bounds its temporaries (about 1 KB per pair at
+# the polynomial sizes of the pairings); `node_blocks` splits the nodes of a
+# weighted sum so that each engine call returns at most _OSC_BLOCK values.
+_OSC_CHUNK = 512
+_OSC_BLOCK = 8192
+
+
+class _NodeFamily:
+    """N restrictions of one term, sharing the quadratic form and the monomials.
+
+    Node i is the GaussPoly term with polynomial
+    sum_m coef[i, m] (u - shift[i])^expo[m], Gaussian quad centred at
+    shift[i] and frequency freq[i].  Every map applied to a family
+    (restriction, recentring, tau-congruence, inverse Fourier transform) acts
+    on the (N, M) coefficient array as a matrix product.
+    """
+
+    __slots__ = ("quad", "expo", "coef", "shift", "freq")
+
+    def __init__(self, quad, expo, coef, shift, freq):
+        self.quad, self.expo, self.coef = quad, expo, coef
+        self.shift, self.freq = shift, freq
+
+    @classmethod
+    def of(cls, term: GaussPoly) -> "_NodeFamily":
+        """The one-node family of a term."""
+        expo = np.array(list(term.poly), dtype=int).reshape(-1, term.dim)
+        coef = np.array(list(term.poly.values()), dtype=complex)[None, :]
+        return cls(term.quad, expo, coef, term.shift[None, :], term.freq[None, :])
+
+    @property
+    def dim(self) -> int:
+        return self.quad.shape[0]
+
+    def __len__(self) -> int:
+        return self.coef.shape[0]
+
+    def __getitem__(self, idx) -> "_NodeFamily":
+        return _NodeFamily(self.quad, self.expo, self.coef[idx], self.shift[idx], self.freq[idx])
+
+    def term(self, i: int) -> GaussPoly:
+        poly = {tuple(int(x) for x in e): c for e, c in zip(self.expo, self.coef[i])}
+        return GaussPoly(self.dim, self.quad, poly, self.shift[i], self.freq[i])
+
+    def inverse_fourier(self) -> "_NodeFamily":
+        """F^{-1} of every node.
+
+        The polynomial part transforms independently of centre and frequency,
+        so the matrix rows are the transforms of the basis monomials; centre
+        and frequency trade places and contribute the phase e^{i freq.shift}.
+        """
+        d = self.dim
+        images = [GaussPoly(d, self.quad, {tuple(int(x) for x in e): 1.0}).inverse_fourier()
+                  for e in self.expo]
+        quad = images[0].quad if images else GaussPoly(d, self.quad).inverse_fourier().quad
+        expo, T = _basis_matrix([g.poly for g in images], d)
+        phase = np.exp(1j * np.sum(self.freq * self.shift, axis=1))
+        return _NodeFamily(quad, expo, (self.coef @ T) * phase[:, None],
+                           -self.freq, self.shift.copy())
+
+
+def as_families(phi) -> list:
+    """phi as a list of node families whose values add (one per GaussPoly term)."""
+    if isinstance(phi, _NodeFamily):
+        return [phi]
+    return [_NodeFamily.of(t) for t in as_terms(phi)]
+
+
+def _basis_matrix(polys: list, dim: int):
+    """(expo, T): T[m, k] is the coefficient of monomial expo[k] in polys[m]."""
+    keys = sorted(set().union(*polys))
+    col = {k: i for i, k in enumerate(keys)}
+    T = np.zeros((len(polys), len(keys)), dtype=complex)
+    for m, p in enumerate(polys):
+        for k, c in p.items():
+            T[m, col[k]] = c
+    return np.array(keys, dtype=int).reshape(-1, dim), T
+
+
+def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> _NodeFamily:
+    """term with the `fixed` coordinates frozen at each row of values (N, f)."""
+    keep = [j for j in range(term.dim) if j not in fixed]
+    A = term.quad
+    Akk = A[np.ix_(keep, keep)]
+    Akf = A[np.ix_(keep, fixed)]
+    Aff = A[np.ix_(fixed, fixed)]
+    q = values - term.shift[fixed]
+    dvec = q @ Akf.T                # linear coefficient against (y - c_k)
+    delta = np.linalg.solve(Akk, dvec.T).T
+    const = np.exp(-0.5 * np.einsum("ni,ij,nj->n", q, Aff, q)
+                   + 0.5 * np.sum(dvec * delta, axis=1) + 1j * (values @ term.freq[fixed]))
+    # substitute the fixed coordinates into the polynomial: a matrix from the
+    # distinct fixed-part exponents to the distinct kept-part exponents
+    src = _NodeFamily.of(term)
+    fexpo, frow = np.unique(src.expo[:, fixed], axis=0, return_inverse=True)
+    expo, kcol = np.unique(src.expo[:, keep], axis=0, return_inverse=True)
+    C = np.zeros((len(fexpo), len(expo)), dtype=complex)
+    np.add.at(C, (frow.ravel(), kcol.ravel()), src.coef[0])
+    coef = np.prod(q[:, None, :] ** fexpo[None, :, :], axis=2) @ C
+    # poly was in w = y - c_k; the new center is c_k - delta, so w = w' - delta
+    for j in range(len(keep)):
+        if len(expo) and np.any(delta[:, j]):
+            expo, coef = _shift_axis(expo, coef, j, -delta[:, j])
+    freq = np.broadcast_to(term.freq[keep], delta.shape)
+    return _NodeFamily(Akk, expo, coef * const[:, None], term.shift[keep] - delta, freq)
+
+
+def _shift_axis(expo: np.ndarray, coef: np.ndarray, j: int, dj: np.ndarray):
+    """Substitute w_j = w_j' + dj[i] at node i: (w_j' + dj)^e = sum_k C(e, k) dj^(e-k) w_j'^k."""
+    from math import comb
+
+    deg = expo[:, j]
+    src = np.repeat(np.arange(len(expo)), deg + 1)
+    k = np.concatenate([np.arange(e + 1) for e in deg])
+    rows = expo[src]
+    rows[:, j] = k
+    out_expo, dst = np.unique(rows, axis=0, return_inverse=True)
+    binom = np.array([comb(int(e), int(kk)) for e, kk in zip(deg[src], k)], dtype=float)
+    scatter = np.zeros((src.size, len(out_expo)))
+    scatter[np.arange(src.size), dst.ravel()] = 1.0
+    return out_expo, (coef[:, src] * (binom * dj[:, None] ** (deg[src] - k))) @ scatter
+
+
+# ------------------------------------------------------- oscillatory engine
 
 def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """integral phi(u) exp(i w P_tau(u)) du for an array of w values.
 
-    P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  Diagonal quadratic forms use
-    a fully vectorized per-axis closed form; general forms are reduced to that
-    case once per term by a tau-congruence S (S^T A S = |Lambda| diagonal and
-    S^T tau S = tau), which leaves P invariant up to coordinate ordering.
+    P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  For a GaussPoly or
+    GaussMixture, w may have any shape and the terms add; for a node family
+    (from `GaussPoly.restrict`) w has shape (N, Nw), row i for node i.
+    Diagonal quadratic forms use a vectorized per-axis closed form; general
+    forms are reduced to that case once per family by a tau-congruence S
+    (S^T A S = |Lambda| diagonal and S^T tau S = tau), which leaves P
+    invariant up to coordinate ordering.
     """
     w = np.asarray(w, float)
-    out = np.zeros(w.shape, dtype=complex)
-    for term in as_terms(phi):
-        A = term.quad
-        if np.count_nonzero(A - np.diag(np.diagonal(A))) == 0:
-            out += _batched_diag(term, w, tau)
-        else:
-            term2 = _tau_diagonalize(term, tau)
-            out += _batched_diag(term2, w, tau)
-    return out
+    if isinstance(phi, _NodeFamily):
+        return _osc_family(phi, w, tau)
+    return sum(_osc_family(f, w.reshape(1, -1), tau) for f in as_families(phi)).reshape(w.shape)
 
 
-def _tau_diagonalize(term: GaussPoly, tau: np.ndarray) -> GaussPoly:
+def node_blocks(count: int, nw: int) -> list:
+    """Slices covering range(count), each of at most _OSC_BLOCK // nw nodes.
+
+    A caller that contracts each engine result with its quadrature weights
+    calls `batched_osc_integral` once per block, so no (N, Nw) value array
+    over all N nodes is held.
+    """
+    step = max(1, _OSC_BLOCK // nw)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray) -> _NodeFamily:
     """Precompose with S such that the quadratic form becomes diagonal while
     sum tau_j u_j^2 keeps its shape: S = A^{-1/2} Q |L|^{1/2} with
     A^{1/2} tau A^{1/2} = Q L Q^T, columns ordered positives-first."""
-    A = term.quad
+    A = fam.quad
     lam_a, Va = np.linalg.eigh(A)
     B = Va @ np.diag(np.sqrt(lam_a)) @ Va.T          # A^{1/2}
     Binv = Va @ np.diag(lam_a ** -0.5) @ Va.T
@@ -656,44 +772,49 @@ def _tau_diagonalize(term: GaussPoly, tau: np.ndarray) -> GaussPoly:
     if not np.array_equal(np.sign(lam), tau):
         raise NonSPDQuadraticForm("signature mismatch in tau-congruence")
     S = Binv @ Q @ np.diag(np.sqrt(np.abs(lam)))
-    out = term.precompose_affine(S, np.zeros(term.dim))
-    out = out.scaled(abs(np.linalg.det(S)))
+    expo, T = _basis_matrix([poly_linear_subst({tuple(int(x) for x in e): 1.0}, S)
+                             for e in fam.expo], fam.dim)
     # the congruence leaves only roundoff off-diagonal mass; drop it
-    out.quad = np.diag(np.diagonal(out.quad))
-    return out
+    quad = np.diag(np.diagonal(S.T @ A @ S))
+    return _NodeFamily(quad, expo, (fam.coef @ T) * abs(np.linalg.det(S)),
+                       np.linalg.solve(S, fam.shift.T).T, fam.freq @ S)
 
 
-def _batched_diag(term: GaussPoly, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    d = term.dim
-    a = np.diagonal(term.quad)
-    c = term.shift
-    b = term.freq
-    beta = a[None, :] - 2j * w[:, None] * tau[None, :]     # (Nw, d)
-    lin = 1j * b[None, :] + 2j * w[:, None] * tau[None, :] * c[None, :]
-    mu = lin / beta
-    # prefactor per axis: sqrt(2 pi / beta) e^{lin^2 / (2 beta)}; plus center phase
-    pref = np.prod(np.sqrt(2 * np.pi / beta) * np.exp(0.5 * lin * mu), axis=1)
-    const = np.exp(1j * b @ c + 1j * w * (tau @ c**2))
-    # E[(mu + sigma N)^m] per axis, sigma^2 = 1/beta
-    max_deg = max((max(m) for m in term.poly), default=0)
-    from math import comb
-
-    mom = np.ones((w.size, d, max_deg + 1), dtype=complex)
-    if max_deg >= 1:
-        sig2 = 1.0 / beta
-        for m in range(1, max_deg + 1):
-            tot = np.zeros((w.size, d), dtype=complex)
-            for k in range(0, m + 1, 2):
-                dfact = 1.0
-                for jj in range(1, k, 2):
-                    dfact *= jj
-                tot += comb(m, k) * mu ** (m - k) * dfact * sig2 ** (k // 2)
-            mom[:, :, m] = tot
-    total = np.zeros(w.size, dtype=complex)
-    for mono, cc in term.poly.items():
-        t = np.full(w.size, cc, dtype=complex)
-        for j, mj in enumerate(mono):
-            if mj:
-                t = t * mom[:, j, mj]
-        total += t
-    return const * pref * total
+def _osc_family(fam: _NodeFamily, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    A = fam.quad
+    if np.count_nonzero(A - np.diag(np.diagonal(A))):
+        fam = _tau_diagonalize(fam, tau)
+    a, t = np.diagonal(fam.quad)[:, None], tau[:, None]
+    expo = fam.expo
+    axes = [j for j in range(fam.dim) if expo.size and expo[:, j].max() > 0]
+    # per-axis arrays are laid out (axis, pair); node data is gathered per pass
+    coef, shift, freq = fam.coef.T, fam.shift.T, fam.freq.T
+    phase = np.sum(fam.freq * fam.shift, axis=1)
+    curv = fam.shift ** 2 @ tau
+    nw = w.shape[1]
+    out = np.empty(w.size, dtype=complex)
+    for lo in range(0, w.size, _OSC_CHUNK):
+        i, jw = np.divmod(np.arange(lo, min(lo + _OSC_CHUNK, w.size)), nw)
+        wc = w[i, jw]
+        beta = a - 2j * t * wc
+        lin = 1j * freq[:, i] + (2j * t * wc) * shift[:, i]
+        mu = lin / beta
+        # per axis sqrt(2 pi / beta) e^{lin mu / 2}, times the center phase;
+        # Re beta = a > 0 keeps arg(beta) in (-pi/2, pi/2), so the principal
+        # roots multiply as exp(-1/2 sum log beta)
+        expo_sum = -0.5 * np.sum(0.5 * np.log(a ** 2 + 4.0 * wc ** 2)
+                                 + 1j * np.arctan2(-2.0 * t * wc, a) - lin * mu, axis=0)
+        pref = (2 * np.pi) ** (fam.dim / 2) * np.exp(expo_sum + 1j * (phase[i] + wc * curv[i]))
+        # E[(mu + sigma N)^m] per axis, sigma^2 = 1/beta, by the recursion
+        # m_k = mu m_{k-1} + (k - 1) sigma^2 m_{k-2}, gathered per monomial
+        mono = coef[:, i]
+        for j in axes:
+            deg = int(expo[:, j].max())
+            sig2 = 1.0 / beta[j]
+            mom = np.empty((deg + 1, i.size), dtype=complex)
+            mom[0], mom[1] = 1.0, mu[j]
+            for k in range(2, deg + 1):
+                mom[k] = mu[j] * mom[k - 1] + (k - 1) * sig2 * mom[k - 2]
+            mono *= mom[expo[:, j]]
+        out[lo:lo + i.size] = pref * np.sum(mono, axis=0)
+    return out.reshape(w.shape)

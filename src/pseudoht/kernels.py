@@ -25,8 +25,21 @@ from .errors import (
     ThetaZero,
     UnsupportedN,
 )
-from .gausspoly import GaussPoly, as_terms, batched_osc_integral
-from .quadrature import composite_legendre, genlaguerre_rule, half_disc_rule, refine_until
+from .gausspoly import (
+    GaussMixture,
+    GaussPoly,
+    as_families,
+    as_terms,
+    batched_osc_integral,
+    node_blocks,
+)
+from .quadrature import (
+    composite_legendre,
+    genlaguerre_rule,
+    half_disc_rule,
+    refine_many,
+    refine_until,
+)
 from .specfun import gamma_half, osc_weight_integral
 
 
@@ -322,36 +335,44 @@ def smooth_kernel_offcone(n: int, s: int, x, z, rel_tol: float = 1e-6) -> comple
 
 # ----------------------------------------------------------------- 1/P^{n-1}
 
-def inv_p_power(psi, n: int, rel_tol: float = 1e-7) -> complex:
+def inv_p_power(psi, n: int, rel_tol: float = 1e-7):
     """lim_{eps->0} integral psi(x) / (P(x) - i eps)^{n-1} dx for n >= 2.
 
     Split at t = 1 of the Gamma-integral representation: the inner x-integrals
     are exact complex Gaussians for class members, so only two smooth 1-D
-    quadratures remain.
+    quadratures remain.  psi is a GaussPoly or GaussMixture (returns a
+    complex), or a node family from `GaussPoly.restrict` (returns one value
+    per node, each node refined to its own order).
     """
     if n < 2:
         raise UnsupportedN("1/P^{n-1} needs n >= 2")
-    terms = as_terms(psi)
-    if terms[0].dim != 2 * n:
+    parts = as_families(psi)
+    if parts[0].dim != 2 * n:
         raise UnsupportedN(f"psi must live on R^{2 * n}")
     tau = np.array([1.0] * n + [-1.0] * n)
     pref = 1j ** (n - 1) / math.factorial(n - 2)
+    count = len(parts[0])
 
-    def i1(npts: int) -> complex:
+    def on_nodes(fams, idx, w, weights):
+        freqs = np.broadcast_to(w, (idx.size, w.size))
+        return np.concatenate([
+            sum(batched_osc_integral(f[idx[b]], freqs[b], tau) for f in fams) @ weights
+            for b in node_blocks(idx.size, w.size)])
+
+    def i1(npts: int, idx) -> np.ndarray:
         t, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
-        h = batched_osc_integral(psi, -t, tau)
-        return pref * complex(np.sum(w * t ** (n - 2) * h))
+        return pref * on_nodes(parts, idx, -t, w * t ** (n - 2))
 
-    finv = psi.inverse_fourier()
+    finv = [f.inverse_fourier() for f in parts]
 
-    def i2(npts: int) -> complex:
+    def i2(npts: int, idx) -> np.ndarray:
         u, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
-        g = batched_osc_integral(finv, u / 4.0, tau)  # t = 1/u
-        return pref / 2 ** n * complex(np.sum(w * g))
+        return pref / 2 ** n * on_nodes(finv, idx, u / 4.0, w)  # t = 1/u
 
-    v1, _, _ = refine_until(i1, 16, rel_tol)
-    v2, _, _ = refine_until(i2, 16, rel_tol)
-    return v1 + v2
+    v1, _, _ = refine_many(i1, 16, rel_tol, count)
+    v2, _, _ = refine_many(i2, 16, rel_tol, count)
+    out = v1 + v2
+    return complex(out[0]) if isinstance(psi, (GaussPoly, GaussMixture)) else out
 
 
 def inv_p_eps_oracle(psi, n: int, eps_values=(0.1, 0.05, 0.025, 0.0125)) -> complex:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OddN, UnsupportedN
-from .gausspoly import GaussPoly, as_terms, batched_osc_integral
+from .gausspoly import GaussPoly, as_terms, batched_osc_integral, node_blocks
 from .group import GroupStructure, tau_signs
 from .kernels import KernelSelector, kernel_prefactor
 from .quadrature import (
@@ -90,6 +90,11 @@ def _rho_rule_for(n: int, r: float, base: int):
     return half_disc_rule(npts, (n - 2) / 2.0)
 
 
+def _center_nodes(radial: np.ndarray, sphere: np.ndarray) -> np.ndarray:
+    """The (sphere x radial) center points r * om, sphere index slowest."""
+    return (sphere[:, None, :] * radial[None, :, None]).reshape(-1, sphere.shape[1])
+
+
 def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
                   budget: PairBudget) -> complex:
     d = 2 * n + s
@@ -101,22 +106,31 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     radial, wr = composite_legendre(edges, budget.radial_order)
     sphere, ws = sphere_rule(s, budget.sphere_pts)
     pref = kernel_prefactor(n, s)
+    node_w = wr * radial ** (s - 1) * pref / radial
+
+    # blocks of radial nodes that share a rho-rule, so their frequencies form
+    # one array
+    groups: dict = {}
+    for j, r in enumerate(radial):
+        rho, wq = _rho_rule_for(n, r, budget.rho_nodes)
+        groups.setdefault(rho.size, (rho, wq, []))[2].append(j)
+    groups = [(rho, wq, np.array(js)[b]) for rho, wq, js in groups.values()
+              for b in node_blocks(len(js), rho.size)]
 
     total = 0.0 + 0.0j
-    for om, wo in zip(sphere, ws):
-        lam, mu = sel.lam_mu(om)
-        if lam == 0 and mu == 0:
-            continue
-        for r, w_r in zip(radial, wr):
-            rho, wq = _rho_rule_for(n, r, budget.rho_nodes)
-            node_val = 0.0 + 0.0j
-            for term in fphi_terms:
-                sl = term.restrict(theta_axes, r * om)
+    for term in fphi_terms:
+        fam = term.restrict(theta_axes, _center_nodes(radial, sphere))
+        for k, (om, wo) in enumerate(zip(sphere, ws)):
+            lam, mu = sel.lam_mu(om)
+            for rho, wq, js in groups:
+                sl = fam[k * radial.size + js]
+                freqs = rho[None, :] / radial[js][:, None]
+                node_val = 0.0
                 if lam != 0:
-                    node_val += lam * np.sum(wq * batched_osc_integral(sl, rho / r, tau))
+                    node_val = lam * (batched_osc_integral(sl, freqs, tau) @ wq)
                 if mu != 0:
-                    node_val -= mu * np.sum(wq * batched_osc_integral(sl, -rho / r, tau))
-            total += wo * w_r * r ** (s - 1) * pref / r * node_val
+                    node_val = node_val - mu * (batched_osc_integral(sl, -freqs, tau) @ wq)
+                total += wo * np.sum(node_w[js] * node_val)
     return total
 
 
@@ -226,12 +240,9 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
                     npts = int(2 * L / h) + 1
                     th_nodes = np.linspace(-L, L, npts)
                     th_w = np.full(npts, th_nodes[1] - th_nodes[0])
-                inner = np.zeros(int(np.sum(sel)), dtype=complex)
-                for th, wt in zip(th_nodes, th_w):
-                    sl = term.restrict([z_axis], [th])
-                    xint = batched_osc_integral(sl, -th * cvals[sel], tau)
-                    inner += wt * (1j * th) ** (n - 1) * xint
-                total[sel] += inner
+                fam = term.restrict([z_axis], th_nodes[:, None])
+                xint = batched_osc_integral(fam, -th_nodes[:, None] * cvals[sel][None, :], tau)
+                total[sel] += (th_w * (1j * th_nodes) ** (n - 1)) @ xint
         total /= math.sqrt(2.0 * math.pi)
         return mr_constant(n) * complex(np.sum(wr * jac * total))
 
@@ -425,20 +436,17 @@ def pseudo_pair_n2(G: GroupStructure, phi, budget: PairBudget | None = None):
     edges = geometric_edges(0.0, r_max, 6, 8)
     radial, wr = composite_legendre(edges, budget.radial_order)
     sphere, ws = sphere_rule(s, budget.sphere_pts)
+    nodes = _center_nodes(radial, sphere)
+    node_w = (ws[:, None] * (wr * radial ** (s - 1))[None, :]).ravel()
 
     lhs = 0.0 + 0.0j
-    for om, wo in zip(sphere, ws):
-        for r, w_r in zip(radial, wr):
-            for term in terms:
-                sl = term.restrict(theta_axes, r * om)
-                lhs += wo * w_r * r ** (s - 1) * inv_p_power(sl, n)
+    for term in terms:
+        lhs += np.sum(node_w * inv_p_power(term.restrict(theta_axes, nodes), n))
     lhs *= -(2.0 * math.pi) ** (-(2 + s / 2.0))
 
     fphi = phi.fourier()
-    rhs = phi.evaluate(np.zeros(d))
-    for om, wo in zip(sphere, ws):
-        for r, w_r in zip(radial, wr):
-            pt = np.concatenate([np.zeros(2 * n), r * om])
-            rhs += wo * w_r * r ** (s - 1) * (r ** 2 / 4.0) \
-                * fphi.evaluate(pt) * (2.0 * math.pi) ** (-s / 2.0)
+    r2 = np.sum(nodes ** 2, axis=1)
+    fvals = fphi.evaluate_many(np.concatenate([np.zeros((len(nodes), 2 * n)), nodes], axis=1))
+    rhs = phi.evaluate(np.zeros(d)) \
+        + np.sum(node_w * (r2 / 4.0) * fvals) * (2.0 * math.pi) ** (-s / 2.0)
     return lhs, rhs

@@ -2,9 +2,10 @@
 
 Every rule used in the package comes from here so that node budgets are
 explicit and reproducible.  Rules are cached by (kind, order, parameters);
-the refinement driver doubles the order until two successive evaluations
-agree to the requested tolerance and reports both the value and the last
-difference as an error estimate.
+the refinement drivers double the order until two successive evaluations
+agree to the requested tolerance and report both the value and the last
+difference as an error estimate, for one quadrature (`refine_until`) or for
+many independent ones at once (`refine_many`).
 """
 from __future__ import annotations
 
@@ -104,31 +105,70 @@ def circle_rule(npts: int):
 
 
 def sphere_rule(s: int, npts: int):
-    """Quadrature for the surface measure on S^{s-1}, s in {1, 2}.
+    """Quadrature for the surface measure on S^{s-1}, s in {1, 2, 3}.
 
-    s = 1 is the two-point counting measure; s = 2 the spectral trapezoid.
+    s = 1 is the two-point counting measure; s = 2 the spectral trapezoid;
+    s = 3 the product of npts // 2 Gauss-Legendre nodes in cos(theta) with
+    npts trapezoid nodes in the azimuth.
     """
     if s == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if s == 2:
         return circle_rule(npts)
-    raise UnsupportedN(f"sphere quadrature implemented for s in (1, 2), got s={s}")
+    if s == 3:
+        ct, wt = legendre_rule(max(1, npts // 2))
+        circ, wc = circle_rule(npts)
+        st = np.sqrt(1.0 - ct ** 2)
+        pts = np.concatenate([st[:, None, None] * circ[None, :, :],
+                              np.broadcast_to(ct[:, None, None], (ct.size, npts, 1))], axis=2)
+        return pts.reshape(-1, 3), np.outer(wt, wc).ravel()
+    raise UnsupportedN(f"sphere quadrature implemented for s in (1, 2, 3), got s={s}")
+
+
+def refine_many(evaluate, start: int, tol: float, count: int, max_order: int = 1 << 14):
+    """`refine_until` for `count` independent quadratures at once.
+
+    evaluate(order, idx) returns the values of the quadratures listed in the
+    index array idx at that order.  Each one doubles its order until two
+    successive values agree and then drops out, so every element stops at the
+    order it would reach alone.  Returns (values, est_errors, orders) arrays.
+    """
+    idx = np.arange(count)
+    order = start
+    prev = np.asarray(evaluate(order, idx))
+    done_parts = []
+    while order < max_order and idx.size:
+        order *= 2
+        cur = np.asarray(evaluate(order, idx))
+        diff = np.abs(cur - prev)
+        done = diff <= tol * np.maximum(np.abs(cur), 1.0)
+        if done.all():
+            done_parts.append((idx, cur, diff, order))
+            idx = idx[:0]
+        elif done.any():
+            done_parts.append((idx[done], cur[done], diff[done], order))
+            idx, prev = idx[~done], cur[~done]
+        else:
+            prev = cur
+    if idx.size:
+        # not converged: the last value, err = inf (nan when the value is nan)
+        done_parts.append((idx, prev, np.where(np.isnan(prev), np.nan, np.inf), order))
+    values = np.empty(count, dtype=np.result_type(*(p[1] for p in done_parts)))
+    errs = np.empty(count)
+    orders = np.empty(count, dtype=int)
+    for hit, val, err, at in done_parts:
+        values[hit], errs[hit], orders[hit] = val, err, at
+    return values, errs, orders
 
 
 def refine_until(evaluate, start: int, tol: float, max_order: int = 1 << 14):
     """Double the order of `evaluate(order)` until successive values agree.
 
     Returns (value, est_error, order).  The error estimate is the modulus of
-    the last successive difference, measured relative to max(|value|, 1).
+    the last successive difference, measured relative to max(|value|, 1); it
+    is inf when max_order is reached first.  This is the one-element case of
+    `refine_many`.
     """
-    order = start
-    prev = evaluate(order)
-    while order < max_order:
-        order *= 2
-        cur = evaluate(order)
-        diff = abs(cur - prev)
-        scale = max(abs(cur), 1.0)
-        if diff <= tol * scale:
-            return cur, diff, order
-        prev = cur
-    return prev, abs(prev) * np.inf if np.isnan(prev) else np.inf, order
+    values, errs, orders = refine_many(lambda order, idx: [evaluate(order)],
+                                       start, tol, 1, max_order)
+    return values[0].item(), float(errs[0]), int(orders[0])

@@ -91,12 +91,12 @@ class TestPairCommand:
         assert code == 1
 
     def test_pair_unsupported_center_dim_is_usage_error(self, tmp_path):
-        """s = 3 has no sphere quadrature: bad input (1), not an internal fault."""
+        """s = 4 has no sphere quadrature: bad input (1), not an internal fault."""
         from pseudoht.gausspoly import GaussPoly
 
         fn = tmp_path / "phi.json"
-        fn.write_text(GaussPoly.iso_gaussian(11).to_json())
-        code, _ = run_cli(["pair", "--testfn", str(fn), "--n", "4", "--s", "3"],
+        fn.write_text(GaussPoly.iso_gaussian(12).to_json())
+        code, _ = run_cli(["pair", "--testfn", str(fn), "--n", "4", "--s", "4"],
                           tmp_path, "pair.json")
         assert code == 1
 

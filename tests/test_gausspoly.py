@@ -10,6 +10,7 @@ from pseudoht.gausspoly import (
     batched_osc_integral,
     gaussian_poly_integral,
 )
+from pseudoht.kernels import inv_p_power
 
 
 def rand_points(rng, n, dim, scale=2.0):
@@ -232,3 +233,84 @@ def test_closure_chain_hypothesis(a, c, b, x):
     assert isinstance(out, GaussPoly)
     val = out.evaluate([x])
     assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+# ---------------------------------------------------- node families (restrict)
+
+FAMILY_MONOMIALS = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0), (0, 2, 0, 0, 0, 1),
+                    (0, 0, 1, 1, 0, 0), (2, 0, 0, 0, 0, 2), (0, 0, 0, 3, 0, 0)]
+
+
+def _family_phi(entries, coeffs, shift, freq) -> GaussPoly:
+    """A term on R^6 whose form couples every pair of axes (not block-diagonal)."""
+    L = np.array(entries).reshape(6, 6)
+    A = L @ L.T + 0.25 * (np.eye(6) + np.ones((6, 6)))
+    poly = {m: complex(re, im) for m, (re, im) in zip(FAMILY_MONOMIALS, coeffs)}
+    return GaussPoly(6, A, poly, shift=shift, freq=freq)
+
+
+family_data = dict(
+    entries=st.lists(st.floats(-0.6, 0.6), min_size=36, max_size=36),
+    coeffs=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+                    min_size=len(FAMILY_MONOMIALS), max_size=len(FAMILY_MONOMIALS)),
+    shift=st.lists(st.floats(0.1, 0.8), min_size=6, max_size=6),
+    freq=st.lists(st.floats(-1.0, -0.1), min_size=6, max_size=6),
+    values=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                    min_size=2, max_size=5),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**family_data, u=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4))
+def test_family_restrict_matches_evaluate(entries, coeffs, shift, freq, values, u):
+    """Node i of a batched restrict equals phi at the assembled point."""
+    phi = _family_phi(entries, coeffs, shift, freq)
+    fixed = [1, 4]
+    fam = phi.restrict(fixed, np.array(values))
+    assert len(fam) == len(values)
+    for i, (v1, v4) in enumerate(values):
+        point = np.array([u[0], v1, u[1], u[2], v4, u[3]])
+        want = phi.evaluate(point)
+        got = fam.term(i).evaluate(np.array(u))
+        assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**family_data, w=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_family_engine_matches_integrate_against(entries, coeffs, shift, freq, values, w):
+    """Each row of a batched engine call equals the closed-form Gaussian integral.
+
+    The kept 4x4 block of the coupled form is not diagonal, so this runs the
+    tau-congruence path as well as the recentring of every node.
+    """
+    phi = _family_phi(entries, coeffs, shift, freq)
+    fam = phi.restrict([4, 5], np.array(values))
+    assert np.count_nonzero(fam.quad - np.diag(np.diagonal(fam.quad)))
+    tau = np.array([1.0, 1.0, -1.0, -1.0])
+    ws = np.array(w)[None, :] * (1.0 + 0.1 * np.arange(len(values)))[:, None]
+    got = batched_osc_integral(fam, ws, tau)
+    assert got.shape == ws.shape
+    for i in range(len(values)):
+        node = fam.term(i)
+        want = np.array([node.integrate_against(W=-2j * x * np.diag(tau)) for x in ws[i]])
+        assert np.max(np.abs(got[i] - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(**family_data, w=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_family_single_node_is_row_of_batch(entries, coeffs, shift, freq, values, w):
+    """N = 1 (the scalar restrict, the 1-D engine, scalar inv_p_power) is a row of N > 1."""
+    phi = _family_phi(entries, coeffs, shift, freq)
+    values = np.array(values)
+    tau = np.array([1.0, 1.0, -1.0, -1.0])
+    ws = np.broadcast_to(np.array(w), (len(values), 3))
+    fam = phi.restrict([4, 5], values)
+    rows = batched_osc_integral(fam, ws, tau)
+    inv = inv_p_power(fam, 2)
+    for k in range(len(values)):
+        single = phi.restrict([4, 5], values[k])
+        assert isinstance(single, GaussPoly)
+        one = batched_osc_integral(single, np.array(w), tau)
+        assert np.max(np.abs(one - rows[k])) <= 1e-12 * max(1.0, np.max(np.abs(rows[k])))
+        scalar = inv_p_power(single, 2)
+        assert abs(scalar - inv[k]) <= 1e-12 * max(1.0, abs(inv[k]))

@@ -6,7 +6,7 @@ from pseudoht.clifford import Signature
 from pseudoht.errors import OddN, UnsupportedN
 from pseudoht.gausspoly import GaussPoly
 from pseudoht.group import GroupPoint, GroupStructure, heisenberg
-from pseudoht.kernels import KernelSelector
+from pseudoht.kernels import KernelSelector, inv_p_power
 from pseudoht.pairing import (
     PairBudget,
     pair_k,
@@ -74,6 +74,15 @@ class TestPairK:
         d = g022.apply_delta_rs(phi)
         r1 = pair_k(2, 2, d, KernelSelector.constant(1.0), SMALL, with_error=True)
         assert abs(r1.value - 1.0) <= max(10 * r1.est_error, 1e-6)
+
+    @pytest.mark.slow
+    def test_delta_reproduction_034(self):
+        """K(Delta phi) = phi(0) at (0, 3, 4): center S^2, 11-dim test function."""
+        G = GroupStructure.from_signature(Signature(0, 3, 4))
+        phi = GaussPoly.gaussian(np.diag(np.linspace(0.9, 1.4, 11)))
+        res = pair_k(4, 3, G.apply_delta_rs(phi), KernelSelector.constant(1.0),
+                     PairBudget(sphere_pts=8), with_error=False)
+        assert abs(res.value - 1.0) <= 1e-6
 
     def test_grid_oracle_crosscheck(self):
         """pair_k at odd n against an independent reduction of the same integral.
@@ -196,3 +205,47 @@ class TestPseudoPair:
         want = phi.evaluate(np.zeros(5))  # -4
         assert abs(rhs - want) < 1e-8
         assert abs(lhs - rhs) <= 1e-3 * abs(rhs)
+
+
+class TestPinnedValues:
+    """Values of the per-node quadrature loops, which node batching replaced.
+
+    The batched restriction and engine reorder floating-point sums only, so
+    every value must agree to 1e-12 relative.
+    """
+
+    PHI5 = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]),
+                     {(0,) * 5: 1.0, (0, 0, 0, 0, 2): 0.25})
+
+    @staticmethod
+    def close(got, want):
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_pair_k_22_constant(self, g022):
+        phi = GaussPoly(6, np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]),
+                        {(0,) * 6: 1.0, (2, 0, 0, 0, 0, 0): 0.3, (0, 0, 0, 0, 0, 2): -0.2})
+        res = pair_k(2, 2, g022.apply_delta_rs(phi), KernelSelector.constant(1.0), SMALL,
+                     with_error=False)
+        self.close(res.value, 1.00000217187044 + 4.4338790378363804e-16j)
+
+    def test_pair_k_21_heaviside(self):
+        res = pair_k(2, 1, self.PHI5, KernelSelector.heaviside(), with_error=False)
+        self.close(res.value, -0.042378201375743225 - 6.368455503767739e-17j)
+
+    def test_pair_mr_heisenberg(self, heis2):
+        res = pair_mr_heisenberg(heis2, self.PHI5, with_error=False)
+        self.close(res.value, -0.04237820077167745 + 1.4456170758842876e-18j)
+
+    def test_pseudo_pair_n2(self, heis2):
+        phi = GaussPoly(5, np.diag([1.0, 1.2, 0.9, 1.1, 1.3]),
+                        {(0,) * 5: 1.0, (2, 0, 0, 0, 0): 0.2})
+        lhs, rhs = pseudo_pair_n2(heis2, phi)
+        self.close(lhs, 1.357813223666066 - 1.0293108611268396e-16j)
+        self.close(rhs, 1.3578132236660676)
+
+    def test_inv_p_power_coupled_form(self):
+        A = np.array([[1.0, 0.2, 0.1, 0.0], [0.2, 1.4, 0.0, 0.15],
+                      [0.1, 0.0, 0.7, 0.05], [0.0, 0.15, 0.05, 1.2]])
+        psi = GaussPoly(4, A, {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): 0.3, (0, 0, 2, 0): -0.1},
+                        shift=[0.1, 0, -0.2, 0.05])
+        self.close(inv_p_power(psi, 2), -1.329672426448347 + 27.13898442507997j)
