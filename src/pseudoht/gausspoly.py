@@ -60,10 +60,22 @@ def poly_add(p: Poly, q: Poly) -> Poly:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def _axis_monomial(dim: int, j: int, k: int = 1) -> Monomial:
+def axis_monomial(dim: int, j: int, k: int = 1) -> Monomial:
     m = [0] * dim
     m[j] = k
     return tuple(m)
+
+
+def poly_derivative(p: Poly, axis: int) -> Poly:
+    """d/dw_axis of the polynomial p(w)."""
+    out: Poly = {}
+    for mono, c in p.items():
+        if mono[axis] > 0:
+            m = list(mono)
+            m[axis] -= 1
+            key = tuple(m)
+            out[key] = out.get(key, 0.0) + c * mono[axis]
+    return out
 
 
 def poly_shift(p: Poly, delta) -> Poly:
@@ -81,7 +93,7 @@ def poly_shift(p: Poly, delta) -> Poly:
             for k in range(mj + 1):
                 coeff = comb(mj, k) * delta[j] ** (mj - k)
                 if coeff != 0:
-                    axis[_axis_monomial(dim, j, k)] = coeff
+                    axis[axis_monomial(dim, j, k)] = coeff
             term = poly_mul(term, axis)
         out = poly_add(out, term)
     return out
@@ -99,7 +111,7 @@ def poly_linear_subst(p: Poly, M) -> Poly:
             lin: Poly = {}
             for k in range(dim):
                 if M[j, k] != 0:
-                    lin[_axis_monomial(dim, k)] = M[j, k]
+                    lin[axis_monomial(dim, k)] = M[j, k]
             for _ in range(mj):
                 term = poly_mul(term, lin)
         out = poly_add(out, term)
@@ -253,20 +265,7 @@ class GaussPoly:
 
     def differentiate(self, axis: int) -> "GaussPoly":
         """d/du_axis, exact."""
-        new: Poly = {}
-        for mono, c in self.poly.items():
-            if mono[axis] > 0:
-                m = list(mono)
-                m[axis] -= 1
-                key = tuple(m)
-                new[key] = new.get(key, 0.0) + c * mono[axis]
-        lin: Poly = {}
-        for k in range(self.dim):
-            if self.quad[axis, k] != 0:
-                lin[_axis_monomial(self.dim, k)] = -self.quad[axis, k]
-        if self.freq[axis] != 0:
-            lin[tuple([0] * self.dim)] = lin.get(tuple([0] * self.dim), 0.0) + 1j * self.freq[axis]
-        new = poly_add(new, poly_mul(self.poly, lin)) if lin else new
+        new = _derivative(self, axis_monomial(self.dim, axis), {(0,) * self.dim: self.poly})
         return GaussPoly(self.dim, self.quad, new, self.shift, self.freq)
 
     def multiply_monomial(self, mono: Monomial) -> "GaussPoly":
@@ -275,7 +274,7 @@ class GaussPoly:
         for j, mj in enumerate(mono):
             if mj == 0:
                 continue
-            axis = {_axis_monomial(self.dim, j): 1.0}
+            axis = {axis_monomial(self.dim, j): 1.0}
             if self.shift[j] != 0:
                 axis[tuple([0] * self.dim)] = self.shift[j]
             for _ in range(mj):
@@ -289,7 +288,7 @@ class GaussPoly:
         c0 = complex(const) + complex(np.dot(coeffs, self.shift))
         for j, cj in enumerate(coeffs):
             if cj != 0:
-                lin[_axis_monomial(self.dim, j)] = cj
+                lin[axis_monomial(self.dim, j)] = cj
         if c0 != 0:
             lin[z] = c0
         return GaussPoly(self.dim, self.quad, poly_mul(self.poly, lin), self.shift, self.freq)
@@ -308,11 +307,9 @@ class GaussPoly:
         return GaussPoly(self.dim, new_quad, poly_scale(new_poly, phase), new_shift, new_freq)
 
     def laplacian(self) -> "GaussPoly":
-        out = None
-        for j in range(self.dim):
-            term = self.differentiate(j).differentiate(j)
-            out = term if out is None else out.plus(term)
-        return out
+        one = {(0,) * self.dim: 1.0}
+        return apply_operator(self, [(one, axis_monomial(self.dim, j, 2))
+                                     for j in range(self.dim)])
 
     def laplacian_power(self, ell: int) -> "GaussPoly":
         out = self
@@ -481,7 +478,7 @@ class GaussPoly:
         # verify exactly: expand sum_j coeffs_j S^j, S = |u|^2, and compare
         S = {}
         for j in range(self.dim):
-            S[_axis_monomial(self.dim, j, 2)] = 1.0
+            S[axis_monomial(self.dim, j, 2)] = 1.0
         expanded: Poly = {tuple([0] * self.dim): coeffs[0]}
         power: Poly = {tuple([0] * self.dim): 1.0}
         for j in range(1, k):
@@ -599,6 +596,61 @@ def as_terms(phi) -> list:
     if isinstance(phi, GaussMixture):
         return list(phi.terms)
     return [phi]
+
+
+# ---------------------------------------------------- differential operators
+
+def apply_operator(phi, op: list):
+    """sum_i c_i(u) D^{alpha_i} phi, exact, for op = [(c_i, alpha_i), ...].
+
+    c_i is a Poly in absolute coordinates u, alpha_i a derivative multi-index.
+    Each term of phi gives one term: every distinct derivative is computed once
+    and each c_i is re-expanded in the centred variable u - shift.
+    """
+    out_terms = []
+    for term in as_terms(phi):
+        if any(len(alpha) != term.dim for _, alpha in op):
+            raise DimensionMismatch(f"operator does not act on functions over R^{term.dim}")
+        derivs = {(0,) * term.dim: term.poly}
+        acc: Poly = {}
+        for coef, alpha in op:
+            d = _derivative(term, alpha, derivs)
+            for a, ca in poly_shift(coef, term.shift).items():
+                for b, cb in d.items():
+                    m = tuple(x + y for x, y in zip(a, b))
+                    acc[m] = acc.get(m, 0.0) + ca * cb
+        out_terms.append(GaussPoly(term.dim, term.quad, acc, term.shift, term.freq))
+    return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
+
+
+def _derivative(term: GaussPoly, alpha: Monomial, derivs: dict) -> Poly:
+    """Polynomial part of D^alpha term, memoised in derivs (which holds alpha = 0);
+    d/du_j [p G] = [d_j p - (A w)_j p + i b_j p] G for w = u - c."""
+    if alpha not in derivs:
+        j = max(i for i, a in enumerate(alpha) if a)
+        poly = _derivative(term, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], derivs)
+        lin: Poly = {axis_monomial(term.dim, k): -term.quad[j, k]
+                     for k in range(term.dim) if term.quad[j, k] != 0}
+        if term.freq[j] != 0:
+            lin[(0,) * term.dim] = 1j * term.freq[j]
+        new = poly_derivative(poly, j)
+        derivs[alpha] = poly_add(new, poly_mul(poly, lin)) if lin else new
+    return derivs[alpha]
+
+
+def compose(first: list, op: list) -> list:
+    """`first` o `op` as operator data, for a first-order `first` (unit multi-indices).
+
+    Leibniz: a d_i (b D^beta) = a (d_i b) D^beta + a b D^{beta + e_i}.
+    """
+    acc: dict = {}
+    for a, e in first:
+        i = e.index(1)
+        for b, beta in op:
+            raised = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            acc[beta] = poly_add(acc.get(beta, {}), poly_mul(a, poly_derivative(b, i)))
+            acc[raised] = poly_add(acc.get(raised, {}), poly_mul(a, b))
+    return [(coef, alpha) for alpha, coef in acc.items() if coef]
 
 
 # ------------------------------------------------------------- node families

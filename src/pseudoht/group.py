@@ -16,12 +16,13 @@ with L the flat ultra-hyperbolic operator in xi, so that F o Delta = G o F.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .clifford import AdmissibleModule, Signature, build_module, tau_matrix
 from .errors import DimensionMismatch, NonPositiveScale
-from .gausspoly import GaussMixture, GaussPoly, as_terms
+from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial, compose, poly_scale
 
 
 @dataclass
@@ -103,94 +104,61 @@ class GroupStructure:
         M, v = self.left_translation_map(g)
         return phi.precompose_affine(M, v)
 
-    # -- vector fields and Delta ----------------------------------------------
-    def apply_field(self, phi, j: int):
-        """X_j phi = d/dx_j phi + sum_k (Omega_k^T x)_j d/dz_k phi, exact."""
+    # -- differential operators as data (see gausspoly.apply_operator) ----------
+    @cached_property
+    def delta_rs_op(self) -> list:
+        """Delta_{r,s} = sum_j tau_j X_j o X_j as operator data.
+
+        X_j = d/dx_j + sum_k (Omega_k^T x)_j d/dz_k, (Omega_k^T x)_j = sum_m (Omega_k)_{mj} x_m.
+        """
+        n2, d = 2 * self.sig.n, self.sig.total_dim
+        op = []
+        for j, t in enumerate(tau_signs(self.sig.n)):
+            X = [({(0,) * d: 1.0}, axis_monomial(d, j))]
+            X += [({axis_monomial(d, m): Ok[m, j] for m in range(n2) if Ok[m, j] != 0},
+                   axis_monomial(d, n2 + k)) for k, Ok in enumerate(self.omega_gen)]
+            op += [(poly_scale(coef, t), alpha) for coef, alpha in compose(X, X)]
+        return op
+
+    @cached_property
+    def g_rs_op(self) -> list:
+        """G_{r,s} = -P(xi) + (<eta,eta>_{r,s}/4) L_xi + i xi^T rho(eta)^T grad_xi as data."""
+        n2, cd, d = 2 * self.sig.n, self.sig.center_dim, self.sig.total_dim
+        one = (0,) * d
+        quarter_q = {axis_monomial(d, n2 + k, 2): 0.25 * sk for k, sk in
+                     enumerate([1.0] * self.sig.r + [-1.0] * self.sig.s)}
+        op = []
+        for j, t in enumerate(tau_signs(self.sig.n)):
+            op += [({axis_monomial(d, j, 2): -t}, one),
+                   (poly_scale(quarter_q, t), axis_monomial(d, j, 2))]
+        # rho(eta) = sum_k eta_k rho_k: d/dxi_b carries i sum_{k,a} rho_k[b, a] xi_a eta_k
+        return op + [({axis_monomial(n2, a) + axis_monomial(cd, k): 1j * rk[b, a]
+                       for k, rk in enumerate(self.module.rho_gen)
+                       for a in range(n2) if rk[b, a] != 0},
+                      axis_monomial(d, b)) for b in range(n2)]
+
+    def delta_eta_op(self, eta) -> list:
+        """Delta_{r,s}(eta) = L - (<eta,eta>_{r,s}/4) P(x) - i x^T rho(eta) grad_x on R^{2n}.
+
+        Delta_{r,s} after the Fourier transform in z (d/dz_k -> i eta_k), as data.
+        """
         n2 = 2 * self.sig.n
-        out_terms = []
-        for term in as_terms(phi):
-            if term.dim != self.sig.total_dim:
-                raise DimensionMismatch("test function dimension mismatch")
-            acc = term.differentiate(j)
-            for k, Ok in enumerate(self.omega_gen):
-                col = Ok[:, j]  # (Omega_k^T x)_j = sum_m (Omega_k)_{m j} x_m
-                dz = term.differentiate(n2 + k)
-                coeffs = np.zeros(self.sig.total_dim)
-                coeffs[:n2] = col
-                acc = acc.plus(dz.multiply_linear(coeffs))
-            out_terms.append(acc)
-        return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
+        q, R = self.sig.eta_form(eta), self.module.rho(eta)
+        one = (0,) * n2
+        op = []
+        for j, t in enumerate(tau_signs(self.sig.n)):
+            op += [({one: t}, axis_monomial(n2, j, 2)),
+                   ({axis_monomial(n2, j, 2): -q / 4.0 * t}, one)]
+        return op + [({axis_monomial(n2, a): -1j * R[a, b] for a in range(n2) if R[a, b] != 0},
+                      axis_monomial(n2, b)) for b in range(n2)]
 
     def apply_delta_rs(self, phi):
-        """Delta_{r,s} phi = sum_{j<=n} X_j^2 phi - sum_{j>n} X_j^2 phi, exact."""
-        n = self.sig.n
-        out = None
-        for j in range(2 * n):
-            term = self.apply_field(self.apply_field(phi, j), j)
-            sign = 1.0 if j < n else -1.0
-            term = term.scaled(sign)
-            if out is None:
-                out = term
-            elif isinstance(out, GaussPoly) and isinstance(term, GaussPoly):
-                out = out.plus(term)
-            else:
-                out = GaussMixture(as_terms(out) + as_terms(term))
-        return out
+        """Delta_{r,s} phi, exact (phi over R^{2n + r + s})."""
+        return apply_operator(phi, self.delta_rs_op)
 
-    # -- Fourier-side operator -------------------------------------------------
     def apply_g_rs_gausspoly(self, psi):
         """G_{r,s} psi for class members, exact (psi over R^{2n + r + s})."""
-        n, cd = self.sig.n, self.sig.center_dim
-        d = self.sig.total_dim
-        sig_signs = [1.0] * self.sig.r + [-1.0] * self.sig.s
-        out_terms = []
-        for term in as_terms(psi):
-            # -P(xi) psi
-            acc = None
-            for j in range(2 * n):
-                sgn = -1.0 if j < n else 1.0
-                mono = [0] * d
-                mono[j] = 2
-                t = term.multiply_monomial(tuple(mono)).scaled(sgn)
-                acc = t if acc is None else acc.plus(t)
-            # (<eta,eta>/4) L psi: eta-quadratic coefficient times xi-second derivatives
-            for k in range(cd):
-                mono = [0] * d
-                mono[2 * n + k] = 2
-                for j in range(2 * n):
-                    sgn = 1.0 if j < n else -1.0
-                    t = term.differentiate(j).differentiate(j) \
-                        .multiply_monomial(tuple(mono)) \
-                        .scaled(0.25 * sig_signs[k] * sgn)
-                    acc = acc.plus(t)
-            # i xi^T rho(eta)^T grad_xi psi, rho(eta) = sum_k eta_k rho_k
-            for k, rk in enumerate(self.module.rho_gen):
-                for a in range(2 * n):
-                    for b in range(2 * n):
-                        if rk[b, a] == 0:
-                            continue
-                        mono = [0] * d
-                        mono[a] += 1
-                        mono[2 * n + k] += 1
-                        t = term.differentiate(b).multiply_monomial(tuple(mono)) \
-                            .scaled(1j * rk[b, a])
-                        acc = acc.plus(t)
-            out_terms.append(acc)
-        return out_terms[0] if isinstance(psi, GaussPoly) else GaussMixture(out_terms)
-
-    def apply_g_rs_pointwise(self, value, grad_xi, hess_xi, xi, eta) -> complex:
-        """G_{r,s} psi at one point from supplied xi-derivatives.
-
-        value/grad_xi/hess_xi: psi(xi, eta), its xi-gradient and xi-Hessian.
-        """
-        xi = np.asarray(xi, float)
-        n = self.sig.n
-        from .clifford import p_form
-        q = self.sig.eta_form(eta)
-        L = sum(hess_xi[j, j] * (1.0 if j < n else -1.0) for j in range(2 * n))
-        R = self.module.rho(np.asarray(eta, float))
-        first = 1j * (xi @ R.T @ np.asarray(grad_xi))
-        return -p_form(xi) * value + 0.25 * q * L + first
+        return apply_operator(psi, self.g_rs_op)
 
     # -- exponential flows ------------------------------------------------------
     def exp_flow(self, eta, t: float, side: str = "right") -> np.ndarray:

@@ -39,6 +39,7 @@ from .quadrature import (
     half_disc_rule,
     refine_many,
     refine_until,
+    sine_map_rule,
 )
 from .specfun import gamma_half, osc_weight_integral
 
@@ -320,14 +321,11 @@ def smooth_kernel_offcone(n: int, s: int, x, z, rel_tol: float = 1e-6) -> comple
     branch = math.copysign(1.0, P)
 
     def eval_with(npts: int) -> complex:
-        # rho = sin(u) removes the (1 - rho^2)^{(n-2)/2} endpoint singularity
-        edges = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 10)]) * np.pi / 2
-        u, w = composite_legendre(edges, npts)
-        rho = np.sin(u)
-        # _offcone_accumulate carries the full rho-integrand incl. the Jacobian
-        vals = _offcone_accumulate(rho, P, z2, powers, coeffs, index,
-                                   n, s, branch)
-        return complex((w * np.cos(u)) @ vals)
+        # rho = sin(u) removes the (1 - rho^2)^{(n-2)/2} endpoint singularity;
+        # _offcone_accumulate carries the full rho-integrand
+        rho, w = sine_map_rule(npts)
+        return complex(w @ _offcone_accumulate(rho, P, z2, powers, coeffs, index,
+                                               n, s, branch))
 
     val, _, _ = refine_until(eval_with, 12, rel_tol)
     return 1j * val

@@ -75,6 +75,16 @@ def composite_legendre(edges, npts: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+@lru_cache(maxsize=64)
+def sine_map_rule(npts: int):
+    """Nodes/weights for integral_0^1 f(rho) drho by rho = sin(u): composite
+    Gauss-Legendre in u on [0, pi/2], panels geometric toward u = 0; the
+    weights carry cos(u), which cancels a (1 - rho^2)^{-1/2} end singularity."""
+    edges = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 10)]) * np.pi / 2
+    u, w = composite_legendre(edges, npts)
+    return np.sin(u), w * np.cos(u)
+
+
 def geometric_edges(r_min: float, r_max: float, n_geo: int, n_lin: int):
     """Panel edges refined geometrically near 0, linear after r0 = 2^{-n_geo} r_max."""
     r0 = r_max * 0.5 ** n_geo

@@ -23,54 +23,39 @@ import numpy as np
 
 from .clifford import Signature, p_form
 from .errors import BumpOutsideK, DimensionMismatch, NonTimelikeEta
-from .gausspoly import GaussMixture, GaussPoly, as_terms
+from .gausspoly import GaussMixture, GaussPoly, apply_operator, as_terms, axis_monomial
 from .group import GroupStructure, tau_signs
 from .quadrature import legendre_rule, tensor_rule
 
 
 # ------------------------------------------------------------- A/B operators
 
+def a_eta_op(G: GroupStructure, eta) -> list:
+    """A_eta = -P(xi) + ((|eta_+|^2 - |eta_-|^2)/4) L as operator data on R^{2n}."""
+    n2, q = 2 * G.sig.n, G.sig.eta_form(np.asarray(eta, float))
+    one = (0,) * n2
+    return [entry for j, t in enumerate(tau_signs(G.sig.n))
+            for entry in (({axis_monomial(n2, j, 2): -t}, one),
+                          ({one: t * q / 4.0}, axis_monomial(n2, j, 2)))]
+
+
+def b_eta_op(G: GroupStructure, eta) -> list:
+    """B_eta = -2i <Omega(eta) tau xi, grad> as operator data on R^{2n}."""
+    M = G.omega(np.asarray(eta, float)) @ G.tau
+    n2 = M.shape[0]
+    # <M xi, grad phi> = sum_b (sum_a M_{b a} xi_a) d_b phi
+    return [({axis_monomial(n2, a): -2j * M[b, a] for a in range(n2) if M[b, a] != 0},
+             axis_monomial(n2, b)) for b in range(n2)]
+
+
 def a_eta_apply(G: GroupStructure, phi, eta):
-    """A_eta phi = -P phi + ((|eta_+|^2 - |eta_-|^2)/4) L phi, exact."""
-    n = G.sig.n
-    q = G.sig.eta_form(np.asarray(eta, float))
-    out_terms = []
-    for term in as_terms(phi):
-        if term.dim != 2 * n:
-            raise DimensionMismatch("A_eta acts on functions over R^{2n}")
-        acc = None
-        for j in range(2 * n):
-            sgn = -1.0 if j < n else 1.0
-            mono = [0] * (2 * n)
-            mono[j] = 2
-            t = term.multiply_monomial(tuple(mono)).scaled(sgn)
-            acc = t if acc is None else acc.plus(t)
-            lsgn = 1.0 if j < n else -1.0
-            acc = acc.plus(term.differentiate(j).differentiate(j).scaled(lsgn * q / 4.0))
-        out_terms.append(acc)
-    return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
+    """A_eta phi, exact (phi over R^{2n})."""
+    return apply_operator(phi, a_eta_op(G, eta))
 
 
 def b_eta_apply(G: GroupStructure, phi, eta):
-    """B_eta phi = -2i <Omega(eta) tau xi, grad phi>, exact."""
-    n = G.sig.n
-    M = G.omega(np.asarray(eta, float)) @ G.tau
-    out_terms = []
-    for term in as_terms(phi):
-        if term.dim != 2 * n:
-            raise DimensionMismatch("B_eta acts on functions over R^{2n}")
-        # <M xi, grad phi> = sum_b (sum_a M_{b a} xi_a) d_b phi
-        acc = None
-        for b in range(2 * n):
-            row = M[b, :]
-            if not np.any(row):
-                continue
-            t = term.differentiate(b).multiply_linear(-2j * row)
-            acc = t if acc is None else acc.plus(t)
-        if acc is None:
-            acc = term.scaled(0.0)
-        out_terms.append(acc)
-    return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
+    """B_eta phi, exact (phi over R^{2n})."""
+    return apply_operator(phi, b_eta_op(G, eta))
 
 
 def phi_eta(G: GroupStructure, eta) -> GaussPoly:
@@ -270,30 +255,7 @@ def nonsolvability_report(w: WitnessFunction, z_halfwidth: float = 2.0,
             continue
         mix = w.mixture_at(eta)
         finv = mix.inverse_fourier()
-        # Delta_{r,s}(eta) g = L g - (<eta,eta>/4) P(x) g - i x^T rho(eta) grad g
-        q = sig.eta_form(eta)
-        R = G.module.rho(eta)
-        out_terms = []
-        for term in as_terms(finv):
-            acc = None
-            for j in range(n2):
-                sgn = 1.0 if j < sig.n else -1.0
-                t = term.differentiate(j).differentiate(j).scaled(sgn)
-                acc = t if acc is None else acc.plus(t)
-                mono = [0] * n2
-                mono[j] = 2
-                # -(q/4) P(x): coefficient -(q/4) tau_j per x_j^2
-                acc = acc.plus(term.multiply_monomial(tuple(mono)).scaled(-q / 4.0 * sgn))
-            for a in range(n2):
-                for bb in range(n2):
-                    if R[a, bb] == 0:
-                        continue
-                    mono = [0] * n2
-                    mono[a] = 1
-                    acc = acc.plus(term.differentiate(bb).multiply_monomial(tuple(mono))
-                                   .scaled(-1j * R[a, bb]))
-            out_terms.append(acc)
-        dmix = GaussMixture(out_terms)
+        dmix = apply_operator(finv, G.delta_eta_op(eta))
         dvals = dmix.evaluate_many(X)
         base = finv.evaluate_many(np.zeros((1, n2)))[0]
         phase = np.exp(1j * Z @ eta)

@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudoht.errors import DimensionMismatch
 from pseudoht.gausspoly import (
     GaussMixture,
     GaussPoly,
+    apply_operator,
     batched_osc_integral,
+    compose,
     gaussian_poly_integral,
 )
 from pseudoht.kernels import inv_p_power
@@ -200,6 +203,38 @@ class TestIntegrals:
         U = np.stack([X.ravel(), Y.ravel()], axis=1)
         num = np.sum(np.abs(phi.evaluate_many(U))) * (xs[1] - xs[0]) ** 2
         assert abs(phi.l1_norm() - num) < 1e-6
+
+
+class TestOperators:
+    PHI = GaussPoly(2, np.array([[1.2, 0.3], [0.3, 0.9]]), {(0, 0): 1.0, (1, 0): 0.5 - 0.2j},
+                    shift=[0.4, -0.7], freq=[0.3, 0.8])
+
+    def test_matches_elementary_steps(self):
+        """u0^2 d_1 + 3 d_0 d_1 + (2 u1 - 1) against differentiate/multiply."""
+        phi = self.PHI
+        op = [({(2, 0): 1.0}, (0, 1)), ({(0, 0): 3.0}, (1, 1)),
+              ({(0, 1): 2.0, (0, 0): -1.0}, (0, 0))]
+        want = (phi.differentiate(1).multiply_monomial((2, 0))
+                .plus(phi.differentiate(0).differentiate(1).scaled(3.0))
+                .plus(phi.multiply_linear([0.0, 2.0], -1.0)))
+        U = rand_points(np.random.default_rng(20), 30, 2)
+        ref = want.evaluate_many(U)
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(apply_operator(phi, op).evaluate_many(U) - ref)) <= 1e-13
+
+    def test_compose_is_successive_application(self):
+        """(u1 d_0 + d_1) o (u0^2 d_1 + 1) applied at once or one after the other."""
+        X = [({(0, 1): 1.0}, (1, 0)), ({(0, 0): 1.0}, (0, 1))]
+        Y = [({(2, 0): 1.0}, (0, 1)), ({(0, 0): 1.0}, (0, 0))]
+        U = rand_points(np.random.default_rng(21), 30, 2)
+        ref = apply_operator(apply_operator(self.PHI, Y), X).evaluate_many(U)
+        got = apply_operator(self.PHI, compose(X, Y)).evaluate_many(U)
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            apply_operator(self.PHI, [({(0, 0, 0): 1.0}, (1, 0, 0))])
 
 
 class TestMixture:

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from pseudoht.clifford import CATALOG_SIGNATURES, Signature, build_module, p_form
-from pseudoht.errors import NonPositiveScale
-from pseudoht.gausspoly import GaussPoly
+from pseudoht.errors import DimensionMismatch, NonPositiveScale
+from pseudoht.gausspoly import GaussPoly, apply_operator
 from pseudoht.group import GroupPoint, GroupStructure, heisenberg, tau_signs
+from pseudoht.witness import a_eta_apply, b_eta_apply
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +175,29 @@ class TestDeltaOperator:
             + x0 @ G.module.rho(eta0) @ xi0
         assert abs(val - symbol) < 1e-4 * max(1.0, abs(symbol))
 
+    @pytest.mark.parametrize("sig", [Signature(1, 1, 2), Signature(0, 2, 2),
+                                     Signature(2, 1, 4), Signature(0, 3, 4)], ids=str)
+    def test_delta_eta_is_z_fourier_of_delta_rs(self, sig):
+        """F_z(Delta_{r,s} phi)(., eta) = Delta_{r,s}(eta) F_z(phi)(., eta)."""
+        G = GroupStructure.from_signature(sig)
+        d, n2 = sig.total_dim, 2 * sig.n
+        rng = np.random.default_rng(18)
+        quad = np.diag(np.linspace(0.4, 0.7, d))
+        quad[0, 1] = quad[1, 0] = 0.15
+        lin = [0] * d
+        lin[0] = 1
+        phi = GaussPoly(d, quad, {tuple([0] * d): 1.0, tuple(lin): 0.5},
+                        shift=0.4 * rng.normal(size=d))
+        z = list(range(n2, d))
+        eta = rng.normal(size=sig.center_dim)
+        lhs = G.apply_delta_rs(phi).partial_fourier(z).restrict(z, eta)
+        g = phi.partial_fourier(z).restrict(z, eta)
+        rhs = apply_operator(g, G.delta_eta_op(eta))
+        X = 0.5 * rng.normal(size=(30, n2))
+        want = rhs.evaluate_many(X)
+        assert np.max(np.abs(want)) > 0.01
+        assert np.max(np.abs(lhs.evaluate_many(X) - want)) <= 1e-12
+
 
 class TestGOperator:
     @pytest.mark.parametrize("sig", [Signature(0, 1, 1), Signature(0, 2, 2),
@@ -190,25 +214,37 @@ class TestGOperator:
         diff = np.max(np.abs(lhs.evaluate_many(U) - rhs.evaluate_many(U)))
         assert diff < 1e-8
 
-    def test_pointwise_interface_matches_gausspoly(self):
-        sig = Signature(1, 1, 2)
+    @pytest.mark.parametrize("sig", [Signature(1, 1, 2), Signature(0, 1, 1),
+                                     Signature(0, 2, 2), Signature(2, 1, 4)], ids=str)
+    def test_a_plus_b_is_g_at_fixed_eta(self, sig):
+        """G_{r,s} psi restricted to eta equals (A_eta + B_eta) psi(., eta)."""
         G = GroupStructure.from_signature(sig)
-        psi = GaussPoly(4, np.diag([1.0, 2.0, 1.5, 0.7]), {(1, 0, 0, 1): 0.5, (0, 0, 0, 0): 1.0})
-        eta = np.array([0.9, 0.3])
-        xi = np.array([0.2, -0.4, 0.1, 0.8])
-        # grad/hessian of psi in xi from the exact class
-        grad = np.array([psi.differentiate(j).evaluate(xi) for j in range(4)])
-        hess = np.array([[psi.differentiate(i).differentiate(j).evaluate(xi)
-                          for j in range(4)] for i in range(4)])
-        got = G.apply_g_rs_pointwise(psi.evaluate(xi), grad, hess, xi, eta)
-        # against the symbolic operator applied on the 6-dim lift:
-        # build Psi(xi, eta) = psi(xi) * bump(eta) sharply peaked? simpler:
-        # direct formula
-        want = -p_form(xi) * psi.evaluate(xi) \
-            + 0.25 * sig.eta_form(eta) * sum((1 if j < 2 else -1)
-                                             * hess[j, j] for j in range(4)) \
-            + 1j * xi @ G.module.rho(eta).T @ grad
-        assert abs(got - want) < 1e-12
+        d, n2 = sig.total_dim, 2 * sig.n
+        rng = np.random.default_rng(17)
+        quad = np.diag(np.linspace(0.4, 0.7, d))
+        quad[0, 1] = quad[1, 0] = 0.15
+        quad[0, n2] = quad[n2, 0] = 0.1
+        lin = [0] * d
+        lin[1] = 1
+        cross = [0] * d
+        cross[0] = cross[n2] = 1
+        psi = GaussPoly(d, quad, {tuple([0] * d): 1.0, tuple(lin): 0.5, tuple(cross): -0.3},
+                        shift=0.3 * rng.normal(size=d))
+        z = list(range(n2, d))
+        eta = rng.normal(size=sig.center_dim)
+        p = psi.restrict(z, eta)
+        U = 0.5 * rng.normal(size=(40, n2))
+        want = a_eta_apply(G, p, eta).evaluate_many(U) + b_eta_apply(G, p, eta).evaluate_many(U)
+        got = G.apply_g_rs_gausspoly(psi).restrict(z, eta).evaluate_many(U)
+        assert np.max(np.abs(want)) > 0.01
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_dimension_mismatch(self):
+        G = GroupStructure.from_signature(Signature(1, 1, 2))
+        with pytest.raises(DimensionMismatch):
+            G.apply_delta_rs(GaussPoly.iso_gaussian(4))
+        with pytest.raises(DimensionMismatch):
+            G.apply_g_rs_gausspoly(GaussPoly.iso_gaussian(4))
 
 
 class TestExpFlow:

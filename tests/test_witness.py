@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pseudoht.clifford import Signature, p_form
-from pseudoht.errors import BumpOutsideK, NonTimelikeEta
+from pseudoht.errors import BumpOutsideK, DimensionMismatch, NonTimelikeEta
 from pseudoht.gausspoly import GaussPoly
 from pseudoht.group import GroupStructure
 from pseudoht.witness import (
@@ -83,6 +83,11 @@ class TestABOperators:
         lhs = phi.precompose_affine(E1, np.zeros(4)).fourier()
         rhs = phi.fourier().precompose_affine(E2, np.zeros(4))
         assert np.max(np.abs(lhs.evaluate_many(grid4) - rhs.evaluate_many(grid4))) <= 1e-9
+
+    @pytest.mark.parametrize("apply", [a_eta_apply, b_eta_apply])
+    def test_rejects_functions_over_the_whole_group(self, g11, apply):
+        with pytest.raises(DimensionMismatch):
+            apply(g11, GaussPoly.iso_gaussian(6), ETA0)
 
 
 class TestDEtaAverage:
