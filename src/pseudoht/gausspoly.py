@@ -781,7 +781,7 @@ def _shift_axis(expo: np.ndarray, coef: np.ndarray, j: int, dj: np.ndarray):
 
 # ------------------------------------------------------- oscillatory engine
 
-def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = False) -> np.ndarray:
     """integral phi(u) exp(i w P_tau(u)) du for an array of w values.
 
     P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  For a GaussPoly or
@@ -791,11 +791,21 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
     forms are reduced to that case once per family by a tau-congruence S
     (S^T A S = |Lambda| diagonal and S^T tau S = tau), which leaves P
     invariant up to coordinate ordering.
+
+    With table=True, phi is one term or one node family and the result gains
+    a last axis over its monomials, in the order of the family's `expo` (for
+    a GaussPoly, the order of `poly`): entry k is the integral of monomial k
+    times its coefficient, so the sum over that axis is the plain value.
     """
     w = np.asarray(w, float)
     if isinstance(phi, _NodeFamily):
-        return _osc_family(phi, w, tau)
-    return sum(_osc_family(f, w.reshape(1, -1), tau) for f in as_families(phi)).reshape(w.shape)
+        return _osc_family(phi, w, tau, table)
+    fams = as_families(phi)
+    if table:
+        if len(fams) != 1:
+            raise ValueError("a moment table needs a single term")
+        return _osc_family(fams[0], w.reshape(1, -1), tau, True).reshape(w.shape + (-1,))
+    return sum(_osc_family(f, w.reshape(1, -1), tau) for f in fams).reshape(w.shape)
 
 
 def node_blocks(count: int, nw: int) -> list:
@@ -809,10 +819,15 @@ def node_blocks(count: int, nw: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray) -> _NodeFamily:
+def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray):
     """Precompose with S such that the quadratic form becomes diagonal while
     sum tau_j u_j^2 keeps its shape: S = A^{-1/2} Q |L|^{1/2} with
-    A^{1/2} tau A^{1/2} = Q L Q^T, columns ordered positives-first."""
+    A^{1/2} tau A^{1/2} = Q L Q^T, columns ordered positives-first.
+
+    Returns the diagonal family and the basis map B = |det S| T, T[k, j] the
+    coefficient of the new monomial j in the image of the old monomial k,
+    so the new coefficients are fam.coef @ B.
+    """
     A = fam.quad
     lam_a, Va = np.linalg.eigh(A)
     B = Va @ np.diag(np.sqrt(lam_a)) @ Va.T          # A^{1/2}
@@ -828,23 +843,35 @@ def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray) -> _NodeFamily:
                              for e in fam.expo], fam.dim)
     # the congruence leaves only roundoff off-diagonal mass; drop it
     quad = np.diag(np.diagonal(S.T @ A @ S))
-    return _NodeFamily(quad, expo, (fam.coef @ T) * abs(np.linalg.det(S)),
-                       np.linalg.solve(S, fam.shift.T).T, fam.freq @ S)
+    det = abs(np.linalg.det(S))
+    return _NodeFamily(quad, expo, (fam.coef @ T) * det,
+                       np.linalg.solve(S, fam.shift.T).T, fam.freq @ S), T * det
 
 
-def _osc_family(fam: _NodeFamily, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _osc_family(fam: _NodeFamily, w: np.ndarray, tau: np.ndarray,
+                table: bool = False) -> np.ndarray:
+    """The engine on a family; with `table`, the (N, Nw, M) per-monomial table.
+
+    Both modes build the same per-pass moment products mono and prefactor
+    pref.  The plain mode folds the coefficients into mono and sums over
+    monomials; the table mode keeps unit coefficients, maps the columns back
+    through the basis map of the tau-congruence and then multiplies by the
+    caller's coefficients.
+    """
+    user_coef, basis = fam.coef, None
     A = fam.quad
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
-        fam = _tau_diagonalize(fam, tau)
+        fam, basis = _tau_diagonalize(fam, tau)
     a, t = np.diagonal(fam.quad)[:, None], tau[:, None]
     expo = fam.expo
     axes = [j for j in range(fam.dim) if expo.size and expo[:, j].max() > 0]
     # per-axis arrays are laid out (axis, pair); node data is gathered per pass
-    coef, shift, freq = fam.coef.T, fam.shift.T, fam.freq.T
+    coef = np.ones((len(expo), len(fam)), dtype=complex) if table else fam.coef.T
+    shift, freq = fam.shift.T, fam.freq.T
     phase = np.sum(fam.freq * fam.shift, axis=1)
     curv = fam.shift ** 2 @ tau
     nw = w.shape[1]
-    out = np.empty(w.size, dtype=complex)
+    out = np.empty((w.size, user_coef.shape[1]) if table else w.size, dtype=complex)
     for lo in range(0, w.size, _OSC_CHUNK):
         i, jw = np.divmod(np.arange(lo, min(lo + _OSC_CHUNK, w.size)), nw)
         wc = w[i, jw]
@@ -868,5 +895,11 @@ def _osc_family(fam: _NodeFamily, w: np.ndarray, tau: np.ndarray) -> np.ndarray:
             for k in range(2, deg + 1):
                 mom[k] = mu[j] * mom[k - 1] + (k - 1) * sig2 * mom[k - 2]
             mono *= mom[expo[:, j]]
-        out[lo:lo + i.size] = pref * np.sum(mono, axis=0)
-    return out.reshape(w.shape)
+        if not table:
+            out[lo:lo + i.size] = pref * np.sum(mono, axis=0)
+            continue
+        tab = pref * mono
+        if basis is not None:
+            tab = basis @ tab
+        out[lo:lo + i.size] = (tab * user_coef.T[:, i]).T
+    return out.reshape(w.shape + out.shape[1:])

@@ -327,6 +327,37 @@ def _dual_scale_edges(r_max: float, fine: float) -> np.ndarray:
     return np.array(edges)
 
 
+def _table_groups(node_pieces: list) -> list:
+    """The r-derivative pieces of all sphere nodes, merged into table groups.
+
+    Pieces that share an x-Gaussian (quad, shift, freq) and (c, gamma) need
+    one x-integral table between them.  Returns (xunit, c, gamma, ms, C) per
+    group: xunit holds every monomial of the group with coefficient 1 (the
+    table's columns), and row k of C is the sphere-weighted sum of the
+    x-coefficients of the pieces with r-power ms[k].
+    """
+    groups: dict = {}
+    for wo, pieces in node_pieces:
+        for p in pieces:
+            x = p.xpoly
+            key = (x.quad.tobytes(), x.shift.tobytes(), x.freq.tobytes(), p.c, p.gamma)
+            groups.setdefault(key, []).append((wo, p))
+    out = []
+    for members in groups.values():
+        cols = list(dict.fromkeys(k for _, p in members for k in p.xpoly.poly))
+        if not cols:
+            continue
+        ms = sorted({p.m for _, p in members})
+        C = np.zeros((len(ms), len(cols)), dtype=complex)
+        for wo, p in members:
+            for mono, coeff in p.xpoly.poly.items():
+                C[ms.index(p.m), cols.index(mono)] += wo * coeff
+        x, c, gamma = members[0][1].xpoly, members[0][1].c, members[0][1].gamma
+        xunit = GaussPoly(x.dim, x.quad, dict.fromkeys(cols, 1.0), x.shift, x.freq)
+        out.append((xunit, c, gamma, np.array(ms), C))
+    return out
+
+
 def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
                      with_error: bool = True) -> PairingResult:
     """Second form of the (1,0) pairing for n >= 2:
@@ -339,7 +370,9 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
 
     phitilde the sphere average of the partial z-transform.  The regularized
     x-functional runs through the Gamma-integral route with exact complex
-    Gaussian x-integrals; the remaining (r, u) quadratures are graded at the
+    Gaussian x-integrals, one moment table per t node for each group of
+    (sphere node, r-derivative piece) sharing an x-Gaussian and (c, gamma)
+    (`_table_groups`); the remaining (r, u) quadratures are graded at the
     coth(t)/4 feature scale, which keeps the t-integrand accurate down to
     t = 0 (it tends to a nonzero constant there, so no truncation is safe).
     """
@@ -356,7 +389,8 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
 
     def value_with(b: PairBudget) -> complex:
         sphere, ws = sphere_rule(s, b.sphere_pts)
-        # r-derivative pieces per sphere node (t-independent)
+        # r-derivative pieces per sphere node (t-independent), merged into
+        # moment-table groups
         node_pieces = []
         for om, wo in zip(sphere, ws):
             pieces = []
@@ -364,6 +398,7 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
                 for p in _sphere_slices(term, z_axes, om):
                     pieces.append(_RadialPiece(p.m + n + s - 2, p.c, p.gamma, p.xpoly))
             node_pieces.append((wo, _r_derivative(pieces, n - 1)))
+        groups = _table_groups(node_pieces)
 
         # outer t-integral via rho = tanh t:
         # (sinh t cosh^{n-1} t)^{-1} dt = rho^{-1} (1-rho^2)^{(n-2)/2} drho
@@ -380,23 +415,19 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
             # u-grids graded at the 1/coth feature scale
             u_edges = _dual_scale_edges(1.0, 1.0 / (4 * ccoth))
             u1, wu1 = composite_legendre(u_edges, b.u_order)
+            u_parts = ((u1, wu1 * u1 ** (n - 2)), (1.0 / u1, wu1 * u1 ** (-n)))
             Dval = 0.0 + 0.0j
-            for wo, pieces in node_pieces:
-                Hlo = np.zeros(u1.shape, dtype=complex)
-                Hhi = np.zeros(u1.shape, dtype=complex)
-                for p in pieces:
-                    r_scale = math.sqrt(40.0 / p.c) if p.c > 1e-12 else 40.0
-                    redges = _dual_scale_edges(r_scale, min(r_scale, 1.0 / ccoth))
-                    rn, wn = composite_legendre(redges, b.r_order)
-                    rfac = wn * rn ** p.m * np.exp(-p.c * rn ** 2 + 1j * p.gamma * rn)
-                    wlo = -(u1[None, :] + rn[:, None] * ccoth)
-                    whi = -(1.0 / u1[None, :] + rn[:, None] * ccoth)
-                    xin_lo = batched_osc_integral(p.xpoly, wlo.ravel(), tau).reshape(wlo.shape)
-                    xin_hi = batched_osc_integral(p.xpoly, whi.ravel(), tau).reshape(whi.shape)
-                    Hlo += rfac @ xin_lo
-                    Hhi += rfac @ xin_hi
-                Dval += wo * (np.sum(wu1 * u1 ** (n - 2) * Hlo)
-                              + np.sum(wu1 * u1 ** (-n) * Hhi))
+            for xunit, c, gamma, ms, C in groups:
+                r_scale = math.sqrt(40.0 / c) if c > 1e-12 else 40.0
+                redges = _dual_scale_edges(r_scale, min(r_scale, 1.0 / ccoth))
+                rn, wn = composite_legendre(redges, b.r_order)
+                # W[r, k] = sum over pieces of w_om w_r r^m e^{-c r^2 + i gamma r} coef[k]
+                prof = wn * np.exp(-c * rn ** 2 + 1j * gamma * rn)
+                W = (prof[:, None] * rn[:, None] ** ms[None, :]) @ C
+                for uu, wu in u_parts:
+                    table = batched_osc_integral(xunit, -(uu[None, :] + rn[:, None] * ccoth),
+                                                 tau, table=True)
+                    Dval += wu @ np.einsum("rk,ruk->u", W, table)
             total += w_t * jac * pref_D * Dval
         return pref_out * total
 

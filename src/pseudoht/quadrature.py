@@ -141,13 +141,15 @@ def refine_many(evaluate, start: int, tol: float, count: int, max_order: int = 1
     evaluate(order, idx) returns the values of the quadratures listed in the
     index array idx at that order.  Each one doubles its order until two
     successive values agree and then drops out, so every element stops at the
-    order it would reach alone.  Returns (values, est_errors, orders) arrays.
+    order it would reach alone.  No order above max_order is evaluated: the
+    doubling stops at the last order that does not exceed it (a start above
+    max_order is lowered to it).  Returns (values, est_errors, orders) arrays.
     """
     idx = np.arange(count)
-    order = start
+    order = min(start, max_order)
     prev = np.asarray(evaluate(order, idx))
     done_parts = []
-    while order < max_order and idx.size:
+    while 2 * order <= max_order and idx.size:
         order *= 2
         cur = np.asarray(evaluate(order, idx))
         diff = np.abs(cur - prev)
@@ -176,8 +178,8 @@ def refine_until(evaluate, start: int, tol: float, max_order: int = 1 << 14):
 
     Returns (value, est_error, order).  The error estimate is the modulus of
     the last successive difference, measured relative to max(|value|, 1); it
-    is inf when max_order is reached first.  This is the one-element case of
-    `refine_many`.
+    is inf when the next doubling would exceed max_order first.  This is the
+    one-element case of `refine_many`.
     """
     values, errs, orders = refine_many(lambda order, idx: [evaluate(order)],
                                        start, tol, 1, max_order)

@@ -349,3 +349,35 @@ def test_family_single_node_is_row_of_batch(entries, coeffs, shift, freq, values
         assert np.max(np.abs(one - rows[k])) <= 1e-12 * max(1.0, np.max(np.abs(rows[k])))
         scalar = inv_p_power(single, 2)
         assert abs(scalar - inv[k]) <= 1e-12 * max(1.0, abs(inv[k]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(**family_data, w=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, freq, values, w):
+    """Column k of the table mode is the integral of monomial k with its coefficient.
+
+    The coupled form runs the tau-congruence, so the columns must be mapped
+    back from the diagonal basis; the row sums are the plain engine values.
+    """
+    phi = _family_phi(entries, coeffs, shift, freq)
+    fam = phi.restrict([4, 5], np.array(values))
+    tau = np.array([1.0, 1.0, -1.0, -1.0])
+    ws = np.array(w)[None, :] * (1.0 + 0.1 * np.arange(len(values)))[:, None]
+    table = batched_osc_integral(fam, ws, tau, table=True)
+    assert table.shape == ws.shape + (len(fam.expo),)
+    plain = batched_osc_integral(fam, ws, tau)
+    scale = max(1.0, np.max(np.abs(plain)))
+    assert np.max(np.abs(table.sum(axis=-1) - plain)) <= 1e-12 * scale
+    for i in range(len(values)):
+        for k, e in enumerate(fam.expo):
+            mono = GaussPoly(4, fam.quad, {tuple(int(x) for x in e): fam.coef[i, k]},
+                             shift=fam.shift[i], freq=fam.freq[i])
+            want = [mono.integrate_against(W=-2j * x * np.diag(tau)) for x in ws[i]]
+            assert np.max(np.abs(table[i, :, k] - want)) <= 1e-9 * scale
+    # a single term: the table columns follow the order of its poly
+    term = fam.term(0)
+    one = batched_osc_integral(term, ws[0], tau, table=True)
+    assert one.shape == (3, len(term.poly))
+    col = {tuple(int(x) for x in e): k for k, e in enumerate(fam.expo)}
+    for j, mono in enumerate(term.poly):
+        assert np.max(np.abs(one[:, j] - table[0, :, col[mono]])) <= 1e-12 * scale

@@ -171,6 +171,18 @@ class TestSecondForm:
         assert abs(res.value - 1.0) <= 1e-2
 
 
+    @pytest.mark.slow
+    def test_agrees_with_pair_k_034(self):
+        """n = 4, s = 3: three r-derivatives, and the anisotropic theta-block gives
+        every sphere node its own c."""
+        phi = GaussPoly.gaussian(np.diag(np.linspace(0.9, 1.4, 11)))
+        budget = PairBudget(sphere_pts=8)
+        a = pair_second_form(4, 3, phi, budget, with_error=False).value
+        b = pair_k(4, 3, phi, KernelSelector.constant(1.0), budget, with_error=False).value
+        assert abs(b) >= 1e-6
+        assert abs(a - b) <= 1e-2 * abs(b)
+
+
 class TestPseudoPair:
     def test_rejects_wrong_n(self):
         G = heisenberg(1)
@@ -242,6 +254,15 @@ class TestPinnedValues:
         lhs, rhs = pseudo_pair_n2(heis2, phi)
         self.close(lhs, 1.357813223666066 - 1.0293108611268396e-16j)
         self.close(rhs, 1.3578132236660676)
+
+    def test_pair_second_form_21(self):
+        """The z^2 monomial of PHI5 gives r-derivative pieces of different r-powers."""
+        res = pair_second_form(2, 1, self.PHI5, with_error=False)
+        self.close(res.value, -0.04237820144583948 + 0.6297005408002172j)
+
+    def test_pair_second_form_22(self):
+        res = pair_second_form(2, 2, GaussPoly.iso_gaussian(6), with_error=False)
+        self.close(res.value, 0.5213441572527334j)
 
     def test_inv_p_power_coupled_form(self):
         A = np.array([[1.0, 0.2, 0.1, 0.0], [0.2, 1.4, 0.0, 0.15],

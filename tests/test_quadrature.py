@@ -52,3 +52,17 @@ class TestRefine:
     def test_not_converged_is_flagged(self):
         val, err, order = refine_until(lambda order: float(order % 3), 4, 1e-12, max_order=64)
         assert err == np.inf and order == 64 and val == 64 % 3
+
+    @pytest.mark.parametrize("start, max_order", [(200, 1 << 14), (32, 1000), (48, 40)])
+    def test_max_order_is_a_bound(self, start, max_order):
+        seen = []
+
+        def f(order, idx):
+            seen.append(order)
+            return np.full(idx.size, float(order % 3))
+
+        vals, errs, orders = refine_many(f, start, 1e-13, 3, max_order)
+        assert max(seen) <= max_order
+        assert np.all(errs == np.inf) and np.all(orders == max(seen))
+        scalar = refine_until(lambda order: float(order % 3), start, 1e-13, max_order)
+        assert scalar[1] == np.inf and scalar[2] <= max_order
