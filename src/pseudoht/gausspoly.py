@@ -33,7 +33,7 @@ from .errors import DimensionMismatch, NonSPDQuadraticForm, SingularAffineMap
 Monomial = tuple  # tuple[int, ...]
 Poly = dict       # dict[Monomial, complex]
 
-_ZERO_TOL = 0.0  # coefficients are pruned only when exactly zero
+_I_POW = (1.0, 1j, -1.0, -1j)  # i^k by k mod 4, exact
 
 
 # ----------------------------------------------------------------- poly ops
@@ -219,6 +219,11 @@ class GaussPoly:
         if self.shift.shape != (self.dim,) or self.freq.shape != (self.dim,):
             raise DimensionMismatch("shift/freq size does not match dim")
         self.poly = {tuple(m): complex(c) for m, c in self.poly.items() if c != 0}
+        for m in self.poly:
+            if len(m) != self.dim:
+                raise DimensionMismatch(f"monomial {m} does not have {self.dim} exponents")
+            if min(m, default=0) < 0:
+                raise ValueError(f"monomial {m} has a negative exponent")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -231,12 +236,6 @@ class GaussPoly:
     def iso_gaussian(cls, dim: int, a: float = 1.0, coeff=1.0) -> "GaussPoly":
         """exp(-a |u|^2 / 2) (times coeff)."""
         return cls.gaussian(a * np.eye(dim), coeff=coeff)
-
-    def is_zero(self) -> bool:
-        return not self.poly
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.poly), default=0)
 
     # -- pointwise ----------------------------------------------------------
     def evaluate(self, u) -> complex:
@@ -265,7 +264,8 @@ class GaussPoly:
 
     def differentiate(self, axis: int) -> "GaussPoly":
         """d/du_axis, exact."""
-        new = _derivative(self, axis_monomial(self.dim, axis), {(0,) * self.dim: self.poly})
+        new = _derivative(self.quad, self.freq, axis_monomial(self.dim, axis),
+                          {(0,) * self.dim: self.poly})
         return GaussPoly(self.dim, self.quad, new, self.shift, self.freq)
 
     def multiply_monomial(self, mono: Monomial) -> "GaussPoly":
@@ -320,21 +320,7 @@ class GaussPoly:
     # -- Fourier ------------------------------------------------------------
     def fourier(self) -> "GaussPoly":
         """F[phi] in the (2 pi)^{-d/2}, e^{-i<u, xi>} convention."""
-        A = self.quad
-        Ainv = np.linalg.inv(A)
-        Ainv = 0.5 * (Ainv + Ainv.T)
-        base = det_inv_sqrt(A)
-        # H = F[p G_A] via  F[w^a G_A] = (i d/dxi)^a [det(A)^{-1/2} G_{A^{-1}}]
-        acc: Poly = {}
-        for mono, c in self.poly.items():
-            term = GaussPoly(self.dim, Ainv, {tuple([0] * self.dim): c * base})
-            for j, mj in enumerate(mono):
-                for _ in range(mj):
-                    term = term.differentiate(j).scaled(1j)
-            acc = poly_add(acc, term.poly)
-        phase0 = np.exp(1j * np.dot(self.freq, self.shift))
-        return GaussPoly(self.dim, Ainv, poly_scale(acc, phase0),
-                         shift=self.freq.copy(), freq=-self.shift.copy())
+        return self.partial_fourier(range(self.dim))
 
     def inverse_fourier(self) -> "GaussPoly":
         return self.fourier().precompose_affine(-np.eye(self.dim), np.zeros(self.dim))
@@ -344,40 +330,34 @@ class GaussPoly:
 
         Requires the quadratic form to be block diagonal between `axes` and
         the remaining coordinates (true for all product test functions used
-        here); the transformed block follows the full-transform rules.
+        here).  With t the part of a monomial on `axes`,
+        F[w^t G_A] = i^{|t|} D^t [det(A)^{-1/2} G_{A^{-1}}], so every monomial
+        reads its image from one derivative table of one base Gaussian, which
+        also carries the phase e^{i freq.shift} of the transformed block.
         """
-        axes = sorted(axes)
-        keep = [j for j in range(self.dim) if j not in axes]
-        if keep and np.any(self.quad[np.ix_(axes, keep)] != 0):
+        t = np.zeros(self.dim, dtype=bool)
+        t[list(axes)] = True
+        if np.any(self.quad[t][:, ~t]):
             raise DimensionMismatch("partial_fourier needs block-diagonal quad")
-        At = self.quad[np.ix_(axes, axes)]
+        At = self.quad[t][:, t]
         At_inv = np.linalg.inv(At)
-        At_inv = 0.5 * (At_inv + At_inv.T)
-        base = det_inv_sqrt(At)
-        dt = len(axes)
-
-        # group monomials by their kept part; transform the axes part
+        quad = self.quad.copy()
+        quad[np.ix_(t, t)] = 0.5 * (At_inv + At_inv.T)
+        zero = (0,) * self.dim
+        # the base Gaussian det(At)^{-1/2} e^{i freq.shift} G_quad, as its derivative table
+        derivs = {zero: {zero: det_inv_sqrt(At) * np.exp(1j * (self.freq[t] @ self.shift[t]))}}
+        no_freq = np.zeros(self.dim)
+        mask = t.tolist()
         acc: Poly = {}
         for mono, c in self.poly.items():
-            t_mono = tuple(mono[j] for j in axes)
-            term = GaussPoly(dt, At_inv, {tuple([0] * dt): c * base})
-            for jj, mj in enumerate(t_mono):
-                for _ in range(mj):
-                    term = term.differentiate(jj).scaled(1j)
-            for t_m, t_c in term.poly.items():
-                m = list(mono)
-                for jj, j in enumerate(axes):
-                    m[j] = t_m[jj]
-                key = tuple(m)
-                acc[key] = acc.get(key, 0.0) + t_c
-        new_quad = self.quad.copy()
-        new_quad[np.ix_(axes, axes)] = At_inv
-        new_shift = self.shift.copy()
-        new_freq = self.freq.copy()
-        phase0 = np.exp(1j * np.dot(self.freq[axes], self.shift[axes]))
-        new_shift[axes] = self.freq[axes]
-        new_freq[axes] = -self.shift[axes]
-        return GaussPoly(self.dim, new_quad, poly_scale(acc, phase0), new_shift, new_freq)
+            alpha = tuple(m if tj else 0 for m, tj in zip(mono, mask))
+            kept = tuple(0 if tj else m for m, tj in zip(mono, mask))
+            ci = c * _I_POW[sum(alpha) % 4]
+            for m, v in _derivative(quad, no_freq, alpha, derivs).items():
+                key = tuple(x + y for x, y in zip(m, kept))
+                acc[key] = acc.get(key, 0.0) + ci * v
+        return GaussPoly(self.dim, quad, acc, np.where(t, self.freq, self.shift),
+                         np.where(t, -self.shift, self.freq))
 
     # -- restriction --------------------------------------------------------
     def restrict(self, fixed_axes, values):
@@ -413,103 +393,6 @@ class GaussPoly:
         const = np.exp(1j * self.freq @ c + eta @ c - 0.5 * c @ W @ c)
         return const * gaussian_poly_integral(M, lin, self.poly)
 
-    def l1_norm(self, rel_tol: float = 1e-8, max_axis_nodes: int = 512) -> float:
-        """integral |phi| du by adaptive tensor quadrature in whitened coordinates.
-
-        |phi| has gradient kinks on the zero set of the polynomial, so the
-        per-axis composite Gauss-Legendre grid is doubled until two
-        refinements agree; the axis node count is capped (the cap binds only
-        in dimension >= 3, where the default tolerances used by callers are
-        looser than the 1-D/2-D default).
-        """
-        from .quadrature import composite_legendre, tensor_rule
-
-        radial = self._radial_profile()
-        if radial is not None:
-            return self._l1_radial(radial, rel_tol)
-
-        L = np.linalg.cholesky(np.linalg.inv(self.quad))
-        detL = abs(np.linalg.det(L))
-        half = 8.6  # e^{-y^2/2} < 1e-16 outside
-
-        def eval_with(panels: int, order: int) -> float:
-            x, w = composite_legendre(np.linspace(-half, half, panels + 1), order)
-            if self.dim == 1:
-                Y = x[:, None]
-                vals = np.abs(poly_eval_many(self.poly, Y @ L.T))
-                return float(detL * np.sum(w * vals
-                                           * np.exp(-0.5 * np.sum(Y ** 2, axis=1))))
-            # chunk over the first axis to bound memory
-            T, TW = tensor_rule([x] * (self.dim - 1), [w] * (self.dim - 1))
-            total = 0.0
-            for x0, w0 in zip(x, w):
-                Y = np.concatenate([np.full((T.shape[0], 1), x0), T], axis=1)
-                vals = np.abs(poly_eval_many(self.poly, Y @ L.T))
-                total += w0 * float(np.sum(TW * vals
-                                           * np.exp(-0.5 * np.sum(Y ** 2, axis=1))))
-            return detL * total
-
-        panels, order = 4, 6
-        prev = eval_with(panels, order)
-        while panels * order < max_axis_nodes:
-            panels *= 2
-            cur = eval_with(panels, order)
-            if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-                return cur
-            prev = cur
-        return prev
-
-    def _radial_profile(self):
-        """(a, q) with phi(u) = q(|u|^2) e^{-a |u|^2 / 2} if phi is radial, else None."""
-        diag = np.diagonal(self.quad)
-        if np.any(self.quad != np.diag(diag)) or not np.allclose(diag, diag[0]) \
-                or np.any(self.shift) or np.any(self.freq):
-            return None
-        deg = self.degree()
-        if deg % 2 == 1:
-            return None
-        # candidate radial polynomial from the values along the first axis
-        k = deg // 2 + 1
-        t = np.linspace(0.8, 1.8, k)
-        axis_pts = np.zeros((k, self.dim))
-        axis_pts[:, 0] = t
-        vals = poly_eval_many(self.poly, axis_pts)
-        coeffs = np.linalg.solve(np.vander(t ** 2, k, increasing=True), vals)
-        # verify exactly: expand sum_j coeffs_j S^j, S = |u|^2, and compare
-        S = {}
-        for j in range(self.dim):
-            S[axis_monomial(self.dim, j, 2)] = 1.0
-        expanded: Poly = {tuple([0] * self.dim): coeffs[0]}
-        power: Poly = {tuple([0] * self.dim): 1.0}
-        for j in range(1, k):
-            power = poly_mul(power, S)
-            expanded = poly_add(expanded, poly_scale(power, coeffs[j]))
-        diff = poly_add(expanded, poly_scale(self.poly, -1.0))
-        scale = max((abs(c) for c in self.poly.values()), default=1.0)
-        if any(abs(c) > 1e-10 * scale for c in diff.values()):
-            return None
-        return float(diag[0]), coeffs
-
-    def _l1_radial(self, radial, rel_tol: float) -> float:
-        """Surface-measure reduction of the L1 norm for radial members."""
-        import math
-
-        from .quadrature import composite_legendre, refine_until
-
-        a, coeffs = radial
-        d = self.dim
-        surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        r_max = math.sqrt(2 * 40.0 / a)
-
-        def eval_with(npts: int) -> float:
-            r, w = composite_legendre(np.linspace(0.0, r_max, 17), npts)
-            q = np.polynomial.polynomial.polyval(r ** 2, coeffs)
-            return float(surf * np.sum(w * r ** (d - 1) * np.abs(q)
-                                       * np.exp(-0.5 * a * r ** 2)))
-
-        val, _, _ = refine_until(eval_with, 8, rel_tol)
-        return val
-
     # -- serialization ------------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
@@ -524,7 +407,9 @@ class GaussPoly:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GaussPoly":
-        poly = {tuple(int(x) for x in row[:-2]): complex(row[-2], row[-1]) for row in d["poly"]}
+        if not all(isinstance(x, int) for row in d["poly"] for x in row[:-2]):
+            raise ValueError("monomial exponents must be integers")
+        poly = {tuple(row[:-2]): complex(row[-2], row[-1]) for row in d["poly"]}
         return cls(int(d["dim"]), np.array(d["quad"]), poly,
                    shift=np.array(d["shift"]), freq=np.array(d.get("freq", np.zeros(d["dim"]))))
 
@@ -614,7 +499,7 @@ def apply_operator(phi, op: list):
         derivs = {(0,) * term.dim: term.poly}
         acc: Poly = {}
         for coef, alpha in op:
-            d = _derivative(term, alpha, derivs)
+            d = _derivative(term.quad, term.freq, alpha, derivs)
             for a, ca in poly_shift(coef, term.shift).items():
                 for b, cb in d.items():
                     m = tuple(x + y for x, y in zip(a, b))
@@ -623,16 +508,17 @@ def apply_operator(phi, op: list):
     return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
 
 
-def _derivative(term: GaussPoly, alpha: Monomial, derivs: dict) -> Poly:
-    """Polynomial part of D^alpha term, memoised in derivs (which holds alpha = 0);
+def _derivative(quad: np.ndarray, freq: np.ndarray, alpha: Monomial, derivs: dict) -> Poly:
+    """Polynomial part of D^alpha of a term with form `quad` and frequency `freq`,
+    memoised in derivs (which holds alpha = 0, the term's own polynomial);
     d/du_j [p G] = [d_j p - (A w)_j p + i b_j p] G for w = u - c."""
     if alpha not in derivs:
+        d = len(alpha)
         j = max(i for i, a in enumerate(alpha) if a)
-        poly = _derivative(term, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], derivs)
-        lin: Poly = {axis_monomial(term.dim, k): -term.quad[j, k]
-                     for k in range(term.dim) if term.quad[j, k] != 0}
-        if term.freq[j] != 0:
-            lin[(0,) * term.dim] = 1j * term.freq[j]
+        poly = _derivative(quad, freq, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], derivs)
+        lin: Poly = {axis_monomial(d, k): -quad[j, k] for k in range(d) if quad[j, k] != 0}
+        if freq[j] != 0:
+            lin[(0,) * d] = 1j * freq[j]
         new = poly_derivative(poly, j)
         derivs[alpha] = poly_add(new, poly_mul(poly, lin)) if lin else new
     return derivs[alpha]
@@ -703,15 +589,22 @@ class _NodeFamily:
     def inverse_fourier(self) -> "_NodeFamily":
         """F^{-1} of every node.
 
-        The polynomial part transforms independently of centre and frequency,
-        so the matrix rows are the transforms of the basis monomials; centre
-        and frequency trade places and contribute the phase e^{i freq.shift}.
+        The polynomial part transforms independently of centre and frequency:
+        for the even Gaussian, F^{-1}[w^e G_A] = (-i)^{|e|} D^e F^{-1}[G_A], so
+        the matrix rows come from one derivative table of
+        F^{-1}[G_A] = det(A)^{-1/2} G_{A^{-1}}; centre and frequency trade
+        places and contribute the phase e^{i freq.shift}.
         """
         d = self.dim
-        images = [GaussPoly(d, self.quad, {tuple(int(x) for x in e): 1.0}).inverse_fourier()
-                  for e in self.expo]
-        quad = images[0].quad if images else GaussPoly(d, self.quad).inverse_fourier().quad
-        expo, T = _basis_matrix([g.poly for g in images], d)
+        Ainv = np.linalg.inv(self.quad)
+        quad, zero = 0.5 * (Ainv + Ainv.T), (0,) * d
+        derivs = {zero: {zero: det_inv_sqrt(self.quad)}}
+        rows = []
+        for e in self.expo:
+            e = tuple(int(x) for x in e)
+            k = _I_POW[-sum(e) % 4]
+            rows.append({m: k * v for m, v in _derivative(quad, np.zeros(d), e, derivs).items()})
+        expo, T = _basis_matrix(rows, d)
         phase = np.exp(1j * np.sum(self.freq * self.shift, axis=1))
         return _NodeFamily(quad, expo, (self.coef @ T) * phase[:, None],
                            -self.freq, self.shift.copy())

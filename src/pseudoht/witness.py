@@ -124,11 +124,12 @@ class WitnessFunction:
     margin: float = 0.0
     _cache: dict = field(default_factory=dict)
 
-    def mixture_at(self, eta) -> GaussMixture:
-        key = tuple(np.round(np.asarray(eta, float), 12))
+    def mixture_at(self, eta, flow_nodes: int | None = None) -> GaussMixture:
+        """D_eta phi_eta with `flow_nodes` trapezoid nodes (default cfg.flow_nodes), built once."""
+        nodes = flow_nodes or self.cfg.flow_nodes
+        key = (tuple(np.round(np.asarray(eta, float), 12)), nodes)
         if key not in self._cache:
-            self._cache[key] = d_eta_average(self.G, phi_eta(self.G, eta), eta,
-                                             self.cfg.flow_nodes)
+            self._cache[key] = d_eta_average(self.G, phi_eta(self.G, eta), eta, nodes)
         return self._cache[key]
 
     def omega(self, eta) -> float:
@@ -209,7 +210,7 @@ def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -
         om = w.omega(eta)
         if om == 0.0:
             continue
-        mix = d_eta_average(G, phi_eta(G, eta), eta, nodes)
+        mix = w.mixture_at(eta, nodes)
         g_mix_terms = as_terms(a_eta_apply(G, mix, eta)) + as_terms(b_eta_apply(G, mix, eta))
         vals = GaussMixture(g_mix_terms).evaluate_many(XI)
         worst = max(worst, float(np.max(np.abs(vals))) * om)

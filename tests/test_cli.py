@@ -101,6 +101,22 @@ class TestPairCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize("row", [[1, 0, 2, 1.0, 0.0], [0, -1, 0, 0, 0, 1.0, 0.0],
+                                     [0, 0, 0, 0, 0, 1, 1.0, 0.0], [1.5, 0, 0, 0, 0, 1.0, 0.0]])
+    def test_pair_malformed_monomial_is_usage_error(self, tmp_path, row):
+        """3 exponents, a negative exponent, 6 exponents or a fractional exponent
+        in a 5-dim test function."""
+        from pseudoht.gausspoly import GaussPoly
+
+        data = GaussPoly.iso_gaussian(5).to_json_dict()
+        data["poly"].append(row)
+        fn = tmp_path / "phi.json"
+        fn.write_text(json.dumps(data))
+        code, _ = run_cli(["pair", "--testfn", str(fn), "--n", "2", "--s", "1"],
+                          tmp_path, "pair.json")
+        assert code == 1
+
+
 class TestVerify:
     def test_verify_nonexistence(self, tmp_path):
         code, out = run_cli(["verify-nonexistence", "--sig", "1,1",

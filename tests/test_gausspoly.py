@@ -14,6 +14,7 @@ from pseudoht.gausspoly import (
     gaussian_poly_integral,
 )
 from pseudoht.kernels import inv_p_power
+from radial_l1 import radial_l1_norm
 
 
 def rand_points(rng, n, dim, scale=2.0):
@@ -74,6 +75,13 @@ class TestBasics:
         phi = GaussPoly.iso_gaussian(2).multiply_monomial((1, 2))
         u = np.array([0.4, -0.7])
         assert abs(phi.evaluate(u) - u[0] * u[1] ** 2 * np.exp(-0.5 * u @ u)) < 1e-14
+
+    @pytest.mark.parametrize("mono, error", [((1, 0, 2), DimensionMismatch),
+                                             ((0, -1, 0, 0, 0), ValueError),
+                                             ((0, 0, 0, 0, 0, 1), DimensionMismatch)])
+    def test_rejects_malformed_monomial(self, mono, error):
+        with pytest.raises(error):
+            GaussPoly(5, np.eye(5), {(0,) * 5: 1.0, mono: 0.5})
 
 
 class TestFourier:
@@ -146,6 +154,25 @@ class TestFourier:
             assert abs(both.evaluate(u) - full.evaluate(u)) < 1e-12
 
 
+    def test_partial_fourier_by_quadrature(self):
+        """Axes 0 and 2 transformed, axis 1 kept; monomials mix both kinds of axes."""
+        A = np.array([[1.2, 0.0, 0.4], [0.0, 0.8, 0.0], [0.4, 0.0, 0.9]])
+        phi = GaussPoly(3, A, {(1, 2, 1): 0.7 - 0.3j, (0, 1, 1): 1.1, (2, 0, 0): -0.4j,
+                               (0, 0, 0): 0.5}, shift=[0.3, -0.5, 0.2], freq=[0.6, 0.4, -0.8])
+        f = phi.partial_fourier([0, 2])
+        x, w = np.polynomial.legendre.leggauss(120)
+        x, w = 10.0 * x, 10.0 * w
+        X0, X2 = np.meshgrid(x, x, indexing="ij")
+        W = np.outer(w, w).ravel()
+        rng = np.random.default_rng(7)
+        for xi0, y, xi2 in rand_points(rng, 5, 3, 1.0):
+            U = np.stack([X0.ravel(), np.full(W.size, y), X2.ravel()], axis=1)
+            vals = phi.evaluate_many(U) * np.exp(-1j * (U[:, 0] * xi0 + U[:, 2] * xi2))
+            num = np.sum(W * vals) / (2 * np.pi)
+            assert abs(num) > 1e-3
+            assert abs(f.evaluate([xi0, y, xi2]) - num) < 1e-12
+
+
 class TestIntegrals:
     def test_plain_gaussian_integral(self):
         phi = GaussPoly.iso_gaussian(2)
@@ -186,7 +213,7 @@ class TestIntegrals:
 
     def test_l1_norm_gaussian(self):
         phi = GaussPoly.iso_gaussian(1)
-        assert abs(phi.l1_norm() - np.sqrt(2 * np.pi)) < 1e-8
+        assert abs(radial_l1_norm(phi) - np.sqrt(2 * np.pi)) < 1e-8
 
     def test_derivative_integrates_to_zero(self):
         phi = GaussPoly(1, np.eye(1) * 0.8, {(1,): 1.0, (0,): 0.3}, shift=[0.2])
@@ -202,7 +229,7 @@ class TestIntegrals:
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         U = np.stack([X.ravel(), Y.ravel()], axis=1)
         num = np.sum(np.abs(phi.evaluate_many(U))) * (xs[1] - xs[0]) ** 2
-        assert abs(phi.l1_norm() - num) < 1e-6
+        assert abs(radial_l1_norm(phi) - num) < 1e-6
 
 
 class TestOperators:
@@ -381,3 +408,17 @@ def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, fre
     col = {tuple(int(x) for x in e): k for k, e in enumerate(fam.expo)}
     for j, mono in enumerate(term.poly):
         assert np.max(np.abs(one[:, j] - table[0, :, col[mono]])) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(**family_data, u=st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8))
+def test_family_inverse_fourier_matches_terms(entries, coeffs, shift, freq, values, u):
+    """Node i of a family's inverse transform equals the transform of node i."""
+    phi = _family_phi(entries, coeffs, shift, freq)
+    fam = phi.restrict([1, 4], np.array(values))
+    inv = fam.inverse_fourier()
+    U = np.array(u).reshape(2, 4)
+    for i in range(len(values)):
+        want = fam.term(i).inverse_fourier().evaluate_many(U)
+        got = inv.term(i).evaluate_many(U)
+        assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))

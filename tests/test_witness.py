@@ -185,3 +185,26 @@ class TestWitness:
         rep = nonsolvability_report(w)
         assert abs(rep["phi_at_0"] - 1.0) <= 1e-10
         assert rep["delta_phi_sup"] <= 1e-6
+
+    def test_each_mixture_built_once(self, g11, monkeypatch):
+        """Build, certify and report share the cached mixture of every eta node."""
+        from pseudoht import witness
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return d_eta_average(*args, **kwargs)
+
+        monkeypatch.setattr(witness, "d_eta_average", counted)
+        cfg = WitnessConfig(Signature(1, 1, 2), ETA0, 0.5, flow_nodes=16,
+                            eta_grid=3, xi_grid=3)
+        w = build_witness(g11, cfg)
+        certify_kernel_residual(w)
+        nonsolvability_report(w)
+        pts = witness._eta_ball_nodes(cfg)[0]
+        inside = sum(w.omega(eta) > 0 for eta in pts)
+        assert inside > 0
+        assert len(calls) == inside
+        certify_kernel_residual(w, flow_nodes=8)
+        assert len(calls) == 2 * inside
