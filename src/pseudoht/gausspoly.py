@@ -2,12 +2,20 @@
 
 A term has the form
 
-    phi(u) = sum_a  c_a (u-c)^a * exp(-1/2 (u-c)^T A (u-c)) * exp(i b.u)
+    phi(u) = sum_m  coef[m] (u-c)^expo[m] * exp(-1/2 (u-c)^T A (u-c)) * exp(i b.u)
 
-with A real symmetric positive definite, center c and frequency b real, and
-complex coefficients c_a.  The class is closed under differentiation,
+with A real symmetric positive definite, center c and frequency b real, an
+integer exponent array expo of shape (M, dim) and complex coefficients coef of
+shape (M,).  A node family (N restrictions of one term, `_NodeFamily`) has the
+same storage with coef of shape (N, M); this is the only polynomial form.  A
+{monomial: coef} dict is an input format only: the GaussPoly constructor and
+the JSON rows accept it.  The class is closed under differentiation,
 multiplication by coordinates, precomposition with invertible real affine
 maps, and the Fourier transform; finite sums live in GaussMixture.
+
+Inside an operation a polynomial is a dense coefficient array over the graded
+monomial basis (`_Graded`), where d/dw_j and multiplication by w_j are cached
+index maps; results go back to (expo, coef) with only their nonzero monomials.
 
 Fourier convention (fixed once for the whole package):
 
@@ -24,110 +32,161 @@ of det^{-1/2}, Wick moments for the polynomial part).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import InitVar, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonSPDQuadraticForm, SingularAffineMap
 
-Monomial = tuple  # tuple[int, ...]
-Poly = dict       # dict[Monomial, complex]
-
 _I_POW = (1.0, 1j, -1.0, -1j)  # i^k by k mod 4, exact
 
 
-# ----------------------------------------------------------------- poly ops
+# ------------------------------------------------------------ graded basis
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            m = tuple(x + y for x, y in zip(a, b))
-            out[m] = out.get(m, 0.0) + ca * cb
-    return {m: c for m, c in out.items() if c != 0}
+_BINOM = np.array([[math.comb(n, k) for k in range(64)] for n in range(64)], dtype=np.int64)
 
 
-def poly_scale(p: Poly, c) -> Poly:
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in p.items()}
+def _rank(expo: np.ndarray) -> np.ndarray:
+    """Position of each exponent row (last axis) in the graded order of `_Graded`.
+
+    A monomial of degree k comes after the C(k-1+d, d) monomials of lower
+    degree, then ranks by its tail (expo[1:]) in d-1 variables.
+    """
+    d = expo.shape[-1]
+    tail_deg = np.cumsum(expo[..., ::-1], axis=-1)[..., ::-1]
+    j = np.arange(d)
+    return _BINOM[tail_deg + (d - 1 - j), d - j].sum(axis=-1)
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        out[m] = out.get(m, 0.0) + c
-    return {m: c for m, c in out.items() if c != 0}
+def _degree(expo: np.ndarray) -> int:
+    return int(expo.sum(axis=1).max(initial=0))
 
 
-def axis_monomial(dim: int, j: int, k: int = 1) -> Monomial:
+class _Graded:
+    """The monomials of degree <= deg in dim variables, in graded order.
+
+    Lower degrees form a prefix, so the basis of a lower degree is a prefix of
+    this one.  A polynomial is a dense array (..., n + 1) over the n rows of
+    expo plus a last slot that stays zero; up[j] and down[j] map each position
+    to that of expo + e_j and expo - e_j (the zero slot where that leaves the
+    basis), so d/dw_j and multiplication by w_j are gathers.
+    """
+
+    def __init__(self, dim: int, deg: int):
+        expo = np.zeros((1, 0), dtype=int)
+        for v in range(1, dim + 1):
+            # prepend a variable: degree-k rows over the tails of degree <= k
+            expo = np.concatenate([
+                np.column_stack([k - expo[:c].sum(axis=1), expo[:c]])
+                for k in range(deg + 1) for c in [math.comb(k + v - 1, v - 1)]])
+        n = len(expo)
+        self.expo, self.n = expo, n
+        self.up = np.full((dim, n + 1), n)
+        self.down = np.full((dim, n + 1), n)
+        for j in range(dim):
+            pos = _rank(expo + np.eye(dim, dtype=int)[j])
+            inside = pos < n
+            self.up[j, :n][inside] = pos[inside]
+            self.down[j, pos[inside]] = np.flatnonzero(inside)
+        self.fac = np.concatenate([expo.T + 1, np.zeros((dim, 1), dtype=int)], axis=1)
+        self.unit = np.eye(1, n + 1, dtype=complex)[0]
+        self._down_by: dict = {}
+
+    def dense(self, expo: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """coef (..., M) over the rows of expo as a dense array; repeated rows add."""
+        out = np.zeros(np.shape(coef)[:-1] + (self.n + 1,), dtype=complex)
+        np.add.at(out.T, _rank(expo), np.transpose(coef))
+        return out
+
+    def sparse(self, v: np.ndarray):
+        """(expo, coef) of the positions where some row of v is nonzero."""
+        cols = np.flatnonzero(np.any(v.reshape(-1, self.n + 1) != 0, axis=0))
+        return self.expo[cols], v[..., cols]
+
+    def partial(self, v: np.ndarray, j: int) -> np.ndarray:
+        """d/dw_j."""
+        return v[..., self.up[j]] * self.fac[j]
+
+    def times(self, v: np.ndarray, e: tuple) -> np.ndarray:
+        """Multiplication by w^e: one gather by the composed down maps."""
+        if e not in self._down_by:
+            idx = np.arange(self.n + 1)
+            for j, k in enumerate(e):
+                for _ in range(k):
+                    idx = self.down[j][idx]
+            self._down_by[e] = idx
+        return v[..., self._down_by[e]]
+
+
+@lru_cache(maxsize=64)
+def _graded(dim: int, deg: int) -> _Graded:
+    return _Graded(dim, deg)
+
+
+def collect(expo: np.ndarray, coef: np.ndarray):
+    """(expo, coef) with repeated rows added and zero monomials dropped."""
+    b = _graded(expo.shape[1], _degree(expo))
+    return b.sparse(b.dense(expo, coef))
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """The product of two (expo, coef) polynomials, rows not yet collected."""
+    (ep, cp), (eq, cq) = p, q
+    return (ep[:, None] + eq[None]).reshape(-1, ep.shape[1]), np.outer(cp, cq).ravel()
+
+
+def axis_monomial(dim: int, j: int, k: int = 1) -> tuple:
     m = [0] * dim
     m[j] = k
     return tuple(m)
 
 
-def poly_derivative(p: Poly, axis: int) -> Poly:
-    """d/dw_axis of the polynomial p(w)."""
-    out: Poly = {}
-    for mono, c in p.items():
-        if mono[axis] > 0:
-            m = list(mono)
-            m[axis] -= 1
-            key = tuple(m)
-            out[key] = out.get(key, 0.0) + c * mono[axis]
-    return out
+def _shift(expo: np.ndarray, coef: np.ndarray, delta):
+    """Re-expand sum_m coef[..., m] w^expo[m] in w' = w - delta (substitute w = w' + delta).
+
+    coef is (M,) with delta (dim,), or (N, M) with one row of delta per node;
+    p(w' + delta) = exp(delta . grad) p, one axis at a time.
+    """
+    b = _graded(expo.shape[1], _degree(expo))
+    v = b.dense(expo, coef)
+    delta = np.asarray(delta)
+    for j in np.flatnonzero(np.any(delta.reshape(-1, expo.shape[1]) != 0, axis=0)):
+        g = v
+        for r in range(1, int(expo[:, j].max(initial=0)) + 1):
+            g = b.partial(g, j) * (delta[..., j, None] / r)
+            v = v + g
+    return b.sparse(v)
 
 
-def poly_shift(p: Poly, delta) -> Poly:
-    """Re-expand p(w) in powers of w' = w - delta, i.e. substitute w = w' + delta."""
-    dim = len(delta)
-    out: Poly = {}
-    from math import comb
-
-    for mono, c in p.items():
-        term: Poly = {tuple([0] * dim): c}
-        for j, mj in enumerate(mono):
-            if mj == 0:
-                continue
-            axis: Poly = {}
-            for k in range(mj + 1):
-                coeff = comb(mj, k) * delta[j] ** (mj - k)
-                if coeff != 0:
-                    axis[axis_monomial(dim, j, k)] = coeff
-            term = poly_mul(term, axis)
-        out = poly_add(out, term)
-    return out
+def _linear_subst(expo: np.ndarray, S: np.ndarray):
+    """Substitution w = S y: (expo', T) with T[m, k] the coefficient of y^expo'[k]
+    in (S y)^expo[m], so the new coefficients are coef @ T."""
+    b = _graded(len(S), _degree(expo))
+    table, S = {(0,) * len(S): b.unit}, S.astype(complex)
+    rows = [_table(table, e, lambda j, p: S[j] @ p[b.down])  # p times (S y)_j
+            for e in map(tuple, expo.tolist())]
+    return b.sparse(np.array(rows).reshape(-1, b.n + 1))
 
 
-def poly_linear_subst(p: Poly, M) -> Poly:
-    """Substitute w = M y into p(w); M is a real (dim x dim) matrix."""
-    dim = M.shape[0]
-    out: Poly = {}
-    for mono, c in p.items():
-        term: Poly = {tuple([0] * dim): c}
-        for j, mj in enumerate(mono):
-            if mj == 0:
-                continue
-            lin: Poly = {}
-            for k in range(dim):
-                if M[j, k] != 0:
-                    lin[axis_monomial(dim, k)] = M[j, k]
-            for _ in range(mj):
-                term = poly_mul(term, lin)
-        out = poly_add(out, term)
-    return out
+def _table(table: dict, alpha: tuple, step):
+    """table[alpha], memoised: step(j, table[alpha - e_j]) for the last axis j of alpha."""
+    if alpha not in table:
+        j = max(i for i, a in enumerate(alpha) if a)
+        table[alpha] = step(j, _table(table, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], step))
+    return table[alpha]
 
 
-def poly_eval_many(p: Poly, W: np.ndarray) -> np.ndarray:
-    """Evaluate p at rows of W, shape (N, dim)."""
-    vals = np.zeros(W.shape[0], dtype=complex)
-    for mono, c in p.items():
-        term = np.full(W.shape[0], c, dtype=complex)
-        for j, mj in enumerate(mono):
-            if mj:
-                term = term * W[:, j] ** mj
-        vals += term
-    return vals
+def _derivative(b: _Graded, quad: np.ndarray, freq: np.ndarray):
+    """The step of a D^alpha table of a term with form `quad` and frequency `freq`:
+    d/du_j [p G] = [d_j p - (A w)_j p + i b_j p] G for w = u - c."""
+    quad = quad.astype(complex)  # a real-complex matmul would take numpy's slow loop
+
+    def step(j, p):
+        q = b.partial(p, j) - quad[j] @ p[b.down]
+        return q + 1j * freq[j] * p if freq[j] else q
+    return step
 
 
 # -------------------------------------------------------------- Wick engine
@@ -171,17 +230,17 @@ def det_inv_sqrt(M: np.ndarray) -> complex:
     return complex(np.prod(lam ** -0.5))
 
 
-def gaussian_poly_integral(M: np.ndarray, lin: np.ndarray, p: Poly) -> complex:
-    """integral p(w) exp(-1/2 w^T M w + lin.w) dw, Re M positive definite."""
+def gaussian_poly_integral(M: np.ndarray, lin: np.ndarray, expo: np.ndarray,
+                           coef: np.ndarray) -> complex:
+    """integral p(w) exp(-1/2 w^T M w + lin.w) dw, Re M positive definite,
+    for the polynomial p = (expo, coef)."""
     d = M.shape[0]
     Minv = np.linalg.inv(M)
     m0 = Minv @ lin
     pref = (2.0 * np.pi) ** (d / 2.0) * det_inv_sqrt(M) * np.exp(0.5 * lin @ m0)
-    shifted = poly_shift(p, m0)  # p(y + m0) as a poly in y
     total = 0.0 + 0.0j
-    for mono, c in shifted.items():
-        idx = tuple(j for j, mj in enumerate(mono) for _ in range(mj))
-        mom = _wick_moment(Minv, idx)
+    for mono, c in zip(*_shift(expo, coef, m0)):  # p(y + m0) as a poly in y
+        mom = _wick_moment(Minv, tuple(np.repeat(np.arange(d), mono)))
         if mom != 0:
             total += c * mom
     return pref * total
@@ -202,15 +261,22 @@ def _as_spd(A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussPoly:
-    """One polynomial-times-Gaussian term; see module docstring for the form."""
+    """One polynomial-times-Gaussian term; see module docstring for the form.
+
+    The polynomial is given either as `poly`, a {monomial tuple: coefficient}
+    dict (input only, not kept), or as the arrays `expo` (M, dim) and `coef`
+    (M,) that every term holds; zero coefficients are dropped.
+    """
 
     dim: int
     quad: np.ndarray
-    poly: Poly = field(default_factory=dict)
+    poly: InitVar[dict | None] = None
     shift: np.ndarray | None = None
     freq: np.ndarray | None = None
+    expo: np.ndarray | None = None
+    coef: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __post_init__(self, poly):
         self.quad = _as_spd(self.quad)
         if self.quad.shape[0] != self.dim:
             raise DimensionMismatch("quad size does not match dim")
@@ -218,19 +284,32 @@ class GaussPoly:
         self.freq = np.zeros(self.dim) if self.freq is None else np.asarray(self.freq, float)
         if self.shift.shape != (self.dim,) or self.freq.shape != (self.dim,):
             raise DimensionMismatch("shift/freq size does not match dim")
-        self.poly = {tuple(m): complex(c) for m, c in self.poly.items() if c != 0}
-        for m in self.poly:
-            if len(m) != self.dim:
-                raise DimensionMismatch(f"monomial {m} does not have {self.dim} exponents")
-            if min(m, default=0) < 0:
-                raise ValueError(f"monomial {m} has a negative exponent")
+        if poly is not None:
+            for m in poly:
+                if len(m) != self.dim:
+                    raise DimensionMismatch(f"monomial {m} does not have {self.dim} exponents")
+            self.expo, self.coef = list(poly), list(poly.values())
+        expo, coef = ((), ()) if self.expo is None else (self.expo, self.coef)
+        self.expo = np.asarray(expo, dtype=int).reshape(-1, self.dim)
+        self.coef = np.asarray(coef, dtype=complex)
+        if len(self.coef) != len(self.expo):
+            raise DimensionMismatch("expo and coef have different lengths")
+        if np.any(self.expo < 0):
+            raise ValueError("monomial exponents must be nonnegative")
+        if not np.all(self.coef):
+            self.expo, self.coef = self.expo[self.coef != 0], self.coef[self.coef != 0]
+
+    def _with(self, expo, coef) -> "GaussPoly":
+        """This Gaussian with the polynomial (expo, coef)."""
+        return GaussPoly(self.dim, self.quad, shift=self.shift, freq=self.freq,
+                         expo=expo, coef=coef)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def gaussian(cls, quad, shift=None, coeff=1.0) -> "GaussPoly":
         quad = np.atleast_2d(np.asarray(quad, float))
         d = quad.shape[0]
-        return cls(d, quad, {tuple([0] * d): coeff}, shift=shift)
+        return cls(d, quad, shift=shift, expo=np.zeros((1, d), dtype=int), coef=[coeff])
 
     @classmethod
     def iso_gaussian(cls, dim: int, a: float = 1.0, coeff=1.0) -> "GaussPoly":
@@ -247,11 +326,18 @@ class GaussPoly:
             raise DimensionMismatch("points have wrong dimension")
         W = U - self.shift
         expo = -0.5 * np.einsum("ij,jk,ik->i", W, self.quad, W) + 1j * (U @ self.freq)
-        return poly_eval_many(self.poly, W) * np.exp(expo)
+        vals = np.zeros(len(W), dtype=complex)
+        for mono, c in zip(self.expo.tolist(), self.coef):
+            term = np.full(len(W), c)
+            for j, k in enumerate(mono):
+                if k:
+                    term = term * W[:, j] ** k
+            vals += term
+        return vals * np.exp(expo)
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, c) -> "GaussPoly":
-        return GaussPoly(self.dim, self.quad, poly_scale(self.poly, c), self.shift, self.freq)
+        return self._with(self.expo, self.coef * c)
 
     def plus(self, other: "GaussPoly") -> "GaussPoly":
         """Sum of two terms sharing (quad, shift, freq)."""
@@ -259,39 +345,22 @@ class GaussPoly:
                 and np.array_equal(self.shift, other.shift)
                 and np.array_equal(self.freq, other.freq)):
             raise DimensionMismatch("plus() needs identical Gaussian data; use GaussMixture")
-        return GaussPoly(self.dim, self.quad, poly_add(self.poly, other.poly),
-                         self.shift, self.freq)
+        return self._with(*collect(np.concatenate([self.expo, other.expo]),
+                                    np.concatenate([self.coef, other.coef])))
 
     def differentiate(self, axis: int) -> "GaussPoly":
         """d/du_axis, exact."""
-        new = _derivative(self.quad, self.freq, axis_monomial(self.dim, axis),
-                          {(0,) * self.dim: self.poly})
-        return GaussPoly(self.dim, self.quad, new, self.shift, self.freq)
+        return apply_operator(self, [(np.zeros((1, self.dim), dtype=int), np.ones(1),
+                                      axis_monomial(self.dim, axis))])
 
-    def multiply_monomial(self, mono: Monomial) -> "GaussPoly":
+    def multiply_monomial(self, mono) -> "GaussPoly":
         """Multiply by u^mono (absolute coordinates)."""
-        factor: Poly = {tuple([0] * self.dim): 1.0}
-        for j, mj in enumerate(mono):
-            if mj == 0:
-                continue
-            axis = {axis_monomial(self.dim, j): 1.0}
-            if self.shift[j] != 0:
-                axis[tuple([0] * self.dim)] = self.shift[j]
-            for _ in range(mj):
-                factor = poly_mul(factor, axis)
-        return GaussPoly(self.dim, self.quad, poly_mul(self.poly, factor), self.shift, self.freq)
+        return apply_operator(self, [(np.array([mono]), np.ones(1), (0,) * self.dim)])
 
     def multiply_linear(self, coeffs, const=0.0) -> "GaussPoly":
         """Multiply by (coeffs . u + const)."""
-        lin: Poly = {}
-        z = tuple([0] * self.dim)
-        c0 = complex(const) + complex(np.dot(coeffs, self.shift))
-        for j, cj in enumerate(coeffs):
-            if cj != 0:
-                lin[axis_monomial(self.dim, j)] = cj
-        if c0 != 0:
-            lin[z] = c0
-        return GaussPoly(self.dim, self.quad, poly_mul(self.poly, lin), self.shift, self.freq)
+        rows = np.concatenate([np.eye(self.dim, dtype=int), np.zeros((1, self.dim), dtype=int)])
+        return apply_operator(self, [(rows, np.append(coeffs, const), (0,) * self.dim)])
 
     def precompose_affine(self, M, v) -> "GaussPoly":
         """phi(M u + v), with M invertible real."""
@@ -299,16 +368,14 @@ class GaussPoly:
         v = np.asarray(v, float)
         if abs(np.linalg.det(M)) < 1e-300:
             raise SingularAffineMap("affine precomposition needs invertible M")
-        new_quad = M.T @ self.quad @ M
-        new_shift = np.linalg.solve(M, self.shift - v)
-        new_poly = poly_linear_subst(self.poly, M)
-        new_freq = M.T @ self.freq
+        expo, T = _linear_subst(self.expo, M)
         phase = np.exp(1j * self.freq @ v)
-        return GaussPoly(self.dim, new_quad, poly_scale(new_poly, phase), new_shift, new_freq)
+        return GaussPoly(self.dim, M.T @ self.quad @ M, shift=np.linalg.solve(M, self.shift - v),
+                         freq=M.T @ self.freq, expo=expo, coef=(self.coef @ T) * phase)
 
     def laplacian(self) -> "GaussPoly":
-        one = {(0,) * self.dim: 1.0}
-        return apply_operator(self, [(one, axis_monomial(self.dim, j, 2))
+        one = np.zeros((1, self.dim), dtype=int)
+        return apply_operator(self, [(one, np.ones(1), axis_monomial(self.dim, j, 2))
                                      for j in range(self.dim)])
 
     def laplacian_power(self, ell: int) -> "GaussPoly":
@@ -323,41 +390,18 @@ class GaussPoly:
         return self.partial_fourier(range(self.dim))
 
     def inverse_fourier(self) -> "GaussPoly":
-        return self.fourier().precompose_affine(-np.eye(self.dim), np.zeros(self.dim))
+        return _NodeFamily.of(self).inverse_fourier().term(0)
 
     def partial_fourier(self, axes) -> "GaussPoly":
-        """Fourier transform in the listed axes only.
+        """Fourier transform in the listed axes only (see `_NodeFamily.fourier`).
 
         Requires the quadratic form to be block diagonal between `axes` and
         the remaining coordinates (true for all product test functions used
-        here).  With t the part of a monomial on `axes`,
-        F[w^t G_A] = i^{|t|} D^t [det(A)^{-1/2} G_{A^{-1}}], so every monomial
-        reads its image from one derivative table of one base Gaussian, which
-        also carries the phase e^{i freq.shift} of the transformed block.
+        here).
         """
         t = np.zeros(self.dim, dtype=bool)
         t[list(axes)] = True
-        if np.any(self.quad[t][:, ~t]):
-            raise DimensionMismatch("partial_fourier needs block-diagonal quad")
-        At = self.quad[t][:, t]
-        At_inv = np.linalg.inv(At)
-        quad = self.quad.copy()
-        quad[np.ix_(t, t)] = 0.5 * (At_inv + At_inv.T)
-        zero = (0,) * self.dim
-        # the base Gaussian det(At)^{-1/2} e^{i freq.shift} G_quad, as its derivative table
-        derivs = {zero: {zero: det_inv_sqrt(At) * np.exp(1j * (self.freq[t] @ self.shift[t]))}}
-        no_freq = np.zeros(self.dim)
-        mask = t.tolist()
-        acc: Poly = {}
-        for mono, c in self.poly.items():
-            alpha = tuple(m if tj else 0 for m, tj in zip(mono, mask))
-            kept = tuple(0 if tj else m for m, tj in zip(mono, mask))
-            ci = c * _I_POW[sum(alpha) % 4]
-            for m, v in _derivative(quad, no_freq, alpha, derivs).items():
-                key = tuple(x + y for x, y in zip(m, kept))
-                acc[key] = acc.get(key, 0.0) + ci * v
-        return GaussPoly(self.dim, quad, acc, np.where(t, self.freq, self.shift),
-                         np.where(t, -self.shift, self.freq))
+        return _NodeFamily.of(self).fourier(t).term(0)
 
     # -- restriction --------------------------------------------------------
     def restrict(self, fixed_axes, values):
@@ -391,7 +435,7 @@ class GaussPoly:
         c = self.shift
         lin = 1j * self.freq + eta - W @ c
         const = np.exp(1j * self.freq @ c + eta @ c - 0.5 * c @ W @ c)
-        return const * gaussian_poly_integral(M, lin, self.poly)
+        return const * gaussian_poly_integral(M, lin, self.expo, self.coef)
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -400,9 +444,8 @@ class GaussPoly:
             "quad": self.quad.tolist(),
             "shift": self.shift.tolist(),
             "freq": self.freq.tolist(),
-            "poly": sorted(
-                [list(m) + [float(c.real), float(c.imag)] for m, c in self.poly.items()]
-            ),
+            "poly": sorted([m + [float(c.real), float(c.imag)]
+                            for m, c in zip(self.expo.tolist(), self.coef)]),
         }
 
     @classmethod
@@ -486,42 +529,31 @@ def as_terms(phi) -> list:
 # ---------------------------------------------------- differential operators
 
 def apply_operator(phi, op: list):
-    """sum_i c_i(u) D^{alpha_i} phi, exact, for op = [(c_i, alpha_i), ...].
+    """sum_i c_i(u) D^{alpha_i} phi, exact, for op = [(expo_i, coef_i, alpha_i), ...].
 
-    c_i is a Poly in absolute coordinates u, alpha_i a derivative multi-index.
-    Each term of phi gives one term: every distinct derivative is computed once
-    and each c_i is re-expanded in the centred variable u - shift.
+    c_i is the polynomial (expo_i, coef_i) in absolute coordinates u, alpha_i
+    a derivative multi-index.  Each term of phi gives one term: every distinct
+    derivative is computed once and each c_i is re-expanded in the centred
+    variable u - shift (once per distinct shift).
     """
-    out_terms = []
+    if any(len(alpha) != phi.dim for *_, alpha in op):
+        raise DimensionMismatch(f"operator does not act on functions over R^{phi.dim}")
+    raise_deg = max((_degree(e) + sum(alpha) for e, _, alpha in op), default=0)
+    out_terms, shifted = [], {}
     for term in as_terms(phi):
-        if any(len(alpha) != term.dim for _, alpha in op):
-            raise DimensionMismatch(f"operator does not act on functions over R^{term.dim}")
-        derivs = {(0,) * term.dim: term.poly}
-        acc: Poly = {}
-        for coef, alpha in op:
-            d = _derivative(term.quad, term.freq, alpha, derivs)
-            for a, ca in poly_shift(coef, term.shift).items():
-                for b, cb in d.items():
-                    m = tuple(x + y for x, y in zip(a, b))
-                    acc[m] = acc.get(m, 0.0) + ca * cb
-        out_terms.append(GaussPoly(term.dim, term.quad, acc, term.shift, term.freq))
+        key = term.shift.tobytes()
+        if key not in shifted:
+            shifted[key] = [_shift(e, c, term.shift) if term.shift.any() else (e, c)
+                            for e, c, _ in op]
+        b = _graded(term.dim, _degree(term.expo) + raise_deg)
+        table = {(0,) * term.dim: b.dense(term.expo, term.coef)}
+        step = _derivative(b, term.quad, term.freq)
+        acc = np.zeros(b.n + 1, dtype=complex)
+        for (_, _, alpha), (expo, coef) in zip(op, shifted[key]):
+            d = _table(table, alpha, step)
+            acc += sum(c * b.times(d, tuple(e)) for e, c in zip(expo.tolist(), coef))
+        out_terms.append(term._with(*b.sparse(acc)))
     return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
-
-
-def _derivative(quad: np.ndarray, freq: np.ndarray, alpha: Monomial, derivs: dict) -> Poly:
-    """Polynomial part of D^alpha of a term with form `quad` and frequency `freq`,
-    memoised in derivs (which holds alpha = 0, the term's own polynomial);
-    d/du_j [p G] = [d_j p - (A w)_j p + i b_j p] G for w = u - c."""
-    if alpha not in derivs:
-        d = len(alpha)
-        j = max(i for i, a in enumerate(alpha) if a)
-        poly = _derivative(quad, freq, alpha[:j] + (alpha[j] - 1,) + alpha[j + 1:], derivs)
-        lin: Poly = {axis_monomial(d, k): -quad[j, k] for k in range(d) if quad[j, k] != 0}
-        if freq[j] != 0:
-            lin[(0,) * d] = 1j * freq[j]
-        new = poly_derivative(poly, j)
-        derivs[alpha] = poly_add(new, poly_mul(poly, lin)) if lin else new
-    return derivs[alpha]
 
 
 def compose(first: list, op: list) -> list:
@@ -529,14 +561,21 @@ def compose(first: list, op: list) -> list:
 
     Leibniz: a d_i (b D^beta) = a (d_i b) D^beta + a b D^{beta + e_i}.
     """
-    acc: dict = {}
-    for a, e in first:
+    parts: dict = {}
+    for ea, ca, e in first:
         i = e.index(1)
-        for b, beta in op:
+        for eb, cb, beta in op:
             raised = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            acc[beta] = poly_add(acc.get(beta, {}), poly_mul(a, poly_derivative(b, i)))
-            acc[raised] = poly_add(acc.get(raised, {}), poly_mul(a, b))
-    return [(coef, alpha) for alpha, coef in acc.items() if coef]
+            has = eb[:, i] > 0
+            db = (eb[has] - np.eye(len(e), dtype=int)[i], cb[has] * eb[has, i])
+            parts.setdefault(beta, []).append(_product((ea, ca), db))
+            parts.setdefault(raised, []).append(_product((ea, ca), (eb, cb)))
+    out = []
+    for alpha, polys in parts.items():
+        expo, coef = collect(*(np.concatenate(x) for x in zip(*polys)))
+        if len(coef):
+            out.append((expo, coef, alpha))
+    return out
 
 
 # ------------------------------------------------------------- node families
@@ -555,8 +594,8 @@ class _NodeFamily:
     Node i is the GaussPoly term with polynomial
     sum_m coef[i, m] (u - shift[i])^expo[m], Gaussian quad centred at
     shift[i] and frequency freq[i].  Every map applied to a family
-    (restriction, recentring, tau-congruence, inverse Fourier transform) acts
-    on the (N, M) coefficient array as a matrix product.
+    (restriction, recentring, tau-congruence, Fourier transform) acts on the
+    (N, M) coefficient array as a matrix product.
     """
 
     __slots__ = ("quad", "expo", "coef", "shift", "freq")
@@ -568,9 +607,7 @@ class _NodeFamily:
     @classmethod
     def of(cls, term: GaussPoly) -> "_NodeFamily":
         """The one-node family of a term."""
-        expo = np.array(list(term.poly), dtype=int).reshape(-1, term.dim)
-        coef = np.array(list(term.poly.values()), dtype=complex)[None, :]
-        return cls(term.quad, expo, coef, term.shift[None, :], term.freq[None, :])
+        return cls(term.quad, term.expo, term.coef[None], term.shift[None], term.freq[None])
 
     @property
     def dim(self) -> int:
@@ -583,31 +620,37 @@ class _NodeFamily:
         return _NodeFamily(self.quad, self.expo, self.coef[idx], self.shift[idx], self.freq[idx])
 
     def term(self, i: int) -> GaussPoly:
-        poly = {tuple(int(x) for x in e): c for e, c in zip(self.expo, self.coef[i])}
-        return GaussPoly(self.dim, self.quad, poly, self.shift[i], self.freq[i])
+        return GaussPoly(self.dim, self.quad, shift=self.shift[i], freq=self.freq[i],
+                         expo=self.expo, coef=self.coef[i])
+
+    def fourier(self, t: np.ndarray, sign: int = 1) -> "_NodeFamily":
+        """F (sign 1) or F^{-1} (sign -1) of every node in the axes of the mask t.
+
+        With a the part of a monomial on t, F^{+-1}[w^a G_A] =
+        (+-i)^{|a|} D^a[det(A)^{-1/2} G_{A^{-1}}] for the even Gaussian, so
+        every monomial reads its image from one derivative table of that
+        Gaussian, times its part on the other axes; on t, centre and frequency
+        trade places and contribute the phase e^{i freq.shift}.
+        """
+        if np.any(self.quad[t][:, ~t]):
+            raise DimensionMismatch("partial_fourier needs block-diagonal quad")
+        At = self.quad[t][:, t]
+        At_inv = np.linalg.inv(At)
+        quad = self.quad.copy()
+        quad[np.ix_(t, t)] = 0.5 * (At_inv + At_inv.T)
+        b = _graded(self.dim, _degree(self.expo))
+        table, step = {(0,) * self.dim: b.unit}, _derivative(b, quad, np.zeros(self.dim))
+        rows = [_I_POW[sign * sum(a) % 4] * b.times(_table(table, tuple(a), step), k)
+                for a, k in zip((self.expo * t).tolist(), map(tuple, (self.expo * ~t).tolist()))]
+        expo, T = b.sparse(np.array(rows).reshape(-1, b.n + 1))
+        phase = det_inv_sqrt(At) * np.exp(1j * np.sum(self.freq[:, t] * self.shift[:, t], axis=1))
+        return _NodeFamily(quad, expo, (self.coef @ T) * phase[:, None],
+                           np.where(t, sign * self.freq, self.shift),
+                           np.where(t, -sign * self.shift, self.freq))
 
     def inverse_fourier(self) -> "_NodeFamily":
-        """F^{-1} of every node.
-
-        The polynomial part transforms independently of centre and frequency:
-        for the even Gaussian, F^{-1}[w^e G_A] = (-i)^{|e|} D^e F^{-1}[G_A], so
-        the matrix rows come from one derivative table of
-        F^{-1}[G_A] = det(A)^{-1/2} G_{A^{-1}}; centre and frequency trade
-        places and contribute the phase e^{i freq.shift}.
-        """
-        d = self.dim
-        Ainv = np.linalg.inv(self.quad)
-        quad, zero = 0.5 * (Ainv + Ainv.T), (0,) * d
-        derivs = {zero: {zero: det_inv_sqrt(self.quad)}}
-        rows = []
-        for e in self.expo:
-            e = tuple(int(x) for x in e)
-            k = _I_POW[-sum(e) % 4]
-            rows.append({m: k * v for m, v in _derivative(quad, np.zeros(d), e, derivs).items()})
-        expo, T = _basis_matrix(rows, d)
-        phase = np.exp(1j * np.sum(self.freq * self.shift, axis=1))
-        return _NodeFamily(quad, expo, (self.coef @ T) * phase[:, None],
-                           -self.freq, self.shift.copy())
+        """F^{-1} of every node."""
+        return self.fourier(np.ones(self.dim, dtype=bool), -1)
 
 
 def as_families(phi) -> list:
@@ -615,17 +658,6 @@ def as_families(phi) -> list:
     if isinstance(phi, _NodeFamily):
         return [phi]
     return [_NodeFamily.of(t) for t in as_terms(phi)]
-
-
-def _basis_matrix(polys: list, dim: int):
-    """(expo, T): T[m, k] is the coefficient of monomial expo[k] in polys[m]."""
-    keys = sorted(set().union(*polys))
-    col = {k: i for i, k in enumerate(keys)}
-    T = np.zeros((len(polys), len(keys)), dtype=complex)
-    for m, p in enumerate(polys):
-        for k, c in p.items():
-            T[m, col[k]] = c
-    return np.array(keys, dtype=int).reshape(-1, dim), T
 
 
 def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> _NodeFamily:
@@ -640,36 +672,14 @@ def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> _NodeF
     delta = np.linalg.solve(Akk, dvec.T).T
     const = np.exp(-0.5 * np.einsum("ni,ij,nj->n", q, Aff, q)
                    + 0.5 * np.sum(dvec * delta, axis=1) + 1j * (values @ term.freq[fixed]))
-    # substitute the fixed coordinates into the polynomial: a matrix from the
-    # distinct fixed-part exponents to the distinct kept-part exponents
-    src = _NodeFamily.of(term)
-    fexpo, frow = np.unique(src.expo[:, fixed], axis=0, return_inverse=True)
-    expo, kcol = np.unique(src.expo[:, keep], axis=0, return_inverse=True)
-    C = np.zeros((len(fexpo), len(expo)), dtype=complex)
-    np.add.at(C, (frow.ravel(), kcol.ravel()), src.coef[0])
-    coef = np.prod(q[:, None, :] ** fexpo[None, :, :], axis=2) @ C
-    # poly was in w = y - c_k; the new center is c_k - delta, so w = w' - delta
-    for j in range(len(keep)):
-        if len(expo) and np.any(delta[:, j]):
-            expo, coef = _shift_axis(expo, coef, j, -delta[:, j])
+    # substitute the fixed coordinates into the polynomial; it was in
+    # w = y - c_k and the new center is c_k - delta, so w = w' - delta
+    coef = np.broadcast_to(term.coef, (len(q), len(term.coef)))
+    for i, e in enumerate(term.expo[:, fixed].T):
+        coef = coef * np.vander(q[:, i], e.max(initial=0) + 1, increasing=True)[:, e]
+    expo, coef = _shift(term.expo[:, keep], coef, -delta)
     freq = np.broadcast_to(term.freq[keep], delta.shape)
     return _NodeFamily(Akk, expo, coef * const[:, None], term.shift[keep] - delta, freq)
-
-
-def _shift_axis(expo: np.ndarray, coef: np.ndarray, j: int, dj: np.ndarray):
-    """Substitute w_j = w_j' + dj[i] at node i: (w_j' + dj)^e = sum_k C(e, k) dj^(e-k) w_j'^k."""
-    from math import comb
-
-    deg = expo[:, j]
-    src = np.repeat(np.arange(len(expo)), deg + 1)
-    k = np.concatenate([np.arange(e + 1) for e in deg])
-    rows = expo[src]
-    rows[:, j] = k
-    out_expo, dst = np.unique(rows, axis=0, return_inverse=True)
-    binom = np.array([comb(int(e), int(kk)) for e, kk in zip(deg[src], k)], dtype=float)
-    scatter = np.zeros((src.size, len(out_expo)))
-    scatter[np.arange(src.size), dst.ravel()] = 1.0
-    return out_expo, (coef[:, src] * (binom * dj[:, None] ** (deg[src] - k))) @ scatter
 
 
 # ------------------------------------------------------- oscillatory engine
@@ -686,9 +696,9 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
     invariant up to coordinate ordering.
 
     With table=True, phi is one term or one node family and the result gains
-    a last axis over its monomials, in the order of the family's `expo` (for
-    a GaussPoly, the order of `poly`): entry k is the integral of monomial k
-    times its coefficient, so the sum over that axis is the plain value.
+    a last axis over its monomials, in the order of its `expo`: entry k is
+    the integral of monomial k times its coefficient, so the sum over that
+    axis is the plain value.
     """
     w = np.asarray(w, float)
     if isinstance(phi, _NodeFamily):
@@ -732,8 +742,7 @@ def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray):
     if not np.array_equal(np.sign(lam), tau):
         raise NonSPDQuadraticForm("signature mismatch in tau-congruence")
     S = Binv @ Q @ np.diag(np.sqrt(np.abs(lam)))
-    expo, T = _basis_matrix([poly_linear_subst({tuple(int(x) for x in e): 1.0}, S)
-                             for e in fam.expo], fam.dim)
+    expo, T = _linear_subst(fam.expo, S)
     # the congruence leaves only roundoff off-diagonal mass; drop it
     quad = np.diag(np.diagonal(S.T @ A @ S))
     det = abs(np.linalg.det(S))

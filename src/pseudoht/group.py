@@ -22,7 +22,7 @@ import numpy as np
 
 from .clifford import AdmissibleModule, Signature, build_module, tau_matrix
 from .errors import DimensionMismatch, NonPositiveScale
-from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial, compose, poly_scale
+from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial, compose
 
 
 @dataclass
@@ -112,30 +112,31 @@ class GroupStructure:
         X_j = d/dx_j + sum_k (Omega_k^T x)_j d/dz_k, (Omega_k^T x)_j = sum_m (Omega_k)_{mj} x_m.
         """
         n2, d = 2 * self.sig.n, self.sig.total_dim
+        eye, one = np.eye(d, dtype=int), np.zeros((1, d), dtype=int)
         op = []
         for j, t in enumerate(tau_signs(self.sig.n)):
-            X = [({(0,) * d: 1.0}, axis_monomial(d, j))]
-            X += [({axis_monomial(d, m): Ok[m, j] for m in range(n2) if Ok[m, j] != 0},
-                   axis_monomial(d, n2 + k)) for k, Ok in enumerate(self.omega_gen)]
-            op += [(poly_scale(coef, t), alpha) for coef, alpha in compose(X, X)]
+            X = [(one, np.ones(1), axis_monomial(d, j))]
+            X += [(eye[:n2][Ok[:, j] != 0], Ok[Ok[:, j] != 0, j], axis_monomial(d, n2 + k))
+                  for k, Ok in enumerate(self.omega_gen)]
+            op += [(e, t * c, alpha) for e, c, alpha in compose(X, X)]
         return op
 
     @cached_property
     def g_rs_op(self) -> list:
         """G_{r,s} = -P(xi) + (<eta,eta>_{r,s}/4) L_xi + i xi^T rho(eta)^T grad_xi as data."""
-        n2, cd, d = 2 * self.sig.n, self.sig.center_dim, self.sig.total_dim
-        one = (0,) * d
-        quarter_q = {axis_monomial(d, n2 + k, 2): 0.25 * sk for k, sk in
-                     enumerate([1.0] * self.sig.r + [-1.0] * self.sig.s)}
+        n2, d = 2 * self.sig.n, self.sig.total_dim
+        eye = np.eye(d, dtype=int)
+        quarter = 0.25 * np.array([1.0] * self.sig.r + [-1.0] * self.sig.s)
         op = []
         for j, t in enumerate(tau_signs(self.sig.n)):
-            op += [({axis_monomial(d, j, 2): -t}, one),
-                   (poly_scale(quarter_q, t), axis_monomial(d, j, 2))]
+            op += [(2 * eye[[j]], np.array([-t]), (0,) * d),
+                   (2 * eye[n2:], t * quarter, axis_monomial(d, j, 2))]
         # rho(eta) = sum_k eta_k rho_k: d/dxi_b carries i sum_{k,a} rho_k[b, a] xi_a eta_k
-        return op + [({axis_monomial(n2, a) + axis_monomial(cd, k): 1j * rk[b, a]
-                       for k, rk in enumerate(self.module.rho_gen)
-                       for a in range(n2) if rk[b, a] != 0},
-                      axis_monomial(d, b)) for b in range(n2)]
+        for b in range(n2):
+            rows = np.array([rk[b] for rk in self.module.rho_gen])
+            k, a = np.nonzero(rows)
+            op.append((eye[a] + eye[n2 + k], 1j * rows[k, a], axis_monomial(d, b)))
+        return op
 
     def delta_eta_op(self, eta) -> list:
         """Delta_{r,s}(eta) = L - (<eta,eta>_{r,s}/4) P(x) - i x^T rho(eta) grad_x on R^{2n}.
@@ -144,13 +145,13 @@ class GroupStructure:
         """
         n2 = 2 * self.sig.n
         q, R = self.sig.eta_form(eta), self.module.rho(eta)
-        one = (0,) * n2
+        eye, one = np.eye(n2, dtype=int), np.zeros((1, n2), dtype=int)
         op = []
         for j, t in enumerate(tau_signs(self.sig.n)):
-            op += [({one: t}, axis_monomial(n2, j, 2)),
-                   ({axis_monomial(n2, j, 2): -q / 4.0 * t}, one)]
-        return op + [({axis_monomial(n2, a): -1j * R[a, b] for a in range(n2) if R[a, b] != 0},
-                      axis_monomial(n2, b)) for b in range(n2)]
+            op += [(one, np.array([t]), axis_monomial(n2, j, 2)),
+                   (2 * eye[[j]], np.array([-q / 4.0 * t]), (0,) * n2)]
+        return op + [(eye[R[:, b] != 0], -1j * R[R[:, b] != 0, b], axis_monomial(n2, b))
+                     for b in range(n2)]
 
     def apply_delta_rs(self, phi):
         """Delta_{r,s} phi, exact (phi over R^{2n + r + s})."""

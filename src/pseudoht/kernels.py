@@ -373,6 +373,16 @@ def inv_p_power(psi, n: int, rel_tol: float = 1e-7):
     return complex(out[0]) if isinstance(psi, (GaussPoly, GaussMixture)) else out
 
 
+def _centred_iso_gaussian(t: GaussPoly) -> tuple:
+    """(c0, a) of a term c0 exp(-a |x|^2 / 2) with quad = a I exactly (as
+    `GaussPoly.iso_gaussian` builds it), c0 = 0 for the zero term."""
+    a = float(t.quad[0, 0])
+    if np.any(t.quad != a * np.eye(t.dim)) or np.any(t.shift) or np.any(t.freq) \
+            or np.any(t.expo):
+        raise UnsupportedN("needs a centered isotropic plain Gaussian c0 exp(-a |x|^2 / 2)")
+    return complex(t.coef.sum()), a
+
+
 def inv_p_eps_oracle(psi, n: int, eps_values=(0.1, 0.05, 0.025, 0.0125)) -> complex:
     """Richardson-extrapolated integral psi/(P - i eps) over a graded v-grid.
 
@@ -383,15 +393,7 @@ def inv_p_eps_oracle(psi, n: int, eps_values=(0.1, 0.05, 0.025, 0.0125)) -> comp
     """
     if n != 2:
         raise UnsupportedN("the eps-oracle is wired for n = 2")
-    dens = []
-    for t in as_terms(psi):
-        diag = np.diagonal(t.quad)
-        if t.poly.keys() - {tuple([0] * t.dim)} or np.any(t.quad != np.diag(diag)) \
-                or not np.allclose(diag, diag[0]) or np.any(t.shift) or np.any(t.freq):
-            raise UnsupportedN("eps-oracle supports centered isotropic Gaussians")
-        a = float(diag[0])
-        c0 = complex(t.poly[tuple([0] * t.dim)])
-        dens.append((c0, a))
+    dens = [_centred_iso_gaussian(t) for t in as_terms(psi)]
 
     def density(v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape, dtype=complex)
@@ -422,21 +424,15 @@ class PSGauss:
     def __init__(self, n: int, a: float, coeffs: dict | None = None):
         self.n = n
         self.a = float(a)
-        self.coeffs = {k: complex(v) for k, v in (coeffs or {(0, 0): 1.0}).items() if v != 0}
+        coeffs = {(0, 0): 1.0} if coeffs is None else coeffs
+        self.coeffs = {k: complex(v) for k, v in coeffs.items() if v != 0}
 
     @classmethod
     def from_gausspoly(cls, psi: GaussPoly, n: int) -> "PSGauss":
         if psi.dim != 2 * n:
             raise UnsupportedN(f"psi must live on R^{2 * n}")
-        diag = np.diagonal(psi.quad)
-        if np.any(psi.quad != np.diag(diag)) or not np.allclose(diag, diag[0]) \
-                or np.any(psi.shift) or np.any(psi.freq):
-            raise UnsupportedN("P^lambda pairing supports centered isotropic Gaussians")
-        extra = psi.poly.keys() - {tuple([0] * psi.dim)}
-        if extra:
-            raise UnsupportedN("P^lambda pairing supports plain Gaussians")
-        c0 = psi.poly.get(tuple([0] * psi.dim), 0.0)
-        return cls(n, float(diag[0]) / 2.0, {(0, 0): c0})
+        c0, a = _centred_iso_gaussian(psi)
+        return cls(n, a / 2.0, {(0, 0): c0})
 
     def apply_L(self) -> "PSGauss":
         """L f / e^{-aS} for f = g e^{-aS}:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import OddN, UnsupportedN
-from .gausspoly import GaussPoly, as_terms, batched_osc_integral, node_blocks
+from .gausspoly import GaussPoly, as_terms, batched_osc_integral, collect, node_blocks
 from .group import GroupStructure, tau_signs
 from .kernels import KernelSelector, kernel_prefactor
 from .quadrature import (
@@ -267,35 +267,22 @@ class _RadialPiece:
 
 
 def _sphere_slices(term: GaussPoly, theta_axes, om) -> list:
-    """term(x, r om) as a list of _RadialPiece (exact in r)."""
-    nx = term.dim - len(theta_axes)
-    A_tt = term.quad[np.ix_(theta_axes, theta_axes)]
-    if np.any(term.quad[np.ix_(theta_axes, list(range(nx)))] != 0):
-        raise UnsupportedN("second form needs x/theta block-diagonal transforms")
-    c_t = term.shift[theta_axes]
-    b_t = term.freq[theta_axes]
-    c_quad = 0.5 * float(om @ A_tt @ om)
-    # exp(-1/2 (r om - c)^T A (r om - c) + i b.(r om))
-    lin = float(om @ A_tt @ c_t)            # + lin * r
-    const = math.exp(-0.5 * float(c_t @ A_tt @ c_t))
-    gamma = float(b_t @ om)
-    pieces: dict = {}
-    x_axes = list(range(nx))
-    for mono, coeff in term.poly.items():
-        mdeg = sum(mono[j] for j in theta_axes)
-        omega_fac = np.prod([om[i] ** mono[j] for i, j in enumerate(theta_axes)])
-        key = tuple(mono[j] for j in x_axes)
-        # (r om_i - c_i)^{mono}: expand around c_t = 0 fast path; general case
-        # handled by requiring centered theta (c_t = 0) below
-        pieces.setdefault(mdeg, {})
-        pieces[mdeg][key] = pieces[mdeg].get(key, 0.0) + coeff * omega_fac * const
-    if np.any(c_t != 0) or lin != 0:
+    """term(x, r om) as a list of _RadialPiece (exact in r), for a theta-centred term."""
+    if np.any(term.shift[theta_axes]):
         raise UnsupportedN("second form expects theta-centered transforms")
+    nx = term.dim - len(theta_axes)
+    # exp(-1/2 r^2 om^T A om + i r b.om), and (r om)^a = r^{|a|} om^a
+    c_quad = 0.5 * float(om @ term.quad[np.ix_(theta_axes, theta_axes)] @ om)
+    gamma = float(term.freq[theta_axes] @ om)
+    a = term.expo[:, theta_axes]
+    mdeg = a.sum(axis=1)
+    coef = term.coef * np.prod(om ** a, axis=1)
     out = []
-    A_xx = term.quad[np.ix_(x_axes, x_axes)]
-    for mdeg, poly in pieces.items():
-        xp = GaussPoly(nx, A_xx, poly, shift=term.shift[x_axes], freq=term.freq[x_axes])
-        out.append(_RadialPiece(mdeg, c_quad, gamma, xp))
+    for m in dict.fromkeys(mdeg.tolist()):
+        expo, c = collect(term.expo[mdeg == m, :nx], coef[mdeg == m])
+        xp = GaussPoly(nx, term.quad[:nx, :nx], shift=term.shift[:nx], freq=term.freq[:nx],
+                       expo=expo, coef=c)
+        out.append(_RadialPiece(m, c_quad, gamma, xp))
     return out
 
 
@@ -344,17 +331,18 @@ def _table_groups(node_pieces: list) -> list:
             groups.setdefault(key, []).append((wo, p))
     out = []
     for members in groups.values():
-        cols = list(dict.fromkeys(k for _, p in members for k in p.xpoly.poly))
-        if not cols:
-            continue
-        ms = sorted({p.m for _, p in members})
-        C = np.zeros((len(ms), len(cols)), dtype=complex)
-        for wo, p in members:
-            for mono, coeff in p.xpoly.poly.items():
-                C[ms.index(p.m), cols.index(mono)] += wo * coeff
         x, c, gamma = members[0][1].xpoly, members[0][1].c, members[0][1].gamma
-        xunit = GaussPoly(x.dim, x.quad, dict.fromkeys(cols, 1.0), x.shift, x.freq)
-        out.append((xunit, c, gamma, np.array(ms), C))
+        ms = sorted({p.m for _, p in members})
+        expo = np.concatenate([p.xpoly.expo for _, p in members])
+        rows = [ms.index(p.m) for _, p in members]
+        C = np.zeros((len(ms), len(expo)), dtype=complex)
+        C[np.repeat(rows, [len(p.xpoly.coef) for _, p in members]), np.arange(len(expo))] = \
+            np.concatenate([wo * p.xpoly.coef for wo, p in members])
+        cols, C = collect(expo, C)
+        if len(cols):
+            xunit = GaussPoly(x.dim, x.quad, shift=x.shift, freq=x.freq,
+                              expo=cols, coef=np.ones(len(cols)))
+            out.append((xunit, c, gamma, np.array(ms), C))
     return out
 
 

@@ -33,19 +33,19 @@ from .quadrature import legendre_rule, tensor_rule
 def a_eta_op(G: GroupStructure, eta) -> list:
     """A_eta = -P(xi) + ((|eta_+|^2 - |eta_-|^2)/4) L as operator data on R^{2n}."""
     n2, q = 2 * G.sig.n, G.sig.eta_form(np.asarray(eta, float))
-    one = (0,) * n2
+    eye, one = np.eye(n2, dtype=int), np.zeros((1, n2), dtype=int)
     return [entry for j, t in enumerate(tau_signs(G.sig.n))
-            for entry in (({axis_monomial(n2, j, 2): -t}, one),
-                          ({one: t * q / 4.0}, axis_monomial(n2, j, 2)))]
+            for entry in ((2 * eye[[j]], np.array([-t]), (0,) * n2),
+                          (one, np.array([t * q / 4.0]), axis_monomial(n2, j, 2)))]
 
 
 def b_eta_op(G: GroupStructure, eta) -> list:
     """B_eta = -2i <Omega(eta) tau xi, grad> as operator data on R^{2n}."""
     M = G.omega(np.asarray(eta, float)) @ G.tau
     n2 = M.shape[0]
+    eye = np.eye(n2, dtype=int)
     # <M xi, grad phi> = sum_b (sum_a M_{b a} xi_a) d_b phi
-    return [({axis_monomial(n2, a): -2j * M[b, a] for a in range(n2) if M[b, a] != 0},
-             axis_monomial(n2, b)) for b in range(n2)]
+    return [(eye[M[b] != 0], -2j * M[b][M[b] != 0], axis_monomial(n2, b)) for b in range(n2)]
 
 
 def a_eta_apply(G: GroupStructure, phi, eta):

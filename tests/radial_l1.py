@@ -11,10 +11,9 @@ def radial_l1_norm(phi, r_max: float = 12.0) -> float:
     radial phi = q(u) G (no shift or frequency), with the 1-D rule split at the
     real roots of q along the first axis so that every panel is smooth."""
     assert not np.any(phi.shift) and not np.any(phi.freq)
-    q = np.zeros(1 + max(m[0] for m in phi.poly), dtype=complex)
-    for m, c in phi.poly.items():
-        if not any(m[1:]):
-            q[m[0]] += c
+    q = np.zeros(1 + phi.expo[:, 0].max(), dtype=complex)
+    radial = ~np.any(phi.expo[:, 1:], axis=1)
+    np.add.at(q, phi.expo[radial, 0], phi.coef[radial])
     cuts = [x.real for x in np.polynomial.polynomial.polyroots(q)
             if abs(x.imag) < 1e-9 and 0.0 < x.real < r_max]
     r, w = composite_legendre(np.sort(np.r_[np.linspace(0.0, r_max, 13), cuts]), 40)

@@ -35,7 +35,7 @@ class TestBasics:
         phi = GaussPoly.iso_gaussian(1)
         d = phi.differentiate(0)
         # d/du exp(-u^2/2) = -u exp(-u^2/2)
-        assert d.poly == {(1,): pytest.approx(-1.0)}
+        assert d.expo.tolist() == [[1]] and d.coef == pytest.approx([-1.0])
 
     def test_derivative_vs_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -125,6 +125,27 @@ class TestFourier:
             num = np.trapezoid(vals, xs) / np.sqrt(2 * np.pi)
             assert abs(f.evaluate([xi]) - num) < 1e-8
 
+    def test_inverse_undoes_forward(self):
+        phi = GaussPoly(2, np.array([[1.3, 0.5], [0.5, 0.9]]),
+                        {(0, 0): 0.4 - 0.1j, (2, 1): 1.0, (0, 3): -0.3j},
+                        shift=[0.4, -0.3], freq=[0.8, -0.5])
+        back = phi.fourier().inverse_fourier()
+        U = rand_points(np.random.default_rng(8), 12, 2, 1.0)
+        want = phi.evaluate_many(U)
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(back.evaluate_many(U) - want)) < 1e-12
+
+    def test_inverse_fourier_by_quadrature(self):
+        phi = GaussPoly(1, np.eye(1) * 1.3, {(2,): 1.0, (1,): 0.3j, (0,): -0.5},
+                        shift=[0.4], freq=[0.6])
+        f = phi.inverse_fourier()
+        xs = np.linspace(-12, 12, 6001)
+        for xi in (0.0, 0.7, -1.9):
+            vals = phi.evaluate_many(xs[:, None]) * np.exp(1j * xs * xi)
+            num = np.trapezoid(vals, xs) / np.sqrt(2 * np.pi)
+            assert abs(num) > 1e-2
+            assert abs(f.evaluate([xi]) - num) < 1e-8
+
     def test_parseval_random_pair(self):
         rng = np.random.default_rng(5)
         for _ in range(3):
@@ -134,12 +155,10 @@ class TestFourier:
             # int phi conj(psi) equals int Fphi conj(Fpsi); conj(psi) has the
             # same Gaussian with conjugated coefficients for freq=0, shift=0
             def pair(f, g):
-                gc = GaussPoly(2, g.quad, {m: np.conj(c) for m, c in g.poly.items()},
-                               g.shift, g.freq)
-                prod_quad = f.quad + gc.quad
-                from pseudoht.gausspoly import poly_mul
-                return gaussian_poly_integral(prod_quad, np.zeros(2),
-                                              poly_mul(f.poly, gc.poly))
+                prod_quad = f.quad + g.quad
+                expo = (f.expo[:, None] + g.expo[None]).reshape(-1, 2)
+                coef = np.outer(f.coef, np.conj(g.coef)).ravel()
+                return gaussian_poly_integral(prod_quad, np.zeros(2), expo, coef)
             lhs = pair(phi, psi)
             rhs = pair(phi.fourier(), psi.fourier())
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
@@ -239,8 +258,9 @@ class TestOperators:
     def test_matches_elementary_steps(self):
         """u0^2 d_1 + 3 d_0 d_1 + (2 u1 - 1) against differentiate/multiply."""
         phi = self.PHI
-        op = [({(2, 0): 1.0}, (0, 1)), ({(0, 0): 3.0}, (1, 1)),
-              ({(0, 1): 2.0, (0, 0): -1.0}, (0, 0))]
+        op = [(np.array([[2, 0]]), np.array([1.0]), (0, 1)),
+              (np.array([[0, 0]]), np.array([3.0]), (1, 1)),
+              (np.array([[0, 1], [0, 0]]), np.array([2.0, -1.0]), (0, 0))]
         want = (phi.differentiate(1).multiply_monomial((2, 0))
                 .plus(phi.differentiate(0).differentiate(1).scaled(3.0))
                 .plus(phi.multiply_linear([0.0, 2.0], -1.0)))
@@ -251,8 +271,10 @@ class TestOperators:
 
     def test_compose_is_successive_application(self):
         """(u1 d_0 + d_1) o (u0^2 d_1 + 1) applied at once or one after the other."""
-        X = [({(0, 1): 1.0}, (1, 0)), ({(0, 0): 1.0}, (0, 1))]
-        Y = [({(2, 0): 1.0}, (0, 1)), ({(0, 0): 1.0}, (0, 0))]
+        X = [(np.array([[0, 1]]), np.array([1.0]), (1, 0)),
+             (np.array([[0, 0]]), np.array([1.0]), (0, 1))]
+        Y = [(np.array([[2, 0]]), np.array([1.0]), (0, 1)),
+             (np.array([[0, 0]]), np.array([1.0]), (0, 0))]
         U = rand_points(np.random.default_rng(21), 30, 2)
         ref = apply_operator(apply_operator(self.PHI, Y), X).evaluate_many(U)
         got = apply_operator(self.PHI, compose(X, Y)).evaluate_many(U)
@@ -261,7 +283,7 @@ class TestOperators:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            apply_operator(self.PHI, [({(0, 0, 0): 1.0}, (1, 0, 0))])
+            apply_operator(self.PHI, [(np.zeros((1, 3), dtype=int), np.ones(1), (1, 0, 0))])
 
 
 class TestMixture:
@@ -397,17 +419,17 @@ def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, fre
     assert np.max(np.abs(table.sum(axis=-1) - plain)) <= 1e-12 * scale
     for i in range(len(values)):
         for k, e in enumerate(fam.expo):
-            mono = GaussPoly(4, fam.quad, {tuple(int(x) for x in e): fam.coef[i, k]},
-                             shift=fam.shift[i], freq=fam.freq[i])
+            mono = GaussPoly(4, fam.quad, shift=fam.shift[i], freq=fam.freq[i],
+                             expo=e[None], coef=fam.coef[i, [k]])
             want = [mono.integrate_against(W=-2j * x * np.diag(tau)) for x in ws[i]]
             assert np.max(np.abs(table[i, :, k] - want)) <= 1e-9 * scale
-    # a single term: the table columns follow the order of its poly
+    # a single term: the table columns follow the order of its expo
     term = fam.term(0)
     one = batched_osc_integral(term, ws[0], tau, table=True)
-    assert one.shape == (3, len(term.poly))
-    col = {tuple(int(x) for x in e): k for k, e in enumerate(fam.expo)}
-    for j, mono in enumerate(term.poly):
-        assert np.max(np.abs(one[:, j] - table[0, :, col[mono]])) <= 1e-12 * scale
+    assert one.shape == (3, len(term.expo))
+    col = {tuple(e): k for k, e in enumerate(fam.expo.tolist())}
+    for j, mono in enumerate(term.expo.tolist()):
+        assert np.max(np.abs(one[:, j] - table[0, :, col[tuple(mono)]])) <= 1e-12 * scale
 
 
 @settings(max_examples=20, deadline=None)

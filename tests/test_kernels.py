@@ -294,3 +294,19 @@ class TestPi0Power:
         assert l2.coeffs[(0, 0)] == pytest.approx(32.0)
         assert l2.coeffs[(0, 1)] == pytest.approx(-32.0)
         assert l2.coeffs[(2, 0)] == pytest.approx(16.0)
+
+
+class TestCentredIsotropicInput:
+    """inv_p_eps_oracle and p_i0_power share one exact validator."""
+
+    def test_small_anisotropy_rejected(self):
+        psi = GaussPoly.gaussian(np.diag([2.0, 2.0 * (1 + 5e-6), 2.0, 2.0]))
+        with pytest.raises(UnsupportedN):
+            inv_p_eps_oracle(psi, 2)
+        with pytest.raises(UnsupportedN):
+            p_i0_power(-0.5, psi, 1, 2)
+
+    def test_zero_term_gives_zero(self):
+        zero = GaussPoly.iso_gaussian(4, coeff=0.0)
+        assert inv_p_eps_oracle(zero, 2) == 0
+        assert p_i0_power(-0.5, zero, 1, 2) == 0

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from pseudoht.clifford import Signature
-from pseudoht.errors import OddN, UnsupportedN
+from pseudoht.errors import DimensionMismatch, OddN, UnsupportedN
 from pseudoht.gausspoly import GaussPoly
 from pseudoht.group import GroupPoint, GroupStructure, heisenberg
 from pseudoht.kernels import KernelSelector, inv_p_power
@@ -157,6 +157,18 @@ class TestSecondForm:
         phi = GaussPoly(6, np.eye(6), {(1, 0, 0, 0, 0, 0): 1.0})
         res = pair_second_form(2, 2, phi, with_error=False)
         assert abs(res.value) < 1e-10
+
+    def test_rejects_z_frequency(self):
+        """A z-frequency becomes a theta-centre of the partial transform."""
+        phi = GaussPoly(5, np.eye(5), {(0,) * 5: 1.0}, freq=[0.0, 0.0, 0.0, 0.0, 0.3])
+        with pytest.raises(UnsupportedN):
+            pair_second_form(2, 1, phi, with_error=False)
+
+    def test_rejects_xz_coupled_form(self):
+        A = np.eye(5)
+        A[0, 4] = A[4, 0] = 0.2
+        with pytest.raises(DimensionMismatch):
+            pair_second_form(2, 1, GaussPoly.gaussian(A), with_error=False)
 
     def test_agrees_with_pair_k_22(self, g022):
         phi = GaussPoly.iso_gaussian(6)
