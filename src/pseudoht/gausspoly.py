@@ -321,19 +321,7 @@ class GaussPoly:
         return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
 
     def evaluate_many(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, float)
-        if U.shape[1] != self.dim:
-            raise DimensionMismatch("points have wrong dimension")
-        W = U - self.shift
-        expo = -0.5 * np.einsum("ij,jk,ik->i", W, self.quad, W) + 1j * (U @ self.freq)
-        vals = np.zeros(len(W), dtype=complex)
-        for mono, c in zip(self.expo.tolist(), self.coef):
-            term = np.full(len(W), c)
-            for j, k in enumerate(mono):
-                if k:
-                    term = term * W[:, j] ** k
-            vals += term
-        return vals * np.exp(expo)
+        return _evaluate_terms([self], U)
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, c) -> "GaussPoly":
@@ -482,13 +470,10 @@ class GaussMixture:
         return self.terms[0].dim
 
     def evaluate(self, u) -> complex:
-        return complex(sum(t.evaluate(u) for t in self.terms))
+        return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
 
     def evaluate_many(self, U) -> np.ndarray:
-        out = np.zeros(np.asarray(U).shape[0], dtype=complex)
-        for t in self.terms:
-            out += t.evaluate_many(U)
-        return out
+        return _evaluate_terms(self.terms, U)
 
     def map_terms(self, f) -> "GaussMixture":
         return GaussMixture([f(t) for t in self.terms])
@@ -524,6 +509,74 @@ def as_terms(phi) -> list:
     if isinstance(phi, GaussMixture):
         return list(phi.terms)
     return [phi]
+
+
+# ---------------------------------------------------------- pointwise values
+
+# Pointwise evaluation holds at most about _EVAL_CHUNK (point, term) pairs at
+# once: the points go in chunks of _EVAL_CHUNK, the terms of each centre in
+# blocks of _EVAL_CHUNK // (points in the chunk).
+_EVAL_CHUNK = 8192
+
+
+def _evaluate_terms(terms: list, U) -> np.ndarray:
+    """sum_t t(u) at each row u of U (P, dim), as one blocked contraction.
+
+    The terms are grouped by centre c (with -0.0 read as 0.0).  Per group and
+    chunk of points, W = U - c gives the quadratic features W_i W_j (i <= j)
+    and the basis of the group's monomials.  Per block of terms, one product
+    of the forms' entries with the features gives every exponent
+    -1/2 W^T A W, and one product of the (N, M) coefficient matrix with the
+    basis every polynomial.  Both products and the exponential are real (the
+    real and imaginary coefficients are separate rows); the phase e^{i U.b}
+    is applied only to a block with a nonzero frequency.
+    """
+    U = np.asarray(U, float)
+    dim = terms[0].dim
+    if U.ndim != 2 or U.shape[1] != dim:
+        raise DimensionMismatch("points have wrong dimension")
+    iu, ju = np.triu_indices(dim)
+    weight = np.where(iu == ju, -0.5, -1.0)
+    groups: dict = {}
+    for t in terms:
+        groups.setdefault((t.shift + 0.0).tobytes(), []).append(t)
+    prepared = []
+    for group in groups.values():
+        expo = np.concatenate([t.expo for t in group])
+        _, first, col = np.unique(_rank(expo), return_index=True, return_inverse=True)
+        coef = np.zeros((len(group), len(first)), dtype=complex)
+        row = np.repeat(np.arange(len(group)), [len(t.expo) for t in group])
+        np.add.at(coef, (row, col), np.concatenate([t.coef for t in group]))
+        prepared.append((group[0].shift + 0.0, expo[first],
+                         np.stack([coef.real, coef.imag], axis=1),   # (N, 2, M)
+                         np.stack([t.quad[iu, ju] for t in group]) * weight,
+                         np.stack([t.freq for t in group])))
+    out = np.zeros((2, len(U)))  # real and imaginary parts
+    for lo in range(0, len(U), _EVAL_CHUNK):
+        Uc = U[lo:lo + _EVAL_CHUNK]
+        acc = out[:, lo:lo + len(Uc)]
+        step = max(1, _EVAL_CHUNK // len(Uc))
+        for shift, expo, parts, quad, freq in prepared:
+            W = (Uc - shift).T
+            feats = W[iu] * W[ju]
+            basis = np.ones((len(expo), len(Uc)))
+            for j in np.flatnonzero(expo.any(axis=0)):
+                powers = np.ones((expo[:, j].max() + 1, len(Uc)))
+                for k in range(1, len(powers)):
+                    powers[k] = powers[k - 1] * W[j]
+                basis *= powers[expo[:, j]]
+            for b in range(0, len(parts), step):
+                blk = slice(b, b + step)
+                ex = np.exp(quad[blk] @ feats)
+                p = parts[blk]
+                vals = (p.reshape(2 * len(p), -1) @ basis).reshape(len(p), 2, -1)
+                if freq[blk].any():
+                    z = np.sum((vals[:, 0] + 1j * vals[:, 1]) * ex
+                               * np.exp(1j * (freq[blk] @ Uc.T)), axis=0)
+                    acc += [z.real, z.imag]
+                else:
+                    acc += np.sum(vals * ex[:, None], axis=0)
+    return out[0] + 1j * out[1]
 
 
 # ---------------------------------------------------- differential operators

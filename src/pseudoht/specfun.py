@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import NonPositiveArgument
-from .quadrature import composite_legendre, half_disc_rule, refine_until
+from .quadrature import composite_legendre, half_disc_rule, refine_many, refine_until
 
 _BESSEL_TOL = 1e-12
 
@@ -46,22 +46,22 @@ def osc_weight_integral(n: int, v, tol: float = _BESSEL_TOL):
     """int_0^1 (1-rho^2)^{(n-2)/2} e^{i v rho} drho for scalar or array v.
 
     This is the rho-form shared by the kernel family and by J + iH at order
-    (n-1)/2; the weight exponent alpha = (n-2)/2 may be -1/2 (n = 1).
+    (n-1)/2; the weight exponent alpha = (n-2)/2 may be -1/2 (n = 1).  Each
+    element of an array v refines to its own stopping order; the error
+    returned is the worst element's (inf if one did not converge).
     """
     v_arr = np.atleast_1d(np.asarray(v, float))
     alpha = (n - 2) / 2.0
 
-    def eval_with(npts: int):
+    def eval_with(npts: int, idx: np.ndarray):
         rho, w = half_disc_rule(npts, alpha)
-        return np.exp(1j * np.outer(v_arr, rho)) @ w
+        return np.exp(1j * np.outer(v_arr[idx], rho)) @ w
 
     # oscillation needs roughly |v| / pi nodes before superalgebraic decay
     start = int(max(24, np.max(np.abs(v_arr)) / 2.5))
-    val, err, order = refine_until(
-        lambda m: complex(np.sum(eval_with(m))), start, tol)
-    out = eval_with(order)
-    return (complex(out[0]), err) if np.isscalar(v) or np.asarray(v).ndim == 0 \
-        else (out, err)
+    out, errs, _ = refine_many(eval_with, start, tol, v_arr.size)
+    err = float(errs.max())
+    return (complex(out[0]), err) if np.ndim(v) == 0 else (out, err)
 
 
 def _order_n(nu: float) -> int:

@@ -113,6 +113,8 @@ class WitnessConfig:
             raise BumpOutsideK("the witness exists for r > 0 only (K empty otherwise)")
         if self.eta0.shape != (self.sig.center_dim,):
             raise DimensionMismatch("eta0 must have length r + s")
+        if not self.delta > 0:
+            raise BumpOutsideK("the bump radius delta must be positive")
 
 
 @dataclass
@@ -142,22 +144,40 @@ class WitnessFunction:
         return w * self.mixture_at(eta).evaluate(np.asarray(xi, float)).real
 
 
+def ball_margin(sig: Signature, eta0, delta: float) -> float:
+    """min <eta,eta>_{r,s} = |eta_+|^2 - |eta_-|^2 over the closed ball |eta - eta0| <= delta.
+
+    This is the trust-region problem for the form S = diag(+1 (r times),
+    -1 (s times)) (More and Sorensen 1983): a minimiser is
+    eta = mu (S + mu I)^{-1} eta0 with S + mu I positive semidefinite and
+    mu (|eta - eta0| - delta) = 0.  The form is indefinite (s >= 1), so the
+    minimiser lies on the sphere and mu > 1 solves the secular equation
+    |eta0_+|^2 / (1 + mu)^2 + |eta0_-|^2 / (mu - 1)^2 = delta^2.  In the hard
+    case eta0_- = 0 with |eta0_+| <= 2 delta it has no root and mu = 1:
+    eta_+ = eta0_+ / 2, and eta_- takes up the rest of the radius.
+    """
+    eta0 = np.asarray(eta0, float)
+    p2, m2 = float(eta0[:sig.r] @ eta0[:sig.r]), float(eta0[sig.r:] @ eta0[sig.r:])
+    if m2 == 0.0 and p2 <= 4.0 * delta ** 2:
+        return p2 / 2.0 - delta ** 2
+    # the secular function decreases on (1, inf) and is >= delta^2 at lo,
+    # <= delta^2 at hi: bisect until they are adjacent floats (so hi > 1)
+    lo, hi = 1.0 + math.sqrt(m2) / delta, 1.0 + math.sqrt(p2 + m2) / delta
+    while lo < (mu := 0.5 * (lo + hi)) < hi:
+        if p2 / (1.0 + mu) ** 2 + m2 / (mu - 1.0) ** 2 > delta ** 2:
+            lo = mu
+        else:
+            hi = mu
+    return hi ** 2 * (p2 / (1.0 + hi) ** 2 - m2 / (hi - 1.0) ** 2)
+
+
 def build_witness(G: GroupStructure, cfg: WitnessConfig) -> WitnessFunction:
     """Validate the bump ball sits inside K and assemble the witness."""
     if G.sig != cfg.sig:
         raise DimensionMismatch("config signature does not match the group")
-    # minimum of <eta,eta>_{r,s} over the closed ball, by dense boundary scan
-    rng = np.random.default_rng(7)
-    pts = rng.normal(size=(4096, cfg.sig.center_dim))
-    pts /= np.linalg.norm(pts, axis=1)[:, None]
-    margin = np.inf
-    for scale in (1.0, 0.75, 0.5, 0.25):
-        cand = cfg.eta0[None, :] + cfg.delta * scale * pts
-        signs = np.array([1.0] * cfg.sig.r + [-1.0] * cfg.sig.s)
-        vals = np.sum(signs * cand ** 2, axis=1)
-        margin = min(margin, float(vals.min()))
+    margin = ball_margin(cfg.sig, cfg.eta0, cfg.delta)
     if margin <= 0:
-        raise BumpOutsideK(f"ball B(eta0, delta) leaves K (margin {margin:.3f})")
+        raise BumpOutsideK(f"ball B(eta0, delta) leaves K (margin {margin:.3g})")
     return WitnessFunction(G, cfg, margin)
 
 

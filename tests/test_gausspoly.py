@@ -319,6 +319,49 @@ def test_closure_chain_hypothesis(a, c, b, x):
     assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
+def _summands(t: GaussPoly, U: np.ndarray) -> np.ndarray:
+    """(P, M): coef[m] w^expo[m] exp(-1/2 w^T A w) e^{i b.u} at each row u of U,
+    w = u - c, written out from the definition of a term."""
+    W = U - t.shift
+    gauss = np.exp(-0.5 * np.einsum("pi,ij,pj->p", W, t.quad, W) + 1j * (U @ t.freq))
+    return t.coef * np.prod(W[:, None, :] ** t.expo[None], axis=2) * gauss[:, None]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 12),
+       points=st.sampled_from([1, 7, 3000, 9000]))
+def test_mixture_evaluate_many_matches_terms(seed, count, points):
+    """The blocked mixture evaluation equals the sum of the terms' formulas.
+
+    Coupled SPD forms; centres zero, -0.0 in some or all axes, or nonzero
+    (several groups); zero and nonzero frequencies; a different monomial set
+    per term.  3000 points put at most two terms in a block and 9000 points
+    take two point chunks; a single point is the `evaluate` case.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 3
+    centres = [np.zeros(dim), -np.zeros(dim), np.array([0.0, -0.0, 0.0]),
+               rng.normal(size=dim) * 0.5, rng.normal(size=dim) * 0.5]
+    terms = []
+    for _ in range(count):
+        L = rng.normal(size=(dim, dim)) * 0.5
+        m = int(rng.integers(1, 6))
+        terms.append(GaussPoly(
+            dim, L @ L.T + 0.5 * np.eye(dim), shift=centres[rng.integers(len(centres))],
+            freq=rng.normal(size=dim) * (rng.random() < 0.5),
+            expo=rng.integers(0, 3, size=(m, dim)),
+            coef=rng.normal(size=m) + 1j * rng.normal(size=m)))
+    U = rng.normal(size=(points, dim)) * 1.5
+    parts = np.concatenate([_summands(t, U) for t in terms], axis=1)
+    got = GaussMixture(terms).evaluate_many(U)
+    assert np.all(np.abs(got - parts.sum(axis=1)) <= 1e-12 * np.abs(parts).sum(axis=1))
+    one = GaussMixture(terms).evaluate(U[0])
+    assert abs(one - parts[0].sum()) <= 1e-12 * np.abs(parts[0]).sum()
+    first = _summands(terms[0], U)
+    assert np.all(np.abs(terms[0].evaluate_many(U) - first.sum(axis=1))
+                  <= 1e-12 * np.abs(first).sum(axis=1))
+
+
 # ---------------------------------------------------- node families (restrict)
 
 FAMILY_MONOMIALS = [(0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0), (0, 2, 0, 0, 0, 1),
@@ -435,12 +478,12 @@ def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, fre
 @settings(max_examples=20, deadline=None)
 @given(**family_data, u=st.lists(st.floats(-1.5, 1.5), min_size=8, max_size=8))
 def test_family_inverse_fourier_matches_terms(entries, coeffs, shift, freq, values, u):
-    """Node i of a family's inverse transform equals the transform of node i."""
+    """Node i of a family's inverse transform is F^{-1} phi_i(x) = F phi_i(-x)."""
     phi = _family_phi(entries, coeffs, shift, freq)
     fam = phi.restrict([1, 4], np.array(values))
     inv = fam.inverse_fourier()
     U = np.array(u).reshape(2, 4)
     for i in range(len(values)):
-        want = fam.term(i).inverse_fourier().evaluate_many(U)
+        want = fam.term(i).fourier().precompose_affine(-np.eye(4), np.zeros(4)).evaluate_many(U)
         got = inv.term(i).evaluate_many(U)
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))

@@ -83,6 +83,19 @@ class TestRhoIntegral:
         ref = complex(mpmath.quad(f, [0, 1]))
         assert abs(val - ref) < 1e-11
 
+    def test_array_elements_refine_on_their_own(self):
+        """An array call equals the scalar calls and reports the worst error.
+
+        The imaginary parts at v and -v cancel in their sum, so a refinement
+        stopped on the sum can stop before either element has converged (at
+        n = 1 and |v| = 300 the scalar calls report err = inf).
+        """
+        vals, err = osc_weight_integral(1, np.array([300.0, -300.0]))
+        for v, got in zip((300.0, -300.0), vals):
+            want, want_err = osc_weight_integral(1, v)
+            assert abs(got - want) <= 1e-14
+            assert err >= want_err
+
 
 class TestBesselStruve:
     @pytest.mark.parametrize("v", [1.0, 5.0, 10.0])

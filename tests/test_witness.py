@@ -1,4 +1,6 @@
 """Non-existence witness tests (r > 0)."""
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from pseudoht.witness import (
     WitnessConfig,
     a_eta_apply,
     b_eta_apply,
+    ball_margin,
     build_witness,
     bump_value,
     certify_kernel_residual,
@@ -157,6 +160,52 @@ class TestWitness:
         cfg = WitnessConfig(Signature(1, 1, 2), np.array([1.0, 0.9]), 0.5)
         with pytest.raises(BumpOutsideK):
             build_witness(g11, cfg)
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(BumpOutsideK):
+            WitnessConfig(Signature(1, 1, 2), ETA0, 0.0)
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_margin_agrees_with_dense_sampling(self, r, s):
+        """The exact minimum is a lower bound that dense samples of the ball approach."""
+        sig = Signature(r, s, 2)
+        rng = np.random.default_rng(10 * r + s)
+        signs = np.array([1.0] * r + [-1.0] * s)
+        for k in range(6):
+            eta0 = rng.normal(size=r + s) * 1.5
+            delta = rng.uniform(0.2, 1.5)
+            if k == 0:  # the hard case: eta0_- = 0 and |eta0_+| <= 2 delta
+                eta0[r:] = 0.0
+                delta = np.linalg.norm(eta0) * rng.uniform(0.5, 1.0)
+            dirs = rng.normal(size=(200_000, r + s))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            radii = np.where(np.arange(len(dirs)) % 2, 1.0, rng.uniform(size=len(dirs)))
+            sampled = np.min((eta0 + delta * radii[:, None] * dirs) ** 2 @ signs)
+            exact = ball_margin(sig, eta0, delta)
+            assert exact <= sampled + 1e-12
+            assert sampled - exact <= 5e-3 * delta * (delta + np.linalg.norm(eta0))
+
+    def test_margin_hard_case(self):
+        """eta0_- = 0 and |eta0_+| <= 2 delta: the minimum |eta0_+|^2 / 2 - delta^2
+        is attained at eta_+ = eta0_+ / 2, eta_- = sqrt(delta^2 - |eta0_+|^2 / 4)."""
+        sig = Signature(1, 1, 2)
+        eta = np.array([0.4, math.sqrt(0.5 ** 2 - 0.8 ** 2 / 4)])
+        assert abs(ball_margin(sig, [0.8, 0.0], 0.5) - sig.eta_form(eta)) <= 1e-15
+        assert abs(np.linalg.norm(eta - [0.8, 0.0]) - 0.5) <= 1e-15
+
+    @pytest.mark.parametrize("eta0,delta", [
+        # secular root mu = 3 with eta0 = (2, q): margin -1e-9 at the minimiser
+        ([2.0, math.sqrt(4 * (0.25 + 1e-9 / 9))], math.sqrt(0.5 + 1e-9 / 9)),
+        # the hard case eta0_- = 0: margin |eta0_+|^2 / 2 - delta^2 = -1e-9
+        ([1.0, 0.0], math.sqrt(0.5 + 1e-9)),
+    ])
+    def test_ball_barely_leaving_k_rejected(self, g11, eta0, delta):
+        """A ball whose minimum of <eta,eta> is -1e-9 leaves K, though the
+        form is negative only on a sliver of its boundary."""
+        sig = Signature(1, 1, 2)
+        assert abs(ball_margin(sig, eta0, delta) + 1e-9) <= 1e-15
+        with pytest.raises(BumpOutsideK):
+            build_witness(g11, WitnessConfig(sig, np.array(eta0), delta))
 
     def test_witness_positive_and_integrable(self, g11):
         cfg = WitnessConfig(Signature(1, 1, 2), ETA0, 0.5, flow_nodes=16,
