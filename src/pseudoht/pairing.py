@@ -21,8 +21,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import OddN, UnsupportedN
-from .gausspoly import GaussPoly, as_terms, batched_osc_integral, collect, node_blocks
+from .errors import DimensionMismatch, OddN, UnsupportedN
+from .gausspoly import (
+    GaussPoly,
+    _NodeFamily,
+    as_terms,
+    batched_osc_integral,
+    collect,
+    node_blocks,
+)
 from .group import GroupStructure, tau_signs
 from .kernels import KernelSelector, kernel_prefactor
 from .quadrature import (
@@ -50,6 +57,11 @@ class PairBudget:
     r_order: int = 10
     u_order: int = 10
 
+    def __post_init__(self):
+        low = {k: v for k, v in self.as_dict().items() if v < 1}
+        if low:
+            raise ValueError(f"PairBudget node counts must be >= 1, got {low}")
+
     def doubled(self) -> "PairBudget":
         return replace(self, radial_order=2 * self.radial_order,
                        sphere_pts=2 * self.sphere_pts, rho_nodes=2 * self.rho_nodes,
@@ -70,6 +82,11 @@ class PairingResult:
     value: complex
     est_error: float
     node_budget: dict = field(default_factory=dict)
+
+
+def _check_dim(phi, d: int) -> None:
+    if phi.dim != d:
+        raise DimensionMismatch(f"test function has dimension {phi.dim}, the group {d}")
 
 
 def _theta_envelope(terms, theta_axes) -> float:
@@ -95,8 +112,40 @@ def _center_nodes(radial: np.ndarray, sphere: np.ndarray) -> np.ndarray:
     return (sphere[:, None, :] * radial[None, :, None]).reshape(-1, sphere.shape[1])
 
 
+def _merge_centers(fam: _NodeFamily, rows: np.ndarray, weights: np.ndarray, js: np.ndarray):
+    """The weighted rows of fam that share a radial node and a center, summed.
+
+    Rows with the same radial node js[i], shift and frequency differ only in
+    their coefficients, and the engine is linear in those, so the weighted
+    sum of their integrals is the integral of one row with coefficients
+    sum_i weights[i] coef[rows[i]].  Returns that family and the radial node
+    of each of its rows.
+    """
+    # equal keys are adjacent after the sort (-0.0 and 0.0 compare equal)
+    key = np.column_stack([js, fam.shift[rows], fam.freq[rows]])
+    order = np.lexsort(key.T[::-1])
+    starts = np.flatnonzero(np.r_[True, np.any(np.diff(key[order], axis=0) != 0, axis=1)])
+    weighted = fam.coef[rows[order]]
+    weighted *= weights[order, None]
+    coef = np.add.reduceat(weighted, starts, axis=0)
+    first = order[starts]
+    rows = rows[first]
+    return _NodeFamily(fam.quad, fam.expo, coef, fam.shift[rows], fam.freq[rows]), js[first]
+
+
 def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
                   budget: PairBudget) -> complex:
+    """The (radial x sphere) center quadrature of K^{lam,mu} against F phi.
+
+    Restricted at the center r om, a term's xi-Gaussian depends on om only
+    through its coefficients unless its theta-block is coupled to xi, so the
+    sphere sum is taken inside the engine: per radial node and center, the
+    +rho/r call integrates sum_om w_om lam(om) c_om and the -rho/r call
+    -sum_om w_om mu(om) c_om (`_merge_centers`), and rows of zero weight are
+    dropped.  A block-diagonal term thus costs one engine row per radial node
+    and sign whatever the sphere budget; a coupled term keeps one row per
+    distinct center.
+    """
     d = 2 * n + s
     theta_axes = list(range(2 * n, d))
     tau = tau_signs(n)
@@ -107,6 +156,8 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     sphere, ws = sphere_rule(s, budget.sphere_pts)
     pref = kernel_prefactor(n, s)
     node_w = wr * radial ** (s - 1) * pref / radial
+    lam, mu = np.array([sel.lam_mu(om) for om in sphere], dtype=complex).T
+    signed = ((1.0, ws * lam), (-1.0, -ws * mu))
 
     # blocks of radial nodes that share a rho-rule, so their frequencies form
     # one array
@@ -120,23 +171,25 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     total = 0.0 + 0.0j
     for term in fphi_terms:
         fam = term.restrict(theta_axes, _center_nodes(radial, sphere))
-        for k, (om, wo) in enumerate(zip(sphere, ws)):
-            lam, mu = sel.lam_mu(om)
-            for rho, wq, js in groups:
-                sl = fam[k * radial.size + js]
-                freqs = rho[None, :] / radial[js][:, None]
-                node_val = 0.0
-                if lam != 0:
-                    node_val = lam * (batched_osc_integral(sl, freqs, tau) @ wq)
-                if mu != 0:
-                    node_val = node_val - mu * (batched_osc_integral(sl, -freqs, tau) @ wq)
-                total += wo * np.sum(node_w[js] * node_val)
+        for rho, wq, js in groups:
+            # rows k R + j of the block, sphere node k slowest
+            rows = (np.arange(len(sphere))[:, None] * radial.size + js).ravel()
+            row_js = np.tile(js, len(sphere))
+            for sign, wo in signed:
+                row_w = np.repeat(wo, js.size)
+                keep = row_w != 0
+                if not keep.any():
+                    continue
+                merged, mj = _merge_centers(fam, rows[keep], row_w[keep], row_js[keep])
+                freqs = sign * rho[None, :] / radial[mj][:, None]
+                total += np.sum(node_w[mj] * (batched_osc_integral(merged, freqs, tau) @ wq))
     return total
 
 
 def pair_k(n: int, s: int, phi, sel: KernelSelector | None = None,
            budget: PairBudget | None = None, with_error: bool = True) -> PairingResult:
     """K^{lam,mu}(phi) = integral q^{lam,mu}(xi, theta) [F phi](xi, theta)."""
+    _check_dim(phi, 2 * n + s)
     sel = sel or KernelSelector.constant(1.0)
     budget = budget or PairBudget()
     fphi = phi.fourier()
@@ -176,6 +229,7 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
     n = G.sig.n
     if n % 2 == 1:
         raise OddN("the iterated-integral form is derived for even n")
+    _check_dim(phi, 2 * n + 1)
     budget = budget or PairBudget()
 
     z_axis = 2 * n
@@ -368,6 +422,7 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
         raise UnsupportedN("second form needs n >= 2")
     budget = budget or PairBudget()
     d = 2 * n + s
+    _check_dim(phi, d)
     z_axes = list(range(2 * n, d))
     tau = tau_signs(n)
     fz = phi.partial_fourier(z_axes)

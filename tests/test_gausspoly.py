@@ -163,6 +163,32 @@ class TestFourier:
             rhs = pair(phi.fourier(), psi.fourier())
             assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
+    def test_parseval_coupled_shifted(self):
+        """int |phi|^2 = int |F phi|^2 for a coupled, shifted, frequency-carrying term.
+
+        Each side is a Gauss-Hermite sum of pointwise values in the
+        coordinates that whiten the function's own Gaussian, exact for its
+        polynomial part and independent of the transform's derivative table.
+        """
+        A = np.array([[1.4, 0.3, -0.2], [0.3, 0.9, 0.25], [-0.2, 0.25, 1.1]])
+        phi = GaussPoly(3, A, {(0, 0, 0): 0.5 - 0.2j, (1, 0, 2): 1.0, (0, 1, 1): 0.4j,
+                               (2, 1, 0): -0.3, (0, 0, 1): 0.6},
+                        shift=[0.4, -0.3, 0.2], freq=[0.7, -0.5, 0.3])
+        y, w = np.polynomial.hermite.hermgauss(8)
+        Y = np.stack(np.meshgrid(y, y, y, indexing="ij"), axis=-1).reshape(-1, 3)
+        W = np.prod(np.stack(np.meshgrid(w, w, w, indexing="ij"), axis=-1).reshape(-1, 3), axis=1)
+
+        def norm2(f):
+            # u = shift + L^{-T} y with quad = L L^T turns the Gaussian into e^{-|y|^2}
+            L = np.linalg.cholesky(f.quad)
+            U = f.shift + np.linalg.solve(L.T, Y.T).T
+            vals = np.abs(f.evaluate_many(U)) ** 2 * np.exp(np.sum(Y ** 2, axis=1))
+            return np.sum(W * vals) / np.sqrt(np.linalg.det(f.quad))
+
+        lhs, rhs = norm2(phi), norm2(phi.fourier())
+        assert lhs > 0.1
+        assert abs(lhs - rhs) <= 1e-12 * lhs
+
     def test_partial_fourier_matches_full_on_product(self):
         # product function: partial in z then in x equals full transform
         phi = GaussPoly(3, np.diag([1.0, 2.0, 0.5]), {(1, 0, 2): 1.0}, shift=[0.1, 0.0, -0.2])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from pseudoht import pairing
 from pseudoht.clifford import Signature
 from pseudoht.errors import DimensionMismatch, OddN, UnsupportedN
 from pseudoht.gausspoly import GaussPoly
@@ -17,6 +18,15 @@ from pseudoht.pairing import (
 
 SMALL = PairBudget(radial_geo_panels=8, radial_lin_panels=6, radial_order=8,
                    sphere_pts=12, rho_nodes=64)
+
+# anisotropic Gaussians at (0,2,2) and (0,2,1), and the group points that
+# left-translate them into test functions whose x- and z-blocks are coupled
+PHI6 = GaussPoly(6, np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]),
+                 {(0,) * 6: 1.0, (2, 0, 0, 0, 0, 0): 0.3, (0, 0, 0, 0, 0, 2): -0.2})
+PHI5 = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]),
+                 {(0,) * 5: 1.0, (0, 0, 0, 0, 2): 0.25})
+G6 = GroupPoint(np.array([0.3, -0.2, 0.1, 0.25]), np.array([0.2, -0.15]))
+G5 = GroupPoint(np.array([0.3, -0.2, 0.1, 0.25]), np.array([0.2]))
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +116,54 @@ class TestPairK:
                 lambda r, t: mp.exp(-r * r / 2) * r / mp.sqrt(r * r + 4 * mp.sin(t) ** 2),
                 [0, 1, mp.inf], [0, mp.pi / 2]))
         assert abs(ref - exact) <= 2e-3 * abs(exact)
+
+
+def _engine_freqs(monkeypatch, dphi, sphere_pts: int) -> int:
+    """The number of frequencies pair_k at (0,2,2) sends to the engine."""
+    count = 0
+    engine = pairing.batched_osc_integral
+
+    def counting(phi, w, tau, **kw):
+        nonlocal count
+        count += np.asarray(w).size
+        return engine(phi, w, tau, **kw)
+
+    monkeypatch.setattr(pairing, "batched_osc_integral", counting)
+    budget = PairBudget(radial_geo_panels=4, radial_lin_panels=4, radial_order=4,
+                        sphere_pts=sphere_pts, rho_nodes=32)
+    pair_k(2, 2, dphi, KernelSelector.constant(1.0), budget, with_error=False)
+    return count
+
+
+class TestEngineWork:
+    """Sphere nodes whose restrictions share a center share one engine row."""
+
+    def test_block_diagonal_independent_of_sphere_budget(self, g022, monkeypatch):
+        dphi = g022.apply_delta_rs(PHI6)
+        counts = [_engine_freqs(monkeypatch, dphi, m) for m in (8, 16)]
+        assert counts[0] > 0
+        assert counts[0] == counts[1]
+
+    def test_coupled_grows_with_sphere_budget(self, g022, monkeypatch):
+        dphi = g022.apply_delta_rs(g022.left_translate(PHI6, G6))
+        counts = [_engine_freqs(monkeypatch, dphi, m) for m in (8, 16)]
+        assert counts[1] > counts[0] > 0
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", [
+        lambda G: pair_k(2, 2, GaussPoly.iso_gaussian(7), with_error=False),
+        lambda G: pair_mr_heisenberg(G, GaussPoly.iso_gaussian(6), with_error=False),
+        lambda G: pair_second_form(2, 2, GaussPoly.iso_gaussian(5), with_error=False),
+    ])
+    def test_wrong_dimension(self, heis2, call):
+        with pytest.raises(DimensionMismatch):
+            call(heis2)
+
+    @pytest.mark.parametrize("field", ["sphere_pts", "radial_order", "rho_nodes", "t_order"])
+    def test_budget_rejects_nonpositive_counts(self, field):
+        with pytest.raises(ValueError, match=field):
+            PairBudget(**{field: 0})
 
 
 class TestPairMR:
@@ -238,26 +296,42 @@ class TestPinnedValues:
     every value must agree to 1e-12 relative.
     """
 
-    PHI5 = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]),
-                     {(0,) * 5: 1.0, (0, 0, 0, 0, 2): 0.25})
-
     @staticmethod
     def close(got, want):
+        assert abs(want) >= 1e-6
         assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_pair_k_22_constant(self, g022):
-        phi = GaussPoly(6, np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]),
-                        {(0,) * 6: 1.0, (2, 0, 0, 0, 0, 0): 0.3, (0, 0, 0, 0, 0, 2): -0.2})
-        res = pair_k(2, 2, g022.apply_delta_rs(phi), KernelSelector.constant(1.0), SMALL,
+        res = pair_k(2, 2, g022.apply_delta_rs(PHI6), KernelSelector.constant(1.0), SMALL,
                      with_error=False)
         self.close(res.value, 1.00000217187044 + 4.4338790378363804e-16j)
 
+    # recorded with one engine call per sphere node; one case per way the
+    # rows of a restricted family merge
+
+    def test_pair_k_22_complex_selector(self):
+        """lam and mu both nonzero and complex: every row takes both signs."""
+        res = pair_k(2, 2, PHI6, KernelSelector.constant(0.3 + 0.4j), SMALL, with_error=False)
+        self.close(res.value, -0.4108452761010725 - 0.21324825211851026j)
+
+    def test_pair_k_21_heaviside_left_translated(self, heis2):
+        """lam and mu each vanish on one sphere node, and the rows do not share a center."""
+        res = pair_k(2, 1, heis2.left_translate(PHI5, G5), KernelSelector.heaviside(), SMALL,
+                     with_error=False)
+        self.close(res.value, -0.09077422777941083 + 5.551115123125783e-17j)
+
+    def test_pair_k_22_left_translated(self, g022):
+        """Delta phi of a left-translated Gaussian: every sphere node its own center."""
+        dphi = g022.apply_delta_rs(g022.left_translate(PHI6, G6))
+        res = pair_k(2, 2, dphi, KernelSelector.constant(0.3 + 0.4j), SMALL, with_error=False)
+        self.close(res.value, 0.8881431496383315 - 2.338407245616736e-15j)
+
     def test_pair_k_21_heaviside(self):
-        res = pair_k(2, 1, self.PHI5, KernelSelector.heaviside(), with_error=False)
+        res = pair_k(2, 1, PHI5, KernelSelector.heaviside(), with_error=False)
         self.close(res.value, -0.042378201375743225 - 6.368455503767739e-17j)
 
     def test_pair_mr_heisenberg(self, heis2):
-        res = pair_mr_heisenberg(heis2, self.PHI5, with_error=False)
+        res = pair_mr_heisenberg(heis2, PHI5, with_error=False)
         self.close(res.value, -0.04237820077167745 + 1.4456170758842876e-18j)
 
     def test_pseudo_pair_n2(self, heis2):
@@ -269,7 +343,7 @@ class TestPinnedValues:
 
     def test_pair_second_form_21(self):
         """The z^2 monomial of PHI5 gives r-derivative pieces of different r-powers."""
-        res = pair_second_form(2, 1, self.PHI5, with_error=False)
+        res = pair_second_form(2, 1, PHI5, with_error=False)
         self.close(res.value, -0.04237820144583948 + 0.6297005408002172j)
 
     def test_pair_second_form_22(self):
