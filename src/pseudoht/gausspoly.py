@@ -5,13 +5,18 @@ A term has the form
     phi(u) = sum_m  coef[m] (u-c)^expo[m] * exp(-1/2 (u-c)^T A (u-c)) * exp(i b.u)
 
 with A real symmetric positive definite, center c and frequency b real, an
-integer exponent array expo of shape (M, dim) and complex coefficients coef of
-shape (M,).  A node family (N restrictions of one term, `_NodeFamily`) has the
-same storage with coef of shape (N, M); this is the only polynomial form.  A
-{monomial: coef} dict is an input format only: the GaussPoly constructor and
-the JSON rows accept it.  The class is closed under differentiation,
-multiplication by coordinates, precomposition with invertible real affine
-maps, and the Fourier transform; finite sums live in GaussMixture.
+integer exponent array expo of shape (M, dim) and complex coefficients.  The
+one representation is the term stack (`TermStack`): N terms with forms
+(N, dim, dim), centres and frequencies (N, dim), one shared expo and coef of
+shape (N, M).  A GaussPoly is the one-term case, a GaussMixture (a finite
+sum) holds one stack, and the restrictions of one term at N nodes form a
+stack whose terms share one form.  Every operation runs on a whole stack at
+once, and the class is closed under differentiation, multiplication by
+coordinates, precomposition with invertible real affine maps and the
+Fourier transform.  Forms are validated where they enter: the GaussPoly
+constructor and JSON input check each form, and an operation that derives
+new forms checks the whole stack in one call.  A {monomial: coef} dict is
+an input format only.
 
 Inside an operation a polynomial is a dense coefficient array over the graded
 monomial basis (`_Graded`), where d/dw_j and multiplication by w_j are cached
@@ -23,16 +28,17 @@ Fourier convention (fixed once for the whole package):
 
 so that F o F = reflection and [F^{-1} psi](0) = (2 pi)^{-d/2} integral psi.
 
-The module also provides the complex-Gaussian integral engine
-``integrate_gaussian`` used by the kernel pairings: integrals of class
-members against exp(-1/2 u^T W u + eta.u) for complex symmetric W with
-positive-definite Re(A + W) are evaluated in closed form (principal branch
-of det^{-1/2}, Wick moments for the polynomial part).
+The oscillatory engine `batched_osc_integral` integrates stacks against
+exp(i w P_tau(u)) in closed form for the kernel pairings, and
+`integrate_against` integrates a term against exp(-1/2 u^T W u + eta.u) for
+complex symmetric W with positive-definite Re(A + W) (principal branch of
+det^{-1/2}, Wick moments for the polynomial part).
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
 
@@ -143,6 +149,11 @@ def axis_monomial(dim: int, j: int, k: int = 1) -> tuple:
     return tuple(m)
 
 
+def _d_op(dim: int, axis: int) -> list:
+    """d/du_axis as operator data (see `apply_operator`)."""
+    return [(np.zeros((1, dim), dtype=int), np.ones(1), axis_monomial(dim, axis))]
+
+
 def _shift(expo: np.ndarray, coef: np.ndarray, delta):
     """Re-expand sum_m coef[..., m] w^expo[m] in w' = w - delta (substitute w = w' + delta).
 
@@ -161,13 +172,21 @@ def _shift(expo: np.ndarray, coef: np.ndarray, delta):
 
 
 def _linear_subst(expo: np.ndarray, S: np.ndarray):
-    """Substitution w = S y: (expo', T) with T[m, k] the coefficient of y^expo'[k]
-    in (S y)^expo[m], so the new coefficients are coef @ T."""
-    b = _graded(len(S), _degree(expo))
-    table, S = {(0,) * len(S): b.unit}, S.astype(complex)
-    rows = [_table(table, e, lambda j, p: S[j] @ p[b.down])  # p times (S y)_j
+    """Substitution w = S_k y for S (d, d) or (K, d, d): (expo', T) with T[k, m, j]
+    the coefficient of y^expo'[j] in (S_k y)^expo[m] (see `_contract`)."""
+    S = np.asarray(S).reshape((-1,) + np.shape(S)[-2:]).astype(complex)
+    K, d = S.shape[:2]
+    b = _graded(d, _degree(expo))
+    table = {(0,) * d: np.broadcast_to(b.unit, (K, b.n + 1))}
+    rows = [_table(table, e, lambda j, p: (S[:, j, None] @ p[:, b.down])[:, 0])  # p (S y)_j
             for e in map(tuple, expo.tolist())]
-    return b.sparse(np.array(rows).reshape(-1, b.n + 1))
+    expo, T = b.sparse(np.array(rows).reshape(len(expo), K, b.n + 1))
+    return expo, T.transpose(1, 0, 2)
+
+
+def _contract(coef: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """coef (N, M) mapped by T: one shared map (1, M, M') or one per term (N, M, M')."""
+    return coef @ T[0] if len(T) == 1 else np.einsum("nm,nmk->nk", coef, T)
 
 
 def _table(table: dict, alpha: tuple, step):
@@ -179,13 +198,14 @@ def _table(table: dict, alpha: tuple, step):
 
 
 def _derivative(b: _Graded, quad: np.ndarray, freq: np.ndarray):
-    """The step of a D^alpha table of a term with form `quad` and frequency `freq`:
+    """The step of a D^alpha table of the terms with forms `quad` (N, d, d) and
+    frequencies `freq` (N, d), table entries (N, n + 1):
     d/du_j [p G] = [d_j p - (A w)_j p + i b_j p] G for w = u - c."""
     quad = quad.astype(complex)  # a real-complex matmul would take numpy's slow loop
 
     def step(j, p):
-        q = b.partial(p, j) - quad[j] @ p[b.down]
-        return q + 1j * freq[j] * p if freq[j] else q
+        q = b.partial(p, j) - (quad[:, j, None] @ p[:, b.down])[:, 0]
+        return q + 1j * freq[:, j, None] * p if freq[:, j].any() else q
     return step
 
 
@@ -217,8 +237,9 @@ def _wick_moment(cov: np.ndarray, idx: tuple) -> complex:
     return rec(tuple(sorted(idx)))
 
 
-def det_inv_sqrt(M: np.ndarray) -> complex:
-    """det(M)^{-1/2} for complex symmetric M with Re M positive definite.
+def det_inv_sqrt(M: np.ndarray):
+    """det(M)^{-1/2} for complex symmetric M with Re M positive definite, or for
+    each matrix of a stack (..., d, d).
 
     The branch is the analytic continuation from real SPD matrices: every
     eigenvalue of M lies in the open right half-plane, so the product of
@@ -227,7 +248,7 @@ def det_inv_sqrt(M: np.ndarray) -> complex:
     lam = np.linalg.eigvals(M)
     if np.any(lam.real <= 0):
         raise NonSPDQuadraticForm("Re part of the quadratic form is not positive definite")
-    return complex(np.prod(lam ** -0.5))
+    return np.prod(lam ** -0.5, axis=-1)
 
 
 def gaussian_poly_integral(M: np.ndarray, lin: np.ndarray, expo: np.ndarray,
@@ -248,15 +269,18 @@ def gaussian_poly_integral(M: np.ndarray, lin: np.ndarray, expo: np.ndarray,
 
 # ------------------------------------------------------------------- class
 
-def _as_spd(A: np.ndarray) -> np.ndarray:
+def _as_spd(A: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """A symmetrised, after checking that it is symmetric (np.allclose with atol
+    1e-12) and positive definite; ndim 3 checks a stack (N, d, d) in one call."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
         raise NonSPDQuadraticForm("quadratic form must be a square matrix")
-    if not np.allclose(A, A.T, atol=1e-12):
+    At = np.swapaxes(A, -1, -2)
+    if not np.all(np.abs(A - At) <= 1e-12 + 1e-5 * np.abs(At)):
         raise NonSPDQuadraticForm("quadratic form must be symmetric")
     if np.linalg.eigvalsh(A).min() <= 0:
         raise NonSPDQuadraticForm("quadratic form must be positive definite")
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + At)
 
 
 @dataclass
@@ -304,6 +328,11 @@ class GaussPoly:
         return GaussPoly(self.dim, self.quad, shift=self.shift, freq=self.freq,
                          expo=expo, coef=coef)
 
+    @property
+    def stack(self) -> "TermStack":
+        """This term as a one-term stack."""
+        return TermStack(self.quad, self.expo, self.coef[None], self.shift[None], self.freq[None])
+
     # -- constructors -------------------------------------------------------
     @classmethod
     def gaussian(cls, quad, shift=None, coeff=1.0) -> "GaussPoly":
@@ -321,7 +350,7 @@ class GaussPoly:
         return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
 
     def evaluate_many(self, U: np.ndarray) -> np.ndarray:
-        return _evaluate_terms([self], U)
+        return _evaluate_terms(self.stack, U)
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, c) -> "GaussPoly":
@@ -338,8 +367,7 @@ class GaussPoly:
 
     def differentiate(self, axis: int) -> "GaussPoly":
         """d/du_axis, exact."""
-        return apply_operator(self, [(np.zeros((1, self.dim), dtype=int), np.ones(1),
-                                      axis_monomial(self.dim, axis))])
+        return apply_operator(self, _d_op(self.dim, axis))
 
     def multiply_monomial(self, mono) -> "GaussPoly":
         """Multiply by u^mono (absolute coordinates)."""
@@ -352,14 +380,7 @@ class GaussPoly:
 
     def precompose_affine(self, M, v) -> "GaussPoly":
         """phi(M u + v), with M invertible real."""
-        M = np.asarray(M, float)
-        v = np.asarray(v, float)
-        if abs(np.linalg.det(M)) < 1e-300:
-            raise SingularAffineMap("affine precomposition needs invertible M")
-        expo, T = _linear_subst(self.expo, M)
-        phase = np.exp(1j * self.freq @ v)
-        return GaussPoly(self.dim, M.T @ self.quad @ M, shift=np.linalg.solve(M, self.shift - v),
-                         freq=M.T @ self.freq, expo=expo, coef=(self.coef @ T) * phase)
+        return self.stack.precompose_affine(M, v).term(0)
 
     def laplacian(self) -> "GaussPoly":
         one = np.zeros((1, self.dim), dtype=int)
@@ -378,10 +399,10 @@ class GaussPoly:
         return self.partial_fourier(range(self.dim))
 
     def inverse_fourier(self) -> "GaussPoly":
-        return _NodeFamily.of(self).inverse_fourier().term(0)
+        return self.stack.inverse_fourier().term(0)
 
     def partial_fourier(self, axes) -> "GaussPoly":
-        """Fourier transform in the listed axes only (see `_NodeFamily.fourier`).
+        """Fourier transform in the listed axes only (see `TermStack.fourier`).
 
         Requires the quadratic form to be block diagonal between `axes` and
         the remaining coordinates (true for all product test functions used
@@ -389,14 +410,14 @@ class GaussPoly:
         """
         t = np.zeros(self.dim, dtype=bool)
         t[list(axes)] = True
-        return _NodeFamily.of(self).fourier(t).term(0)
+        return self.stack.fourier(t).term(0)
 
     # -- restriction --------------------------------------------------------
     def restrict(self, fixed_axes, values):
         """phi with the listed coordinates frozen at numeric values.
 
         `values` of shape (f,) gives one GaussPoly; an (N, f) array gives the
-        N restrictions at once as a node family (see _NodeFamily), which
+        N restrictions at once as a node family (a shared-form TermStack), which
         `batched_osc_integral` and `kernels.inv_p_power` accept.
 
         Works for a general quadratic form: the cross terms contribute a real
@@ -408,11 +429,11 @@ class GaussPoly:
 
     # -- integrals ----------------------------------------------------------
     def integral(self) -> complex:
-        """integral phi(u) du, exact."""
-        return self.integrate_against()
+        """integral phi(u) du, exact (see `TermStack.integral`)."""
+        return complex(self.stack.integral()[0])
 
     def integrate_against(self, W=None, eta=None) -> complex:
-        """integral phi(u) exp(-1/2 u^T W u + eta.u) du.
+        """integral phi(u) exp(-1/2 u^T W u + eta.u) du, by Wick moments.
 
         W complex symmetric with Re(quad + W) positive definite; eta complex.
         """
@@ -452,53 +473,59 @@ class GaussPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-@dataclass
 class GaussMixture:
-    """Finite sum of GaussPoly terms over a common dimension."""
+    """Finite sum of terms over a common dimension, held as one TermStack.
 
-    terms: list
+    Built from GaussPoly terms, mixtures and stacks; `terms` is the stack,
+    which reads as a sequence of GaussPoly terms, each built when it is read.
+    """
 
-    def __post_init__(self):
-        if not self.terms:
+    def __init__(self, terms):
+        stacks = [t.stack for t in terms]
+        if not stacks:
             raise DimensionMismatch("mixture needs at least one term")
-        dims = {t.dim for t in self.terms}
-        if len(dims) != 1:
+        if len({s.dim for s in stacks}) != 1:
             raise DimensionMismatch("mixture terms must share dim")
+        self.stack = _concat(stacks)
+
+    @property
+    def terms(self) -> "TermStack":
+        return self.stack
 
     @property
     def dim(self) -> int:
-        return self.terms[0].dim
+        return self.stack.dim
 
     def evaluate(self, u) -> complex:
         return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
 
     def evaluate_many(self, U) -> np.ndarray:
-        return _evaluate_terms(self.terms, U)
+        return _evaluate_terms(self.stack, U)
 
     def map_terms(self, f) -> "GaussMixture":
+        """f applied to each term (a GaussPoly) on its own."""
         return GaussMixture([f(t) for t in self.terms])
 
     def scaled(self, c) -> "GaussMixture":
-        return self.map_terms(lambda t: t.scaled(c))
+        return GaussMixture([self.stack.scaled(c)])
 
     def __add__(self, other):
-        other_terms = other.terms if isinstance(other, GaussMixture) else [other]
-        return GaussMixture(self.terms + list(other_terms))
+        return GaussMixture([self, other])
 
     def differentiate(self, axis) -> "GaussMixture":
-        return self.map_terms(lambda t: t.differentiate(axis))
+        return apply_operator(self, _d_op(self.dim, axis))
 
     def fourier(self) -> "GaussMixture":
-        return self.map_terms(lambda t: t.fourier())
+        return GaussMixture([self.stack.fourier()])
 
     def inverse_fourier(self) -> "GaussMixture":
-        return self.map_terms(lambda t: t.inverse_fourier())
+        return GaussMixture([self.stack.inverse_fourier()])
 
     def precompose_affine(self, M, v) -> "GaussMixture":
-        return self.map_terms(lambda t: t.precompose_affine(M, v))
+        return GaussMixture([self.stack.precompose_affine(M, v)])
 
     def integral(self) -> complex:
-        return complex(sum(t.integral() for t in self.terms))
+        return complex(self.stack.integral().sum())
 
     def integrate_against(self, W=None, eta=None) -> complex:
         return complex(sum(t.integrate_against(W, eta) for t in self.terms))
@@ -506,9 +533,7 @@ class GaussMixture:
 
 def as_terms(phi) -> list:
     """phi as a list of GaussPoly terms (accepts GaussPoly or GaussMixture)."""
-    if isinstance(phi, GaussMixture):
-        return list(phi.terms)
-    return [phi]
+    return list(phi.terms) if isinstance(phi, GaussMixture) else [phi]
 
 
 # ---------------------------------------------------------- pointwise values
@@ -519,8 +544,9 @@ def as_terms(phi) -> list:
 _EVAL_CHUNK = 8192
 
 
-def _evaluate_terms(terms: list, U) -> np.ndarray:
-    """sum_t t(u) at each row u of U (P, dim), as one blocked contraction.
+def _evaluate_terms(stack: "TermStack", U) -> np.ndarray:
+    """The sum of the terms of a stack at each row u of U (P, dim), as one
+    blocked contraction.
 
     The terms are grouped by centre c (with -0.0 read as 0.0).  Per group and
     chunk of points, W = U - c gives the quadratic features W_i W_j (i <= j)
@@ -532,25 +558,20 @@ def _evaluate_terms(terms: list, U) -> np.ndarray:
     is applied only to a block with a nonzero frequency.
     """
     U = np.asarray(U, float)
-    dim = terms[0].dim
-    if U.ndim != 2 or U.shape[1] != dim:
+    if U.ndim != 2 or U.shape[1] != stack.dim:
         raise DimensionMismatch("points have wrong dimension")
-    iu, ju = np.triu_indices(dim)
+    iu, ju = np.triu_indices(stack.dim)
     weight = np.where(iu == ju, -0.5, -1.0)
-    groups: dict = {}
-    for t in terms:
-        groups.setdefault((t.shift + 0.0).tobytes(), []).append(t)
+    shift = stack.shift + 0.0
+    _, first, group = np.unique(shift, axis=0, return_index=True, return_inverse=True)
     prepared = []
-    for group in groups.values():
-        expo = np.concatenate([t.expo for t in group])
-        _, first, col = np.unique(_rank(expo), return_index=True, return_inverse=True)
-        coef = np.zeros((len(group), len(first)), dtype=complex)
-        row = np.repeat(np.arange(len(group)), [len(t.expo) for t in group])
-        np.add.at(coef, (row, col), np.concatenate([t.coef for t in group]))
-        prepared.append((group[0].shift + 0.0, expo[first],
-                         np.stack([coef.real, coef.imag], axis=1),   # (N, 2, M)
-                         np.stack([t.quad[iu, ju] for t in group]) * weight,
-                         np.stack([t.freq for t in group])))
+    for g in np.argsort(first):   # the centres in order of first appearance
+        rows = np.flatnonzero(group.ravel() == g)
+        cols = np.flatnonzero(stack.coef[rows].any(axis=0))
+        c = stack.coef[np.ix_(rows, cols)]
+        prepared.append((shift[rows[0]], stack.expo[cols],
+                         np.stack([c.real, c.imag], axis=1),   # (N, 2, M)
+                         stack.quad[rows][:, iu, ju] * weight, stack.freq[rows]))
     out = np.zeros((2, len(U)))  # real and imaginary parts
     for lo in range(0, len(U), _EVAL_CHUNK):
         Uc = U[lo:lo + _EVAL_CHUNK]
@@ -585,28 +606,25 @@ def apply_operator(phi, op: list):
     """sum_i c_i(u) D^{alpha_i} phi, exact, for op = [(expo_i, coef_i, alpha_i), ...].
 
     c_i is the polynomial (expo_i, coef_i) in absolute coordinates u, alpha_i
-    a derivative multi-index.  Each term of phi gives one term: every distinct
-    derivative is computed once and each c_i is re-expanded in the centred
-    variable u - shift (once per distinct shift).
+    a derivative multi-index.  Each term of phi gives one term: every
+    distinct derivative is one table entry over all terms, and each c_i is
+    re-expanded in the centred variables u - shift of all terms at once.
     """
     if any(len(alpha) != phi.dim for *_, alpha in op):
         raise DimensionMismatch(f"operator does not act on functions over R^{phi.dim}")
     raise_deg = max((_degree(e) + sum(alpha) for e, _, alpha in op), default=0)
-    out_terms, shifted = [], {}
-    for term in as_terms(phi):
-        key = term.shift.tobytes()
-        if key not in shifted:
-            shifted[key] = [_shift(e, c, term.shift) if term.shift.any() else (e, c)
-                            for e, c, _ in op]
-        b = _graded(term.dim, _degree(term.expo) + raise_deg)
-        table = {(0,) * term.dim: b.dense(term.expo, term.coef)}
-        step = _derivative(b, term.quad, term.freq)
-        acc = np.zeros(b.n + 1, dtype=complex)
-        for (_, _, alpha), (expo, coef) in zip(op, shifted[key]):
-            d = _table(table, alpha, step)
-            acc += sum(c * b.times(d, tuple(e)) for e, c in zip(expo.tolist(), coef))
-        out_terms.append(term._with(*b.sparse(acc)))
-    return out_terms[0] if isinstance(phi, GaussPoly) else GaussMixture(out_terms)
+    s = phi.stack
+    b = _graded(s.dim, _degree(s.expo) + raise_deg)
+    table = {(0,) * s.dim: b.dense(s.expo, s.coef)}
+    step = _derivative(b, s.quad, s.freq)
+    acc = np.zeros((len(s), b.n + 1), dtype=complex)
+    for expo, coef, alpha in op:
+        if s.shift.any():
+            expo, coef = _shift(expo, np.broadcast_to(coef, (len(s), len(coef))), s.shift)
+        d = _table(table, alpha, step)
+        acc += sum(c[..., None] * b.times(d, tuple(e)) for e, c in zip(expo.tolist(), coef.T))
+    out = TermStack(s.quad, *b.sparse(acc), s.shift, s.freq)
+    return out.term(0) if isinstance(phi, GaussPoly) else GaussMixture([out])
 
 
 def compose(first: list, op: list) -> list:
@@ -641,79 +659,141 @@ _OSC_CHUNK = 512
 _OSC_BLOCK = 8192
 
 
-class _NodeFamily:
-    """N restrictions of one term, sharing the quadratic form and the monomials.
+class TermStack(Sequence):
+    """N terms over one list of monomials (see the module docstring).
 
-    Node i is the GaussPoly term with polynomial
-    sum_m coef[i, m] (u - shift[i])^expo[m], Gaussian quad centred at
-    shift[i] and frequency freq[i].  Every map applied to a family
-    (restriction, recentring, tau-congruence, Fourier transform) acts on the
-    (N, M) coefficient array as a matrix product.
+    Term i has form quad[i], centre shift[i], frequency freq[i] and
+    polynomial sum_m coef[i, m] (u - shift[i])^expo[m].  A node family (the
+    restrictions of one term, which the oscillatory engine takes) holds its
+    one form as a broadcast view (`form`).  The constructor checks nothing.
+    An integer index builds that term as a GaussPoly; an index array or a
+    slice gives a sub-stack.
     """
 
     __slots__ = ("quad", "expo", "coef", "shift", "freq")
 
     def __init__(self, quad, expo, coef, shift, freq):
-        self.quad, self.expo, self.coef = quad, expo, coef
-        self.shift, self.freq = shift, freq
-
-    @classmethod
-    def of(cls, term: GaussPoly) -> "_NodeFamily":
-        """The one-node family of a term."""
-        return cls(term.quad, term.expo, term.coef[None], term.shift[None], term.freq[None])
+        self.quad = np.broadcast_to(quad, (len(coef),) + np.shape(quad)[-2:])
+        self.expo, self.coef, self.shift, self.freq = expo, coef, shift, freq
 
     @property
     def dim(self) -> int:
-        return self.quad.shape[0]
+        return self.quad.shape[-1]
 
     def __len__(self) -> int:
         return self.coef.shape[0]
 
-    def __getitem__(self, idx) -> "_NodeFamily":
-        return _NodeFamily(self.quad, self.expo, self.coef[idx], self.shift[idx], self.freq[idx])
+    @property
+    def form(self) -> np.ndarray | None:
+        """The form of every term when all share one (a broadcast view), else None."""
+        return self.quad[0] if len(self) == 1 or self.quad.strides[0] == 0 else None
+
+    @property
+    def stack(self) -> "TermStack":
+        return self
+
+    def __getitem__(self, idx):
+        if isinstance(idx, (int, np.integer)):
+            return self.term(idx)
+        quad = self.quad[idx] if self.form is None else self.form
+        return TermStack(quad, self.expo, self.coef[idx], self.shift[idx], self.freq[idx])
 
     def term(self, i: int) -> GaussPoly:
-        return GaussPoly(self.dim, self.quad, shift=self.shift[i], freq=self.freq[i],
+        return GaussPoly(self.dim, self.quad[i], shift=self.shift[i], freq=self.freq[i],
                          expo=self.expo, coef=self.coef[i])
 
-    def fourier(self, t: np.ndarray, sign: int = 1) -> "_NodeFamily":
-        """F (sign 1) or F^{-1} (sign -1) of every node in the axes of the mask t.
+    def scaled(self, c) -> "TermStack":
+        return TermStack(self.quad, self.expo, self.coef * c, self.shift, self.freq)
+
+    def precompose_affine(self, M, v) -> "TermStack":
+        """Each term at M u + v, for one invertible real M (d, d) and v (d,)
+        or for one per term, M (N, d, d) and v (N, d)."""
+        M, v = np.asarray(M, float), np.asarray(v, float)
+        if np.any(np.abs(np.linalg.det(M)) < 1e-300):
+            raise SingularAffineMap("affine precomposition needs invertible M")
+        expo, T = _linear_subst(self.expo, M)
+        phase = np.exp(1j * np.sum(self.freq * v, axis=-1))
+        Mt = np.swapaxes(M, -1, -2)
+        return TermStack(_as_spd(Mt @ self.quad @ M, 3), expo,
+                         _contract(self.coef, T) * phase[:, None],
+                         np.linalg.solve(M, (self.shift - v)[..., None])[..., 0],
+                         (Mt @ self.freq[..., None])[..., 0])
+
+    def fourier(self, t: np.ndarray | None = None, sign: int = 1) -> "TermStack":
+        """F (sign 1) or F^{-1} (sign -1) of every term in the axes of the mask t
+        (default all); each form must be block diagonal between t and the rest.
 
         With a the part of a monomial on t, F^{+-1}[w^a G_A] =
         (+-i)^{|a|} D^a[det(A)^{-1/2} G_{A^{-1}}] for the even Gaussian, so
         every monomial reads its image from one derivative table of that
-        Gaussian, times its part on the other axes; on t, centre and frequency
-        trade places and contribute the phase e^{i freq.shift}.
+        Gaussian (one table for a shared form, one entry per term otherwise),
+        times its part on the other axes; on t, centre and frequency trade
+        places and contribute the phase e^{i freq.shift}.
         """
-        if np.any(self.quad[t][:, ~t]):
+        t = np.ones(self.dim, dtype=bool) if t is None else t
+        quad = self.quad if self.form is None else self.form[None]   # one per table entry
+        if np.any(quad[:, t][:, :, ~t]):
             raise DimensionMismatch("partial_fourier needs block-diagonal quad")
-        At = self.quad[t][:, t]
+        At = quad[:, t][:, :, t]
         At_inv = np.linalg.inv(At)
-        quad = self.quad.copy()
-        quad[np.ix_(t, t)] = 0.5 * (At_inv + At_inv.T)
+        ti = np.flatnonzero(t)
+        quad = quad.copy()
+        quad[:, ti[:, None], ti] = 0.5 * (At_inv + np.swapaxes(At_inv, 1, 2))
+        quad = _as_spd(quad, 3)
         b = _graded(self.dim, _degree(self.expo))
-        table, step = {(0,) * self.dim: b.unit}, _derivative(b, quad, np.zeros(self.dim))
+        table = {(0,) * self.dim: np.broadcast_to(b.unit, (len(quad), b.n + 1))}
+        step = _derivative(b, quad, np.zeros((len(quad), self.dim)))
         rows = [_I_POW[sign * sum(a) % 4] * b.times(_table(table, tuple(a), step), k)
                 for a, k in zip((self.expo * t).tolist(), map(tuple, (self.expo * ~t).tolist()))]
-        expo, T = b.sparse(np.array(rows).reshape(-1, b.n + 1))
+        expo, T = b.sparse(np.array(rows).reshape(len(self.expo), len(quad), b.n + 1))
         phase = det_inv_sqrt(At) * np.exp(1j * np.sum(self.freq[:, t] * self.shift[:, t], axis=1))
-        return _NodeFamily(quad, expo, (self.coef @ T) * phase[:, None],
-                           np.where(t, sign * self.freq, self.shift),
-                           np.where(t, -sign * self.shift, self.freq))
+        return TermStack(quad, expo, _contract(self.coef, T.transpose(1, 0, 2)) * phase[:, None],
+                         np.where(t, sign * self.freq, self.shift),
+                         np.where(t, -sign * self.shift, self.freq))
 
-    def inverse_fourier(self) -> "_NodeFamily":
-        """F^{-1} of every node."""
-        return self.fourier(np.ones(self.dim, dtype=bool), -1)
+    def inverse_fourier(self) -> "TermStack":
+        """F^{-1} of every term."""
+        return self.fourier(sign=-1)
+
+    def integral(self) -> np.ndarray:
+        """The integral of each term: for plain Gaussians the batched closed form
+        c (2 pi)^{d/2} det(A)^{-1/2} e^{i b.c - b^T A^{-1} b / 2}, for
+        polynomial terms Wick moments (`GaussPoly.integrate_against`)."""
+        if self.expo.any():
+            return np.array([self.term(i).integrate_against() for i in range(len(self))])
+        A, c, b = self.quad, self.shift, self.freq
+        e = 1j * np.sum(b * c, axis=1)
+        if b.any():
+            e = e - 0.5 * np.sum(b * np.linalg.solve(A, b[..., None])[..., 0], axis=1)
+        return ((2 * np.pi) ** (self.dim / 2) * np.linalg.det(A) ** -0.5 * np.exp(e)
+                * self.coef.sum(axis=1))
 
 
 def as_families(phi) -> list:
-    """phi as a list of node families whose values add (one per GaussPoly term)."""
-    if isinstance(phi, _NodeFamily):
+    """phi as a list of node families whose values add (one per term unless
+    phi is a TermStack)."""
+    if isinstance(phi, TermStack):
         return [phi]
-    return [_NodeFamily.of(t) for t in as_terms(phi)]
+    return [phi.stack[i:i + 1] for i in range(len(phi.stack))]
 
 
-def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> _NodeFamily:
+def _concat(stacks: list) -> TermStack:
+    """The terms of all stacks as one stack, over the union of their monomials."""
+    if len(stacks) == 1:
+        return stacks[0]
+    expo = np.concatenate([s.expo for s in stacks])
+    _, first, col = np.unique(_rank(expo), return_index=True, return_inverse=True)
+    coef = np.zeros((sum(map(len, stacks)), len(first)), dtype=complex)
+    lo = m = 0
+    for s in stacks:
+        np.add.at(coef[lo:lo + len(s)].T, col[m:m + len(s.expo)], s.coef.T)
+        lo, m = lo + len(s), m + len(s.expo)
+    return TermStack(np.concatenate([s.quad for s in stacks]), expo[first], coef,
+                     np.concatenate([s.shift for s in stacks]),
+                     np.concatenate([s.freq for s in stacks]))
+
+
+def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> TermStack:
     """term with the `fixed` coordinates frozen at each row of values (N, f)."""
     keep = [j for j in range(term.dim) if j not in fixed]
     A = term.quad
@@ -732,7 +812,7 @@ def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> _NodeF
         coef = coef * np.vander(q[:, i], e.max(initial=0) + 1, increasing=True)[:, e]
     expo, coef = _shift(term.expo[:, keep], coef, -delta)
     freq = np.broadcast_to(term.freq[keep], delta.shape)
-    return _NodeFamily(Akk, expo, coef * const[:, None], term.shift[keep] - delta, freq)
+    return TermStack(Akk, expo, coef * const[:, None], term.shift[keep] - delta, freq)
 
 
 # ------------------------------------------------------- oscillatory engine
@@ -754,7 +834,7 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
     axis is the plain value.
     """
     w = np.asarray(w, float)
-    if isinstance(phi, _NodeFamily):
+    if isinstance(phi, TermStack):
         return _osc_family(phi, w, tau, table)
     fams = as_families(phi)
     if table:
@@ -775,7 +855,7 @@ def node_blocks(count: int, nw: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray):
+def _tau_diagonalize(fam: TermStack, tau: np.ndarray):
     """Precompose with S such that the quadratic form becomes diagonal while
     sum tau_j u_j^2 keeps its shape: S = A^{-1/2} Q |L|^{1/2} with
     A^{1/2} tau A^{1/2} = Q L Q^T, columns ordered positives-first.
@@ -784,7 +864,7 @@ def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray):
     coefficient of the new monomial j in the image of the old monomial k,
     so the new coefficients are fam.coef @ B.
     """
-    A = fam.quad
+    A = fam.form
     lam_a, Va = np.linalg.eigh(A)
     B = Va @ np.diag(np.sqrt(lam_a)) @ Va.T          # A^{1/2}
     Binv = Va @ np.diag(lam_a ** -0.5) @ Va.T
@@ -795,15 +875,15 @@ def _tau_diagonalize(fam: _NodeFamily, tau: np.ndarray):
     if not np.array_equal(np.sign(lam), tau):
         raise NonSPDQuadraticForm("signature mismatch in tau-congruence")
     S = Binv @ Q @ np.diag(np.sqrt(np.abs(lam)))
-    expo, T = _linear_subst(fam.expo, S)
+    expo, (T,) = _linear_subst(fam.expo, S)
     # the congruence leaves only roundoff off-diagonal mass; drop it
     quad = np.diag(np.diagonal(S.T @ A @ S))
     det = abs(np.linalg.det(S))
-    return _NodeFamily(quad, expo, (fam.coef @ T) * det,
+    return TermStack(quad, expo, (fam.coef @ T) * det,
                        np.linalg.solve(S, fam.shift.T).T, fam.freq @ S), T * det
 
 
-def _osc_family(fam: _NodeFamily, w: np.ndarray, tau: np.ndarray,
+def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
                 table: bool = False) -> np.ndarray:
     """The engine on a family; with `table`, the (N, Nw, M) per-monomial table.
 
@@ -814,10 +894,10 @@ def _osc_family(fam: _NodeFamily, w: np.ndarray, tau: np.ndarray,
     caller's coefficients.
     """
     user_coef, basis = fam.coef, None
-    A = fam.quad
+    A = fam.form
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
-    a, t = np.diagonal(fam.quad)[:, None], tau[:, None]
+    a, t = np.diagonal(fam.form)[:, None], tau[:, None]
     expo = fam.expo
     axes = [j for j in range(fam.dim) if expo.size and expo[:, j].max() > 0]
     # per-axis arrays are laid out (axis, pair); node data is gathered per pass

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch, OddN, UnsupportedN
 from .gausspoly import (
     GaussPoly,
-    _NodeFamily,
+    TermStack,
     as_terms,
     batched_osc_integral,
     collect,
@@ -112,7 +112,7 @@ def _center_nodes(radial: np.ndarray, sphere: np.ndarray) -> np.ndarray:
     return (sphere[:, None, :] * radial[None, :, None]).reshape(-1, sphere.shape[1])
 
 
-def _merge_centers(fam: _NodeFamily, rows: np.ndarray, weights: np.ndarray, js: np.ndarray):
+def _merge_centers(fam: TermStack, rows: np.ndarray, weights: np.ndarray, js: np.ndarray):
     """The weighted rows of fam that share a radial node and a center, summed.
 
     Rows with the same radial node js[i], shift and frequency differ only in
@@ -130,7 +130,7 @@ def _merge_centers(fam: _NodeFamily, rows: np.ndarray, weights: np.ndarray, js: 
     coef = np.add.reduceat(weighted, starts, axis=0)
     first = order[starts]
     rows = rows[first]
-    return _NodeFamily(fam.quad, fam.expo, coef, fam.shift[rows], fam.freq[rows]), js[first]
+    return TermStack(fam.form, fam.expo, coef, fam.shift[rows], fam.freq[rows]), js[first]
 
 
 def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,

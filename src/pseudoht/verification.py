@@ -158,10 +158,16 @@ def check_delta_reproduction(quick: bool = False) -> dict:
 
 
 def check_family_equivalence(quick: bool = False) -> dict:
-    """pair_K(Delta phi, sel) agrees across selectors (1,0), (0,1), (1/2,1/2)."""
+    """pair_K(Delta phi, sel) agrees across selectors (1,0), (0,1), (1/2,1/2).
+
+    phi is anisotropic: for the isotropic Gaussian the +rho/r and -rho/r
+    halves of the pairing agree bit for bit (the swap (x1,x2) <-> (x3,x4) maps
+    P to -P), so all three selectors gave one value.
+    """
     t0 = time.time()
     G = GroupStructure.from_signature(Signature(0, 2, 2))
-    phi = GaussPoly.iso_gaussian(6)
+    phi = GaussPoly(6, np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]),
+                    {(0,) * 6: 1.0, (2, 0, 0, 0, 0, 0): 0.3, (0, 0, 0, 0, 0, 2): -0.2})
     d = G.apply_delta_rs(phi)
     sels = [KernelSelector.constant(1.0), KernelSelector.constant(0.0),
             KernelSelector.constant(0.5)]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .clifford import Signature, p_form
 from .errors import BumpOutsideK, DimensionMismatch, NonTimelikeEta
-from .gausspoly import GaussMixture, GaussPoly, apply_operator, as_terms, axis_monomial
+from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial
 from .group import GroupStructure, tau_signs
 from .quadrature import legendre_rule, tensor_rule
 
@@ -70,8 +70,9 @@ def phi_eta(G: GroupStructure, eta) -> GaussPoly:
 def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     """Trapezoid discretization of D_eta phi = int_0^{q_eta} phi(e^{t Om tau} .) dt.
 
-    Each node contributes a real-SPD precomposition; the trapezoid rule on the
-    periodic analytic integrand converges spectrally in the node count.
+    Each node contributes a real-SPD precomposition, and the flow images of
+    every term of phi are built as one stack (node-major); the trapezoid rule
+    on the periodic analytic integrand converges spectrally in the node count.
     """
     if nodes < 8:
         raise ValueError("use at least 8 trapezoid nodes")
@@ -79,12 +80,11 @@ def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     if q <= 0:
         raise NonTimelikeEta("D_eta averaging needs <eta,eta>_{r,s} > 0")
     period = G.flow_period(eta)
-    terms = []
-    for j in range(nodes):
-        E = G.exp_flow(eta, j * period / nodes, side="right")
-        for t in as_terms(phi):
-            terms.append(t.precompose_affine(E, np.zeros(2 * G.sig.n)).scaled(period / nodes))
-    return GaussMixture(terms)
+    E = np.array([G.exp_flow(eta, j * period / nodes, side="right") for j in range(nodes)])
+    s = phi.stack
+    images = s[np.tile(np.arange(len(s)), nodes)].precompose_affine(
+        np.repeat(E, len(s), axis=0), np.zeros(2 * G.sig.n))
+    return GaussMixture([images.scaled(period / nodes)])
 
 
 # ------------------------------------------------------------------- witness
@@ -231,8 +231,7 @@ def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -
         if om == 0.0:
             continue
         mix = w.mixture_at(eta, nodes)
-        g_mix_terms = as_terms(a_eta_apply(G, mix, eta)) + as_terms(b_eta_apply(G, mix, eta))
-        vals = GaussMixture(g_mix_terms).evaluate_many(XI)
+        vals = (a_eta_apply(G, mix, eta) + b_eta_apply(G, mix, eta)).evaluate_many(XI)
         worst = max(worst, float(np.max(np.abs(vals))) * om)
     sup = witness_sup(w)
     integral = witness_integral(w)

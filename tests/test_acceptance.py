@@ -74,7 +74,17 @@ def test_criterion_03_literal_12_instance():
 def test_criterion_04_family_equivalence():
     res = _record(4, verification.check_family_equivalence())
     assert res["passed"]
-    assert res["relative_spread"] <= 1e-3
+    assert 0.0 < res["relative_spread"] <= 1e-3
+
+
+def test_criterion_04_fails_when_mu_flips_sign(monkeypatch):
+    """Check 4 fails when the pairing reads every selector's mu with the wrong sign."""
+    from pseudoht.kernels import KernelSelector
+
+    lam_mu = KernelSelector.lam_mu
+    monkeypatch.setattr(KernelSelector, "lam_mu",
+                        lambda self, om: (lam_mu(self, om)[0], -lam_mu(self, om)[1]))
+    assert not verification.check_family_equivalence(quick=True)["passed"]
 
 
 @pytest.mark.slow

@@ -1,13 +1,17 @@
 """Tests for the exact polynomial-times-Gaussian calculus."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoht.errors import DimensionMismatch
+from pseudoht import gausspoly
+from pseudoht.errors import DimensionMismatch, NonSPDQuadraticForm, SingularAffineMap
 from pseudoht.gausspoly import (
     GaussMixture,
     GaussPoly,
+    TermStack,
     apply_operator,
     batched_osc_integral,
     compose,
@@ -438,7 +442,7 @@ def test_family_engine_matches_integrate_against(entries, coeffs, shift, freq, v
     """
     phi = _family_phi(entries, coeffs, shift, freq)
     fam = phi.restrict([4, 5], np.array(values))
-    assert np.count_nonzero(fam.quad - np.diag(np.diagonal(fam.quad)))
+    assert np.count_nonzero(fam.form - np.diag(np.diagonal(fam.form)))
     tau = np.array([1.0, 1.0, -1.0, -1.0])
     ws = np.array(w)[None, :] * (1.0 + 0.1 * np.arange(len(values)))[:, None]
     got = batched_osc_integral(fam, ws, tau)
@@ -488,7 +492,7 @@ def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, fre
     assert np.max(np.abs(table.sum(axis=-1) - plain)) <= 1e-12 * scale
     for i in range(len(values)):
         for k, e in enumerate(fam.expo):
-            mono = GaussPoly(4, fam.quad, shift=fam.shift[i], freq=fam.freq[i],
+            mono = GaussPoly(4, fam.form, shift=fam.shift[i], freq=fam.freq[i],
                              expo=e[None], coef=fam.coef[i, [k]])
             want = [mono.integrate_against(W=-2j * x * np.diag(tau)) for x in ws[i]]
             assert np.max(np.abs(table[i, :, k] - want)) <= 1e-9 * scale
@@ -513,3 +517,103 @@ def test_family_inverse_fourier_matches_terms(entries, coeffs, shift, freq, valu
         want = fam.term(i).fourier().precompose_affine(-np.eye(4), np.zeros(4)).evaluate_many(U)
         got = inv.term(i).evaluate_many(U)
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
+
+
+# ------------------------------------------------- term stacks (per-term forms)
+
+NOT_SYMMETRIC = np.array([[1.0, 0.2], [0.0, 1.0]])
+INDEFINITE = np.array([[1.0, 0.0], [0.0, -0.5]])
+
+
+def _stack_terms(rng, count=5, dim=3, poly=True) -> list:
+    """Terms with coupled forms, nonzero centres and frequencies, and either a
+    polynomial of their own or the constant coefficient only."""
+    terms = []
+    for _ in range(count):
+        L = rng.normal(size=(dim, dim)) * 0.5
+        expo = rng.integers(0, 3, size=(3, dim)) if poly else np.zeros((1, dim), dtype=int)
+        terms.append(GaussPoly(dim, L @ L.T + 0.5 * np.eye(dim), shift=rng.normal(size=dim) * 0.5,
+                               freq=rng.normal(size=dim), expo=expo,
+                               coef=rng.normal(size=len(expo)) + 1j * rng.normal(size=len(expo))))
+    return terms
+
+
+class TestTermStack:
+    def test_closed_form_integral_matches_wick(self, monkeypatch):
+        """Plain Gaussians: the batched closed form agrees with the Wick route,
+        which it does not call."""
+        terms = _stack_terms(np.random.default_rng(30), poly=False)
+        want = np.array([t.integrate_against() for t in terms])
+        mix = GaussMixture(terms)
+        assert np.count_nonzero(mix.stack.quad[0] - np.diag(np.diagonal(mix.stack.quad[0])))
+        calls = []
+        monkeypatch.setattr(gausspoly, "gaussian_poly_integral", lambda *a: calls.append(a))
+        got = mix.stack.integral()
+        assert not calls
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+        assert abs(mix.integral() - want.sum()) <= 1e-13 * np.abs(want).sum()
+
+    def test_polynomial_terms_take_wick(self, monkeypatch):
+        terms = _stack_terms(np.random.default_rng(31))
+        want = np.array([t.integrate_against() for t in terms])
+        wick, calls = gaussian_poly_integral, []
+        monkeypatch.setattr(gausspoly, "gaussian_poly_integral",
+                            lambda *a: calls.append(a) or wick(*a))
+        got = GaussMixture(terms).stack.integral()
+        assert len(calls) == len(terms)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_ops_act_on_each_term(self):
+        """One map per term, the inverse transform and an operator on a stack of
+        per-term forms, centres and frequencies equal the one-term operations."""
+        rng = np.random.default_rng(32)
+        terms = _stack_terms(rng)
+        mix = GaussMixture(terms)
+        maps = rng.normal(size=(len(terms), 3, 3)) * 0.3 + np.eye(3)
+        moves = rng.normal(size=(len(terms), 3))
+        op = [(np.array([[2, 0, 0]]), np.array([1.0]), (0, 1, 0)),
+              (np.array([[0, 0, 1], [0, 0, 0]]), np.array([2.0, -1j]), (1, 0, 1))]
+        moved = mix.stack.precompose_affine(maps, moves)
+        inv = mix.inverse_fourier().terms
+        applied = apply_operator(mix, op).terms
+        assert len(inv) == len(applied) == len(terms)
+        U = rand_points(rng, 20, 3, scale=1.0)
+        for i, t in enumerate(terms):
+            pairs = [(moved[i], t.evaluate_many(U @ maps[i].T + moves[i])),
+                     (inv[i], t.fourier().precompose_affine(-np.eye(3), np.zeros(3))
+                      .evaluate_many(U)),
+                     (applied[i], apply_operator(t, op).evaluate_many(U))]
+            for got, want in pairs:
+                assert isinstance(got, GaussPoly)
+                assert np.max(np.abs(got.evaluate_many(U) - want)) \
+                    <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("bad", [NOT_SYMMETRIC, INDEFINITE])
+    def test_public_input_checks_each_form(self, bad):
+        with pytest.raises(NonSPDQuadraticForm):
+            GaussPoly(2, bad, {(0, 0): 1.0})
+        text = json.dumps({"dim": 2, "quad": bad.tolist(), "shift": [0.0, 0.0],
+                           "poly": [[0, 0, 1.0, 0.0]]})
+        with pytest.raises(NonSPDQuadraticForm):
+            GaussPoly.from_json(text)
+
+    @pytest.mark.parametrize("bad", [NOT_SYMMETRIC, INDEFINITE])
+    def test_derived_stack_checks_every_member(self, bad):
+        """One bad form among good ones fails the batched check of a derived stack."""
+        good = np.array([[1.0, 0.3], [0.3, 2.0]])
+        stack = TermStack(np.stack([good, bad, good]), np.zeros((1, 2), dtype=int),
+                          np.ones((3, 1), dtype=complex), np.zeros((3, 2)), np.zeros((3, 2)))
+        with pytest.raises(NonSPDQuadraticForm):
+            stack.precompose_affine(np.eye(2), np.zeros(2))
+        if bad is INDEFINITE:
+            with pytest.raises(NonSPDQuadraticForm):
+                stack.inverse_fourier()
+
+    def test_singular_map_rejected(self):
+        phi = GaussPoly.iso_gaussian(2)
+        singular = np.array([[1.0, 2.0], [0.5, 1.0]])
+        with pytest.raises(SingularAffineMap):
+            phi.precompose_affine(singular, np.zeros(2))
+        with pytest.raises(SingularAffineMap):
+            phi.stack[np.zeros(2, dtype=int)].precompose_affine(
+                np.stack([np.eye(2), singular]), np.zeros(2))

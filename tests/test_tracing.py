@@ -1,0 +1,58 @@
+"""The benchmark's tracer (perfbench/tracing.py) still wraps every library name.
+
+`tracing.install` patches methods and functions by name, so a rename in the
+library would break the benchmark; this test makes it break Tier-1 first.
+"""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from pseudoht import gausspoly, witness
+from pseudoht.clifford import Signature
+from pseudoht.group import GroupStructure
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+ETA0 = np.array([2.0, 1.0])
+
+
+def _wrapped():
+    """(class, name) of every method the tracer wraps by name."""
+    names = [(gausspoly.GaussPoly, "__post_init__")]
+    names += [(gausspoly.GaussPoly, n) for ns in tracing.GAUSSPOLY_METHODS.values() for n in ns]
+    names += [(gausspoly.GaussMixture, n) for ns in tracing.MIXTURE_METHODS.values() for n in ns]
+    return names + [(witness.WitnessFunction, "mixture_at")]
+
+
+def test_tracer_wraps_a_witness_pass_and_restores_the_library():
+    originals = {(cls, name): vars(cls)[name] for cls, name in _wrapped()}
+    functions = {name: getattr(witness, name) for name in (
+        "d_eta_average", "a_eta_apply", "b_eta_apply", "certify_kernel_residual",
+        "nonsolvability_report")}
+    G = GroupStructure.from_signature(Signature(1, 1, 2))
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        cfg = witness.WitnessConfig(G.sig, ETA0, 0.5, flow_nodes=8, eta_grid=2, xi_grid=3)
+        w = witness.build_witness(G, cfg)
+        assert witness.certify_kernel_residual(w)["integral_psi"] > 0
+        assert witness.nonsolvability_report(w)["normalization_c"] > 0
+        phi = witness.phi_eta(G, ETA0)
+        built = tracer.counts["gausspoly.constructions"]
+        mix = witness.d_eta_average(G, phi, ETA0, 16)
+        assert len(mix.terms) == 16
+        assert tracer.counts["gausspoly.constructions"] == built
+        assert len((mix + mix.map_terms(lambda t: t.scaled(2.0))).terms) == 32
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["witness.d_eta_average.calls"] >= 2
+    assert tracer.counts["witness.mixture_terms"] >= 16
+    for key in ("witness.certify", "witness.report", "witness.ab_apply", "gausspoly.evaluate",
+                "gausspoly.algebra", "gausspoly.integral", "gausspoly.fourier"):
+        assert tracer.inclusive[key] > 0, key
+    assert all(vars(cls)[name] is f for (cls, name), f in originals.items())
+    assert all(getattr(witness, name) is f for name, f in functions.items())

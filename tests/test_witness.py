@@ -257,3 +257,38 @@ class TestWitness:
         assert len(calls) == inside
         certify_kernel_residual(w, flow_nodes=8)
         assert len(calls) == 2 * inside
+
+
+class TestPinnedWitness:
+    """Witness numbers recorded before the flow mixtures became term stacks.
+
+    The stacked flow images, transforms and closed-form integrals reorder
+    floating-point sums only, so every value agrees to 1e-12 relative; the
+    kernel residual and Delta phi sit at rounding level, so only their
+    bounds are asserted.
+    """
+
+    CASES = {
+        # check 9, quick mode
+        "check9_quick": (([2.0, 1.0], 0.5, 4, 7), {
+            "psi_sup": 7.255197456936868, "integral_psi": 67.30692660572115,
+            "finv_psi_at_0": 0.27134395762715585, "phi_at_0": 1.0000000000000007,
+            "normalization_c": 0.27134395762715585}),
+        # the shape of the benchmark's witness job
+        "eta_grid3": (([2.1, -0.7], 0.45, 3, 7), {
+            "psi_sup": 6.346975625940519, "integral_psi": 60.99008234149494,
+            "finv_psi_at_0": 0.24587796759004957, "phi_at_0": 0.9999999999999994,
+            "normalization_c": 0.24587796759004957}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_values(self, g11, case):
+        (eta0, delta, eta_grid, xi_grid), want = self.CASES[case]
+        cfg = WitnessConfig(Signature(1, 1, 2), np.array(eta0), delta, flow_nodes=64,
+                            eta_grid=eta_grid, xi_grid=xi_grid)
+        w = build_witness(g11, cfg)
+        got = {**certify_kernel_residual(w), **nonsolvability_report(w)}
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12 * abs(value), key
+        assert got["relative_residual"] <= 1e-8
+        assert got["delta_phi_sup"] < 1e-12
