@@ -162,16 +162,19 @@ class GroupStructure:
         return apply_operator(psi, self.g_rs_op)
 
     # -- exponential flows ------------------------------------------------------
-    def exp_flow(self, eta, t: float, side: str = "right") -> np.ndarray:
+    def exp_flow(self, eta, t: float | np.ndarray, side: str = "right") -> np.ndarray:
         """Closed form of e^{t Omega(eta) tau} (side='right') or e^{t tau Omega(eta)}.
 
         Trigonometric for <eta,eta>_{r,s} > 0, hyperbolic for < 0, and the
         terminating 2-term polynomial on the light cone (the square vanishes).
+        The closed form is elementwise in t: an array of times gives one
+        matrix per time, stacked along the leading axes.
         """
         O = self.omega(eta)
         B = O @ self.tau if side == "right" else self.tau @ O
         q = self.sig.eta_form(eta)
         eye = np.eye(2 * self.sig.n)
+        t = np.asarray(t, float)[..., None, None]
         anorm = np.sqrt(abs(q))
         if anorm < 1e-14:
             return eye + t * B

@@ -9,8 +9,8 @@ Three independent representations are implemented:
 * pair_mr_heisenberg - the iterated-integral form on the Heisenberg group
                  (center dimension 1, n even).
 * pair_second_form   - the 1/P^{n-1} form (n >= 2): sphere average, exact
-                 symbolic r-derivatives, and the Gamma-integral route for the
-                 regularized x-functional.
+                 r-derivatives as a coefficient recursion, and the
+                 Gamma-integral route for the regularized x-functional.
 
 All quadrature budgets are explicit in PairBudget and echoed in the result.
 """
@@ -27,7 +27,6 @@ from .gausspoly import (
     TermStack,
     as_terms,
     batched_osc_integral,
-    collect,
     node_blocks,
 )
 from .group import GroupStructure, tau_signs
@@ -82,6 +81,19 @@ class PairingResult:
     value: complex
     est_error: float
     node_budget: dict = field(default_factory=dict)
+
+
+def _estimated(value_with, budget: PairBudget, doubled: PairBudget,
+               with_error: bool) -> PairingResult:
+    """value_with(budget); with_error, the value at the doubled budget, with
+    the difference of the two as est_error."""
+    val = value_with(budget)
+    err = 0.0
+    if with_error:
+        val2 = value_with(doubled)
+        err = abs(val2 - val)
+        val = val2
+    return PairingResult(val, err, budget.as_dict())
 
 
 def _check_dim(phi, d: int) -> None:
@@ -194,13 +206,8 @@ def pair_k(n: int, s: int, phi, sel: KernelSelector | None = None,
     budget = budget or PairBudget()
     fphi = phi.fourier()
     terms = as_terms(fphi)
-    val = _pair_k_value(n, s, terms, sel, budget)
-    err = 0.0
-    if with_error:
-        val2 = _pair_k_value(n, s, terms, sel, budget.doubled())
-        err = abs(val2 - val)
-        val = val2
-    return PairingResult(val, err, budget.as_dict())
+    return _estimated(lambda b: _pair_k_value(n, s, terms, sel, b), budget,
+                      budget.doubled(), with_error)
 
 
 # --------------------------------------------------------- iterated integral
@@ -300,59 +307,45 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
         total /= math.sqrt(2.0 * math.pi)
         return mr_constant(n) * complex(np.sum(wr * jac * total))
 
-    val = value_with(budget)
-    err = 0.0
-    if with_error:
-        val2 = value_with(budget.doubled())
-        err = abs(val2 - val)
-        val = val2
-    return PairingResult(val, err, budget.as_dict())
+    return _estimated(value_with, budget, budget.doubled(), with_error)
 
 
 # ------------------------------------------------------------- second form
 
-class _RadialPiece:
-    """One r-profile r^m exp(-c r^2 + i gamma r) attached to an x-GaussPoly."""
+def _radial_profile(term: GaussPoly, sphere: np.ndarray, ws: np.ndarray, n: int, s: int):
+    """(d/dr)^{n-1}[r^{n+s-2} term(x, r om)] at each sphere node om, exact in r.
 
-    __slots__ = ("m", "c", "gamma", "xpoly")
+    With c = 1/2 om^T A om and gamma = b.om over the theta-block, and
+    (r om)^a = r^{|a|} om^a, the result is
 
-    def __init__(self, m, c, gamma, xpoly):
-        self.m, self.c, self.gamma, self.xpoly = m, c, gamma, xpoly
+        e^{-c r^2 + i gamma r} sum_{j, m} P[om, j, m] r^j X_m(x),
 
+    X_m the term's x-Gaussian times its m-th distinct x-monomial.
 
-def _sphere_slices(term: GaussPoly, theta_axes, om) -> list:
-    """term(x, r om) as a list of _RadialPiece (exact in r), for a theta-centred term."""
-    if np.any(term.shift[theta_axes]):
+    Returns the x-Gaussian with unit coefficients over the term's distinct
+    x-monomials (the moment table's columns), c and gamma (K,) and the
+    coefficients P (K, J, M) times the sphere weights.  Each r-derivative is
+    the recursion P_j <- (j+1) P_{j+1} - 2c P_{j-1} + i gamma P_j.
+    """
+    nx = 2 * n
+    if np.any(term.shift[nx:]):
         raise UnsupportedN("second form expects theta-centered transforms")
-    nx = term.dim - len(theta_axes)
-    # exp(-1/2 r^2 om^T A om + i r b.om), and (r om)^a = r^{|a|} om^a
-    c_quad = 0.5 * float(om @ term.quad[np.ix_(theta_axes, theta_axes)] @ om)
-    gamma = float(term.freq[theta_axes] @ om)
-    a = term.expo[:, theta_axes]
-    mdeg = a.sum(axis=1)
-    coef = term.coef * np.prod(om ** a, axis=1)
-    out = []
-    for m in dict.fromkeys(mdeg.tolist()):
-        expo, c = collect(term.expo[mdeg == m, :nx], coef[mdeg == m])
-        xp = GaussPoly(nx, term.quad[:nx, :nx], shift=term.shift[:nx], freq=term.freq[:nx],
-                       expo=expo, coef=c)
-        out.append(_RadialPiece(m, c_quad, gamma, xp))
-    return out
-
-
-def _r_derivative(pieces: list, order: int) -> list:
-    """(d/dr)^order on sum_k r^{m_k} e^{-c r^2 + i gamma r} x-profiles."""
-    cur = pieces
-    for _ in range(order):
-        nxt = []
-        for p in cur:
-            if p.m > 0:
-                nxt.append(_RadialPiece(p.m - 1, p.c, p.gamma, p.xpoly.scaled(p.m)))
-            nxt.append(_RadialPiece(p.m + 1, p.c, p.gamma, p.xpoly.scaled(-2.0 * p.c)))
-            if p.gamma != 0:
-                nxt.append(_RadialPiece(p.m, p.c, p.gamma, p.xpoly.scaled(1j * p.gamma)))
-        cur = nxt
-    return cur
+    c = 0.5 * np.einsum("ki,ij,kj->k", sphere, term.quad[nx:, nx:], sphere)
+    gamma = sphere @ term.freq[nx:]
+    xexpo, col = np.unique(term.expo[:, :nx], axis=0, return_inverse=True)
+    a = term.expo[:, nx:]
+    deg = a.sum(axis=1) + n + s - 2
+    P = np.zeros((deg.max() + 1, len(xexpo), len(sphere)), dtype=complex)
+    np.add.at(P, (deg, col.ravel()), term.coef[:, None] * np.prod(sphere ** a[:, None], axis=2))
+    P = P.transpose(2, 0, 1)
+    c3, g3 = c[:, None, None], gamma[:, None, None]
+    for _ in range(n - 1):
+        Q = np.pad(P, ((0, 0), (1, 2), (0, 0)))
+        j = np.arange(1, Q.shape[1] - 1)[:, None]
+        P = j * Q[:, 2:] - 2.0 * c3 * Q[:, :-2] + 1j * g3 * Q[:, 1:-1]
+    xunit = GaussPoly(nx, term.quad[:nx, :nx], shift=term.shift[:nx], freq=term.freq[:nx],
+                      expo=xexpo, coef=np.ones(len(xexpo)))
+    return xunit, c, gamma, P * ws[:, None, None]
 
 
 def _dual_scale_edges(r_max: float, fine: float) -> np.ndarray:
@@ -368,38 +361,6 @@ def _dual_scale_edges(r_max: float, fine: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _table_groups(node_pieces: list) -> list:
-    """The r-derivative pieces of all sphere nodes, merged into table groups.
-
-    Pieces that share an x-Gaussian (quad, shift, freq) and (c, gamma) need
-    one x-integral table between them.  Returns (xunit, c, gamma, ms, C) per
-    group: xunit holds every monomial of the group with coefficient 1 (the
-    table's columns), and row k of C is the sphere-weighted sum of the
-    x-coefficients of the pieces with r-power ms[k].
-    """
-    groups: dict = {}
-    for wo, pieces in node_pieces:
-        for p in pieces:
-            x = p.xpoly
-            key = (x.quad.tobytes(), x.shift.tobytes(), x.freq.tobytes(), p.c, p.gamma)
-            groups.setdefault(key, []).append((wo, p))
-    out = []
-    for members in groups.values():
-        x, c, gamma = members[0][1].xpoly, members[0][1].c, members[0][1].gamma
-        ms = sorted({p.m for _, p in members})
-        expo = np.concatenate([p.xpoly.expo for _, p in members])
-        rows = [ms.index(p.m) for _, p in members]
-        C = np.zeros((len(ms), len(expo)), dtype=complex)
-        C[np.repeat(rows, [len(p.xpoly.coef) for _, p in members]), np.arange(len(expo))] = \
-            np.concatenate([wo * p.xpoly.coef for wo, p in members])
-        cols, C = collect(expo, C)
-        if len(cols):
-            xunit = GaussPoly(x.dim, x.quad, shift=x.shift, freq=x.freq,
-                              expo=cols, coef=np.ones(len(cols)))
-            out.append((xunit, c, gamma, np.array(ms), C))
-    return out
-
-
 def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
                      with_error: bool = True) -> PairingResult:
     """Second form of the (1,0) pairing for n >= 2:
@@ -412,9 +373,9 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
 
     phitilde the sphere average of the partial z-transform.  The regularized
     x-functional runs through the Gamma-integral route with exact complex
-    Gaussian x-integrals, one moment table per t node for each group of
-    (sphere node, r-derivative piece) sharing an x-Gaussian and (c, gamma)
-    (`_table_groups`); the remaining (r, u) quadratures are graded at the
+    Gaussian x-integrals, one moment table per t node and u part for each
+    term, whose sphere nodes and r-derivatives all share its x-Gaussian
+    (`_radial_profile`); the remaining (r, u) quadratures are graded at the
     coth(t)/4 feature scale, which keeps the t-integrand accurate down to
     t = 0 (it tends to a nonzero constant there, so no truncation is safe).
     """
@@ -423,25 +384,16 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
     budget = budget or PairBudget()
     d = 2 * n + s
     _check_dim(phi, d)
-    z_axes = list(range(2 * n, d))
     tau = tau_signs(n)
-    fz = phi.partial_fourier(z_axes)
+    fz = phi.partial_fourier(range(2 * n, d))
     terms = as_terms(fz)
     pref_out = (2.0 / 1j) ** (n - 2) * (2.0 * math.pi) ** (-(n + s / 2.0))
     pref_D = 1j ** (n - 1) / math.factorial(n - 2)
 
     def value_with(b: PairBudget) -> complex:
         sphere, ws = sphere_rule(s, b.sphere_pts)
-        # r-derivative pieces per sphere node (t-independent), merged into
-        # moment-table groups
-        node_pieces = []
-        for om, wo in zip(sphere, ws):
-            pieces = []
-            for term in terms:
-                for p in _sphere_slices(term, z_axes, om):
-                    pieces.append(_RadialPiece(p.m + n + s - 2, p.c, p.gamma, p.xpoly))
-            node_pieces.append((wo, _r_derivative(pieces, n - 1)))
-        groups = _table_groups(node_pieces)
+        profiles = [_radial_profile(term, sphere, ws, n, s)
+                    for term in terms if len(term.coef)]
 
         # outer t-integral via rho = tanh t:
         # (sinh t cosh^{n-1} t)^{-1} dt = rho^{-1} (1-rho^2)^{(n-2)/2} drho
@@ -460,13 +412,15 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
             u1, wu1 = composite_legendre(u_edges, b.u_order)
             u_parts = ((u1, wu1 * u1 ** (n - 2)), (1.0 / u1, wu1 * u1 ** (-n)))
             Dval = 0.0 + 0.0j
-            for xunit, c, gamma, ms, C in groups:
-                r_scale = math.sqrt(40.0 / c) if c > 1e-12 else 40.0
+            for xunit, c, gamma, P in profiles:
+                # one r-grid per term, sized by the slowest-decaying profile
+                c_min = c.min()
+                r_scale = math.sqrt(40.0 / c_min) if c_min > 1e-12 else 40.0
                 redges = _dual_scale_edges(r_scale, min(r_scale, 1.0 / ccoth))
                 rn, wn = composite_legendre(redges, b.r_order)
-                # W[r, k] = sum over pieces of w_om w_r r^m e^{-c r^2 + i gamma r} coef[k]
-                prof = wn * np.exp(-c * rn ** 2 + 1j * gamma * rn)
-                W = (prof[:, None] * rn[:, None] ** ms[None, :]) @ C
+                # W[r, m] = sum_{om, j} w_r e^{-c r^2 + i gamma r} r^j P[om, j, m]
+                prof = wn * np.exp(-c[:, None] * rn ** 2 + 1j * gamma[:, None] * rn)
+                W = np.einsum("kr,rj,kjm->rm", prof, rn[:, None] ** np.arange(P.shape[1]), P)
                 for uu, wu in u_parts:
                     table = batched_osc_integral(xunit, -(uu[None, :] + rn[:, None] * ccoth),
                                                  tau, table=True)
@@ -474,13 +428,7 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
             total += w_t * jac * pref_D * Dval
         return pref_out * total
 
-    val = value_with(budget)
-    err = 0.0
-    if with_error:
-        val2 = value_with(budget.doubled_light())
-        err = abs(val2 - val)
-        val = val2
-    return PairingResult(val, err, budget.as_dict())
+    return _estimated(value_with, budget, budget.doubled_light(), with_error)
 
 
 # ------------------------------------------------------- n = 2 counterexample

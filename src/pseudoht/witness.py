@@ -80,7 +80,7 @@ def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     if q <= 0:
         raise NonTimelikeEta("D_eta averaging needs <eta,eta>_{r,s} > 0")
     period = G.flow_period(eta)
-    E = np.array([G.exp_flow(eta, j * period / nodes, side="right") for j in range(nodes)])
+    E = G.exp_flow(eta, np.arange(nodes) * period / nodes, side="right")
     s = phi.stack
     images = s[np.tile(np.arange(len(s)), nodes)].precompose_affine(
         np.repeat(E, len(s), axis=0), np.zeros(2 * G.sig.n))

@@ -261,6 +261,16 @@ class TestExpFlow:
                 B = G.omega(eta) @ G.tau if side == "right" else G.tau @ G.omega(eta)
                 assert np.abs(G.exp_flow(eta, t, side) - expm(t * B)).max() < 1e-12
 
+    @pytest.mark.parametrize("eta", [[2.0, 1.0], [1.0, 2.0], [1.0, 1.0]],
+                             ids=["trigonometric", "hyperbolic", "light-cone"])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_array_of_times_stacks_scalar_calls(self, eta, side):
+        G = GroupStructure.from_signature(Signature(1, 1, 2))
+        ts = np.linspace(-3.0, 3.0, 64)
+        want = np.array([G.exp_flow(eta, t, side) for t in ts])
+        assert np.array_equal(G.exp_flow(eta, ts, side), want)
+        assert np.array_equal(G.exp_flow(eta, ts.reshape(8, 8), side), want.reshape(8, 8, 4, 4))
+
     def test_time_zero_identity(self, heis1):
         assert np.array_equal(G := heis1.exp_flow([1.0], 0.0), np.eye(2))
 

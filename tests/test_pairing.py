@@ -25,6 +25,9 @@ PHI6 = GaussPoly(6, np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]),
                  {(0,) * 6: 1.0, (2, 0, 0, 0, 0, 0): 0.3, (0, 0, 0, 0, 0, 2): -0.2})
 PHI5 = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]),
                  {(0,) * 5: 1.0, (0, 0, 0, 0, 2): 0.25})
+# the anisotropic Gaussian of the representation cross-check at (0,2,2): its
+# theta-block gives the sphere nodes different c = om^T A om / 2
+ANISO6 = GaussPoly.gaussian(np.diag(np.linspace(1.0, 1.4, 6)))
 G6 = GroupPoint(np.array([0.3, -0.2, 0.1, 0.25]), np.array([0.2, -0.15]))
 G5 = GroupPoint(np.array([0.3, -0.2, 0.1, 0.25]), np.array([0.2]))
 
@@ -234,14 +237,11 @@ class TestSecondForm:
         b = pair_k(2, 2, phi, KernelSelector.constant(1.0), with_error=False).value
         assert abs(a - b) <= 1e-2 * abs(b)
 
-    @pytest.mark.slow
     def test_delta_reproduction_22(self, g022):
         phi = GaussPoly.iso_gaussian(6)
         res = pair_second_form(2, 2, g022.apply_delta_rs(phi), with_error=False)
         assert abs(res.value - 1.0) <= 1e-2
 
-
-    @pytest.mark.slow
     def test_agrees_with_pair_k_034(self):
         """n = 4, s = 3: three r-derivatives, and the anisotropic theta-block gives
         every sphere node its own c."""
@@ -251,6 +251,22 @@ class TestSecondForm:
         b = pair_k(4, 3, phi, KernelSelector.constant(1.0), budget, with_error=False).value
         assert abs(b) >= 1e-6
         assert abs(a - b) <= 1e-2 * abs(b)
+
+    @pytest.mark.parametrize("phi", [GaussPoly.iso_gaussian(6), ANISO6], ids=["iso", "aniso"])
+    def test_one_table_per_term_and_t_node(self, phi, monkeypatch):
+        """Every sphere node and r-derivative of a term shares its x-Gaussian, so
+        each t node makes one table call per u part: 2 x 130 t nodes x 1 term."""
+        calls = 0
+        engine = pairing.batched_osc_integral
+
+        def counting(*args, **kw):
+            nonlocal calls
+            calls += 1
+            return engine(*args, **kw)
+
+        monkeypatch.setattr(pairing, "batched_osc_integral", counting)
+        pair_second_form(2, 2, phi, with_error=False)
+        assert calls == 2 * 130
 
 
 class TestPseudoPair:
@@ -349,6 +365,21 @@ class TestPinnedValues:
     def test_pair_second_form_22(self):
         res = pair_second_form(2, 2, GaussPoly.iso_gaussian(6), with_error=False)
         self.close(res.value, 0.5213441572527334j)
+
+    def test_pair_second_form_22_anisotropic(self):
+        """The sphere nodes have different c; recorded with one r-grid per term,
+        sized by the smallest c (est_error 4.4e-9)."""
+        res = pair_second_form(2, 2, ANISO6, with_error=False)
+        self.close(res.value, 0.02262480905353649 + 0.45774355123419425j)
+
+    @pytest.mark.parametrize("widths, want", [
+        (np.ones(7), -1.875069735797396e-18 + 0.4285850775503713j),
+        (np.linspace(1.0, 1.4, 7), 0.030843390519422136 + 0.36480448706651913j),
+    ], ids=["iso", "aniso"])
+    def test_pair_second_form_013(self, widths, want):
+        """n = 3: two r-derivatives."""
+        res = pair_second_form(3, 1, GaussPoly.gaussian(np.diag(widths)), with_error=False)
+        self.close(res.value, want)
 
     def test_inv_p_power_coupled_form(self):
         A = np.array([[1.0, 0.2, 0.1, 0.0], [0.2, 1.4, 0.0, 0.15],
