@@ -269,15 +269,22 @@ def gaussian_poly_integral(M: np.ndarray, lin: np.ndarray, expo: np.ndarray,
 
 # ------------------------------------------------------------------- class
 
-def _as_spd(A: np.ndarray, ndim: int = 2) -> np.ndarray:
-    """A symmetrised, after checking that it is symmetric (np.allclose with atol
-    1e-12) and positive definite; ndim 3 checks a stack (N, d, d) in one call."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
-        raise NonSPDQuadraticForm("quadratic form must be a square matrix")
+def _check_symmetric(A: np.ndarray) -> np.ndarray:
+    """The transpose of A (d, d) or of each form of a stack (N, d, d), after one
+    batched check that A is symmetric (np.allclose with atol 1e-12)."""
     At = np.swapaxes(A, -1, -2)
     if not np.all(np.abs(A - At) <= 1e-12 + 1e-5 * np.abs(At)):
         raise NonSPDQuadraticForm("quadratic form must be symmetric")
+    return At
+
+
+def _as_spd(A: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """A symmetrised, after checking that it is symmetric (`_check_symmetric`)
+    and positive definite; ndim 3 checks a stack (N, d, d) in one call."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != ndim or A.shape[-1] != A.shape[-2]:
+        raise NonSPDQuadraticForm("quadratic form must be a square matrix")
+    At = _check_symmetric(A)
     if np.linalg.eigvalsh(A).min() <= 0:
         raise NonSPDQuadraticForm("quadratic form must be positive definite")
     return 0.5 * (A + At)
@@ -651,11 +658,13 @@ def compose(first: list, op: list) -> list:
 
 # ------------------------------------------------------------- node families
 
-# The oscillatory engine evaluates at most _OSC_CHUNK (node, frequency) pairs
-# per vectorised pass, which bounds its temporaries (about 1 KB per pair at
-# the polynomial sizes of the pairings); `node_blocks` splits the nodes of a
-# weighted sum so that each engine call returns at most _OSC_BLOCK values.
-_OSC_CHUNK = 512
+# The oscillatory engine works in passes over (node, frequency) pairs whose
+# complex temporaries take about _OSC_BYTES: a pass holds
+# _OSC_BYTES // (16 (M_table + M + 2 d)) pairs (see `_osc_family`), so a
+# one-monomial table pass covers a few thousand pairs and a wide polynomial
+# pass several hundred; `node_blocks` splits the nodes of a weighted sum so
+# that each engine call returns at most _OSC_BLOCK values.
+_OSC_BYTES = 16384 * 16
 _OSC_BLOCK = 8192
 
 
@@ -721,7 +730,8 @@ class TermStack(Sequence):
 
     def fourier(self, t: np.ndarray | None = None, sign: int = 1) -> "TermStack":
         """F (sign 1) or F^{-1} (sign -1) of every term in the axes of the mask t
-        (default all); each form must be block diagonal between t and the rest.
+        (default all); each form must be symmetric (one batched check before the
+        inversion, which symmetrises) and block diagonal between t and the rest.
 
         With a the part of a monomial on t, F^{+-1}[w^a G_A] =
         (+-i)^{|a|} D^a[det(A)^{-1/2} G_{A^{-1}}] for the even Gaussian, so
@@ -732,6 +742,7 @@ class TermStack(Sequence):
         """
         t = np.ones(self.dim, dtype=bool) if t is None else t
         quad = self.quad if self.form is None else self.form[None]   # one per table entry
+        _check_symmetric(quad)   # the block inverse below is symmetrised
         if np.any(quad[:, t][:, :, ~t]):
             raise DimensionMismatch("partial_fourier needs block-diagonal quad")
         At = quad[:, t][:, :, t]
@@ -887,54 +898,83 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
                 table: bool = False) -> np.ndarray:
     """The engine on a family; with `table`, the (N, Nw, M) per-monomial table.
 
-    Both modes build the same per-pass moment products mono and prefactor
-    pref.  The plain mode folds the coefficients into mono and sums over
-    monomials; the table mode keeps unit coefficients, maps the columns back
-    through the basis map of the tau-congruence and then multiplies by the
-    caller's coefficients.
+    After the tau-congruence the form is diagonal, so at a (node, frequency)
+    pair the integral factors over the axes: axis j is the 1-D complex
+    Gaussian with beta_j = a_j - 2 i tau_j w, mean mu_j = lin_j / beta_j,
+    lin_j = i b_j + 2 i tau_j w c_j, and variance sigma_j^2 = 1 / beta_j.
+    The prefactor prod_j sqrt(2 pi / beta_j) e^{lin_j mu_j / 2} splits into
+    its modulus, one log of prod_j (a_j^2 + 4 w^2) (node-free, every factor
+    >= a_j^2 > 0), and its phase, -1/2 sum_j arg(beta_j) by arctan2 per axis
+    (the angle of the product would lose multiples of 2 pi).  An axis is
+    live when some node of the family has a nonzero centre or frequency on
+    it; on a dead axis lin_j is exactly 0, hence mu_j = 0 and the factor
+    e^{lin_j mu_j / 2} = 1, so lin and mu are formed on live axes only and
+    the moments of a dead axis come from the sigma^2 recursion alone.
+
+    A pass holds _OSC_BYTES // (16 (M_table + M + 2 d)) pairs: M_table the
+    caller's monomial count in table mode (0 otherwise), M and d the
+    monomial count and dimension of the diagonal family.  Both modes build
+    the same per-pass moment products mono and prefactor pref.  The plain
+    mode folds the coefficients into mono and sums over monomials; the table
+    mode keeps unit coefficients, maps the columns back through the basis
+    map of the tau-congruence and then multiplies by the caller's
+    coefficients.
     """
     user_coef, basis = fam.coef, None
     A = fam.form
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
+    d, expo = fam.dim, fam.expo
     a, t = np.diagonal(fam.form)[:, None], tau[:, None]
-    expo = fam.expo
-    axes = [j for j in range(fam.dim) if expo.size and expo[:, j].max() > 0]
+    axes = [j for j in range(d) if expo.size and expo[:, j].max() > 0]
+    live = np.flatnonzero(np.any(fam.shift != 0, axis=0) | np.any(fam.freq != 0, axis=0))
     # per-axis arrays are laid out (axis, pair); node data is gathered per pass
-    coef = np.ones((len(expo), len(fam)), dtype=complex) if table else fam.coef.T
-    shift, freq = fam.shift.T, fam.freq.T
+    # with `take`, which keeps the gathers C-ordered (a fancy index on the
+    # last axis returns them F-ordered, and the products then run strided)
+    shift, freq, t_live = fam.shift[:, live].T, fam.freq[:, live].T, t[live]
     phase = np.sum(fam.freq * fam.shift, axis=1)
     curv = fam.shift ** 2 @ tau
-    nw = w.shape[1]
-    out = np.empty((w.size, user_coef.shape[1]) if table else w.size, dtype=complex)
-    for lo in range(0, w.size, _OSC_CHUNK):
-        i, jw = np.divmod(np.arange(lo, min(lo + _OSC_CHUNK, w.size)), nw)
-        wc = w[i, jw]
-        beta = a - 2j * t * wc
-        lin = 1j * freq[:, i] + (2j * t * wc) * shift[:, i]
-        mu = lin / beta
-        # per axis sqrt(2 pi / beta) e^{lin mu / 2}, times the center phase;
+    a2, const = a ** 2, (2 * np.pi) ** (d / 2)
+    wf, nw = w.ravel(), w.shape[1]
+    width = user_coef.shape[1] if table else 0
+    size = max(1, _OSC_BYTES // (16 * (width + len(expo) + 2 * d)))
+    out = np.empty((w.size, width) if table else w.size, dtype=complex)
+    for lo in range(0, w.size, size):
+        wc = wf[lo:lo + size]
+        i = np.arange(lo, lo + wc.size) // nw
         # Re beta = a > 0 keeps arg(beta) in (-pi/2, pi/2), so the principal
-        # roots multiply as exp(-1/2 sum log beta)
-        expo_sum = -0.5 * np.sum(0.5 * np.log(a ** 2 + 4.0 * wc ** 2)
-                                 + 1j * np.arctan2(-2.0 * t * wc, a) - lin * mu, axis=0)
-        pref = (2 * np.pi) ** (fam.dim / 2) * np.exp(expo_sum + 1j * (phase[i] + wc * curv[i]))
+        # roots multiply as exp(-1/2 sum log beta): the real part of the sum
+        # is one log of the product of the |beta|^2, the angles add per axis
+        ex = np.empty(wc.size, dtype=complex)
+        ex.real = -0.25 * np.log(np.prod(a2 + 4.0 * wc ** 2, axis=0))
+        ex.imag = -0.5 * np.sum(np.arctan2(-2.0 * t * wc, a), axis=0)
+        if axes or live.size:
+            beta = a - 2j * t * wc
+        mu = {}
+        if live.size:
+            lin = 1j * freq.take(i, axis=1) + (2j * t_live * wc) * shift.take(i, axis=1)
+            m = lin / beta[live]
+            ex += 0.5 * np.sum(lin * m, axis=0) + 1j * (phase[i] + wc * curv[i])
+            mu = dict(zip(live.tolist(), m))
+        pref = const * np.exp(ex)
         # E[(mu + sigma N)^m] per axis, sigma^2 = 1/beta, by the recursion
         # m_k = mu m_{k-1} + (k - 1) sigma^2 m_{k-2}, gathered per monomial
-        mono = coef[:, i]
+        mono = np.ones((len(expo), wc.size), dtype=complex) if table else fam.coef.T.take(i, axis=1)
         for j in axes:
             deg = int(expo[:, j].max())
             sig2 = 1.0 / beta[j]
-            mom = np.empty((deg + 1, i.size), dtype=complex)
-            mom[0], mom[1] = 1.0, mu[j]
+            mom = np.empty((deg + 1, wc.size), dtype=complex)
+            mom[0], mom[1] = 1.0, mu.get(j, 0.0)
             for k in range(2, deg + 1):
-                mom[k] = mu[j] * mom[k - 1] + (k - 1) * sig2 * mom[k - 2]
+                mom[k] = (k - 1) * sig2 * mom[k - 2]
+                if j in mu:
+                    mom[k] += mu[j] * mom[k - 1]
             mono *= mom[expo[:, j]]
         if not table:
-            out[lo:lo + i.size] = pref * np.sum(mono, axis=0)
+            out[lo:lo + wc.size] = pref * np.sum(mono, axis=0)
             continue
         tab = pref * mono
         if basis is not None:
             tab = basis @ tab
-        out[lo:lo + i.size] = (tab * user_coef.T[:, i]).T
+        out[lo:lo + wc.size] = (tab * user_coef.T.take(i, axis=1)).T
     return out.reshape(w.shape + out.shape[1:])

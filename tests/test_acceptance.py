@@ -87,7 +87,6 @@ def test_criterion_04_fails_when_mu_flips_sign(monkeypatch):
     assert not verification.check_family_equivalence(quick=True)["passed"]
 
 
-@pytest.mark.slow
 def test_criterion_05_representation_crosscheck():
     res = _record(5, verification.check_representation_crosscheck())
     assert res["passed"]

@@ -18,6 +18,7 @@ from pseudoht.gausspoly import (
     gaussian_poly_integral,
 )
 from pseudoht.kernels import inv_p_power
+from osc_reference import osc_family_reference
 from radial_l1 import radial_l1_norm
 
 
@@ -519,6 +520,102 @@ def test_family_inverse_fourier_matches_terms(entries, coeffs, shift, freq, valu
         assert np.max(np.abs(got - want)) <= 1e-11 * max(1.0, np.max(np.abs(want)))
 
 
+# ------------------------------------------ oscillatory engine against its oracle
+
+TAU4 = np.array([1.0, 1.0, -1.0, -1.0])
+DIAG4 = np.diag([0.7, 1.3, 0.9, 2.1])
+
+
+def _engine_family(rng, form, nodes, shift_axes=(), freq_axes=(), deg=4) -> TermStack:
+    """`nodes` terms on R^4 with one form, every monomial of degree <= deg
+    (random complex coefficients, the constant one largest), node-dependent
+    centres on shift_axes and frequencies on freq_axes, zero elsewhere."""
+    expo = gausspoly._graded(4, deg).expo
+    coef = (rng.normal(size=(nodes, len(expo))) + 1j * rng.normal(size=(nodes, len(expo)))) * 0.3
+    coef[:, 0] += 2.0
+    shift, freq = np.zeros((nodes, 4)), np.zeros((nodes, 4))
+    shift[:, list(shift_axes)] = rng.uniform(0.2, 0.8, size=(nodes, len(shift_axes)))
+    freq[:, list(freq_axes)] = rng.uniform(-1.0, 1.0, size=(nodes, len(freq_axes)))
+    return TermStack(form, expo, coef, shift, freq)
+
+
+def _matches_reference(fam, w, table):
+    """The engine against the per-axis oracle: 1e-13 relative on every value
+    above 1e-8 of the largest (most nonzero values), 1e-13 of the largest
+    below it; a monomial odd on a dead axis is an exact zero on both sides."""
+    got = batched_osc_integral(fam, w, TAU4, table=table)
+    want = osc_family_reference(fam, w, TAU4, table=table)
+    assert got.shape == want.shape == w.shape + ((fam.coef.shape[1],) if table else ())
+    assert np.all(np.isfinite(got))
+    assert np.all(got[want == 0] == 0)
+    scale = np.abs(want).max()
+    big = np.abs(want) >= 1e-8 * scale
+    assert big.sum() > 0.5 * np.count_nonzero(want)
+    assert np.max(np.abs(got - want)[big] / np.abs(want)[big]) <= 1e-13
+    assert np.max(np.abs(got - want)[~big], initial=0.0) <= 1e-13 * scale
+
+
+class TestOscEngine:
+    @pytest.mark.parametrize("table", [False, True])
+    def test_centred_diagonal_family_every_axis_dead(self, table):
+        rng = np.random.default_rng(40)
+        fam = _engine_family(rng, DIAG4, 3)
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(3, 40)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_centres_and_frequencies_on_some_axes(self, table):
+        """Axes 0 and 2 carry centres, axis 1 frequencies, axis 3 is dead."""
+        rng = np.random.default_rng(41)
+        fam = _engine_family(rng, DIAG4, 4, shift_axes=(0, 2), freq_axes=(1,))
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(4, 30)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_coupled_form_goes_through_the_congruence(self, table):
+        rng = np.random.default_rng(42)
+        L = rng.normal(size=(4, 4)) * 0.4
+        fam = _engine_family(rng, L @ L.T + np.eye(4), 3, shift_axes=(0, 3), freq_axes=(1, 3))
+        assert np.count_nonzero(fam.form - np.diag(np.diagonal(fam.form)))
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(3, 30)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_pass_boundaries(self, table, offset):
+        """w.size at the pass size +-1, one node per pair and one node for all."""
+        rng = np.random.default_rng(43)
+        fam = _engine_family(rng, DIAG4, 1, shift_axes=(0,), freq_axes=(2,), deg=2)
+        width = fam.coef.shape[1] if table else 0
+        count = gausspoly._OSC_BYTES // (16 * (width + len(fam.expo) + 2 * fam.dim)) + offset
+        many = _engine_family(rng, DIAG4, count, shift_axes=(0,), freq_axes=(2,), deg=2)
+        _matches_reference(many, rng.uniform(-5.0, 5.0, size=(count, 1)), table)
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(1, count)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_single_pair_and_passes_inside_a_row(self, table, monkeypatch):
+        rng = np.random.default_rng(44)
+        fam = _engine_family(rng, DIAG4, 5, shift_axes=(1,), freq_axes=(0, 3), deg=3)
+        _matches_reference(fam[:1], np.array([[1.7]]), table)
+        width = fam.coef.shape[1] if table else 0
+        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 7 * 16 * (width + len(fam.expo) + 8))
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(5, 3)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_large_frequencies_stay_finite(self, table):
+        """|w| up to 1e8: the modulus is one log of prod_j (a_j^2 + 4 w^2)."""
+        rng = np.random.default_rng(45)
+        fam = _engine_family(rng, DIAG4, 2, freq_axes=(0, 2), deg=2)
+        fam.coef[:, 1:] *= 0.1           # no cancellation: each value is near pref c_0
+        w = np.concatenate([np.logspace(0, 8, 17), -np.logspace(0, 8, 17)])
+        w = np.stack([w, w[::-1]])
+        got = batched_osc_integral(fam, w, TAU4, table=table)
+        want = osc_family_reference(fam, w, TAU4, table=table)
+        assert np.all(np.isfinite(got))
+        if table:
+            got, want = got[..., 0], want[..., 0]   # the constant monomial
+        assert np.all(np.abs(want) > 0)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        assert np.abs(want[0, 16]) < 1e-14 * np.abs(want[0, 0])   # the decay is resolved
+
+
 # ------------------------------------------------- term stacks (per-term forms)
 
 NOT_SYMMETRIC = np.array([[1.0, 0.2], [0.0, 1.0]])
@@ -603,11 +700,10 @@ class TestTermStack:
         good = np.array([[1.0, 0.3], [0.3, 2.0]])
         stack = TermStack(np.stack([good, bad, good]), np.zeros((1, 2), dtype=int),
                           np.ones((3, 1), dtype=complex), np.zeros((3, 2)), np.zeros((3, 2)))
-        with pytest.raises(NonSPDQuadraticForm):
-            stack.precompose_affine(np.eye(2), np.zeros(2))
-        if bad is INDEFINITE:
+        for derive in (lambda s: s.precompose_affine(np.eye(2), np.zeros(2)),
+                       TermStack.fourier, TermStack.inverse_fourier):
             with pytest.raises(NonSPDQuadraticForm):
-                stack.inverse_fourier()
+                derive(stack)
 
     def test_singular_map_rejected(self):
         phi = GaussPoly.iso_gaussian(2)
