@@ -203,7 +203,7 @@ def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
 def kernel_q_lm_bessel(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
     """Same kernel through the Bessel/Struve closed form (c2 = 0 family)."""
     from .clifford import p_form
-    from .specfun import bessel_j, struve_h
+    from .specfun import jh_combo
 
     theta = np.atleast_1d(np.asarray(theta, float))
     r = float(np.linalg.norm(theta))
@@ -218,8 +218,10 @@ def kernel_q_lm_bessel(n: int, s: int, xi, theta, sel: KernelSelector) -> comple
         return kernel_q_lm(n, s, xi, theta, sel)
     av = abs(v)
     # lam e^{iv rho} - mu e^{-iv rho} = c1 cos(v rho) + i sin(v rho), which is
-    # c1 J + i sign(v) H in terms of the absolute argument
-    combo = c1 * bessel_j(nu, av) + 1j * math.copysign(1.0, v) * struve_h(nu, av)
+    # c1 J + i sign(v) H in terms of the absolute argument; J + iH is one
+    # rho-integral
+    jh = jh_combo(n, av)
+    combo = c1 * jh.real + 1j * math.copysign(1.0, v) * jh.imag
     pref = 1j * math.sqrt(math.pi) * gamma_half(n / 2.0) \
         / (2.0 * (2.0 * math.pi) ** (n + s / 2.0) * r) * (2.0 / av) ** nu
     return pref * combo

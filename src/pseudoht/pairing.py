@@ -36,7 +36,6 @@ from .quadrature import (
     geometric_edges,
     half_disc_rule,
     hermite_rule,
-    legendre_panel,
     sphere_rule,
 )
 

@@ -100,6 +100,7 @@ def jh_combo(n: int, v: float) -> complex:
     representation itself), jh_combo(n, -v) = conj(jh_combo(n, v)).
     """
     nu = (n - 1) / 2.0
+    _order_n(nu)
     if v == 0.0:
         return complex(bessel_j(nu, 0.0))
     val, _ = osc_weight_integral(n, abs(v))

@@ -1,11 +1,145 @@
 """Quadrature rules and the refinement drivers."""
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from pseudoht.errors import UnsupportedN
-from pseudoht.quadrature import refine_many, refine_until, sphere_rule
+from pseudoht.quadrature import (
+    composite_legendre,
+    legendre_rule,
+    refine_many,
+    refine_until,
+    sphere_rule,
+)
+
+EPS = np.finfo(float).eps
+
+
+def _mp_legendre_rule(n: int, guesses):
+    """Gauss-Legendre nodes and weights at 40 digits, polished from `guesses`."""
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for g in guesses:
+            r = mpmath.mpf(float(g))
+            for _ in range(3):
+                p_prev, p = mpmath.mpf(1), r
+                for k in range(2, n + 1):
+                    p_prev, p = p, ((2 * k - 1) * r * p - (k - 1) * p_prev) / k
+                dp = n * (p_prev - r * p) / (1 - r * r)
+                r -= p / dp
+            nodes.append(r)
+            weights.append(2 / ((1 - r * r) * dp ** 2))
+        return nodes, weights
+
+
+class TestLegendreRule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 16, 33, 64, 101])
+    def test_polynomials_up_to_degree_2n_minus_1_exact(self, n):
+        x, w = legendre_rule(n)
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x ** k - exact) <= 4 * n * EPS, (n, k)
+        # degree 2n misses by the Gauss error term, 2^{2n+1} (n!)^4 / ((2n+1) ((2n)!)^2)
+        gauss_error = float(Fraction(2 ** (2 * n + 1) * math.factorial(n) ** 4,
+                                     (2 * n + 1) * math.factorial(2 * n) ** 2))
+        assert abs(2.0 / (2 * n + 1) - w @ x ** (2 * n) - gauss_error) <= 4 * n * EPS
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 21, 64, 255])
+    def test_symmetric_ascending_and_odd_middle_is_zero(self, n):
+        x, w = legendre_rule(n)
+        assert x.shape == w.shape == (n,)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0) and np.all(np.abs(x) < 1)
+        if n % 2:
+            mid = x[n // 2]
+            assert mid == 0.0 and not np.signbit(mid)
+
+    def test_order_one_and_invalid_orders(self):
+        x, w = legendre_rule(1)
+        assert x.tolist() == [0.0] and w.tolist() == [2.0]
+        for bad in (0, -3, 2.5):
+            with pytest.raises(ValueError):
+                legendre_rule.__wrapped__(bad)
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_scipy(self, n):
+        """SciPy's rule as a test-only oracle: nodes to 2 ulp of 1, and weights
+        to 1e-13 in sum |w - w_scipy| / 2, the largest difference of the two
+        rules on a function bounded by 1.  Weight by weight, SciPy's end
+        weights are off by up to 3.4e-12 relative for n <= 64 (n = 61 against
+        mpmath at 40 digits), so the elementwise check is against mpmath."""
+        x, w = legendre_rule(n)
+        sx, sw = roots_legendre(n)
+        assert np.max(np.abs(x - sx)) <= 2 * EPS
+        assert np.sum(np.abs(w - sw)) <= 1e-13 * np.sum(sw)
+
+    @pytest.mark.parametrize("n, rtol", [(10, 2e-13), (31, 2e-13), (53, 2e-13), (58, 2e-13),
+                                         (64, 2e-13), (256, 1e-12)])
+    def test_weights_against_mpmath(self, n, rtol):
+        x, w = legendre_rule(n)
+        nodes, weights = _mp_legendre_rule(n, x)
+        for xi, wi, r, W in zip(x, w, nodes, weights):
+            assert abs(xi - r) <= EPS
+            assert abs(wi - W) <= rtol * W
+
+    def test_large_order_in_linear_memory(self):
+        n = 4096
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            x, w = legendre_rule.__wrapped__(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - t0
+        # a dense (n, n) companion or Jacobi matrix alone would take 134 MB
+        assert peak < 4 * 2 ** 20, peak
+        assert elapsed < 30.0
+        assert np.all(np.diff(x) > 0) and x[-1] < 1.0
+        assert abs(w.sum() - 2.0) <= 1e-13 and abs(w @ x ** 2 - 2.0 / 3.0) <= 1e-13
+
+    def test_composite_is_panelwise_affine_map(self):
+        edges, m = np.array([0.0, 0.25, 1.0, 3.5]), 10
+        x, w = legendre_rule(m)
+        cx, cw = composite_legendre(edges, m)
+        for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            assert np.array_equal(cx[m * k:m * (k + 1)], 0.5 * (a + b) + 0.5 * (b - a) * x)
+            assert np.array_equal(cw[m * k:m * (k + 1)], 0.5 * (b - a) * w)
+        assert abs(cw @ np.exp(cx) - (math.exp(3.5) - 1.0)) <= 1e-12 * math.exp(3.5)
+
+
+def test_legendre_passes_do_not_import_scipy_linalg():
+    """The witness grid, composite rules and the second form use Legendre
+    rules only, which are built without SciPy's linear algebra."""
+    code = textwrap.dedent("""
+        import sys
+        import pseudoht
+        from pseudoht import GaussPoly, pair_second_form
+        from pseudoht.pairing import PairBudget
+        from pseudoht.quadrature import legendre_rule
+        legendre_rule(10)
+        budget = PairBudget(t_panels=2, t_order=4, r_order=4, u_order=4)
+        value = pair_second_form(2, 1, GaussPoly.iso_gaussian(5), budget,
+                                 with_error=False).value
+        assert value == value
+        print("scipy.linalg" in sys.modules)
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSphereRule:
