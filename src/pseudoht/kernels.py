@@ -73,18 +73,6 @@ def _volume_element_vec(rho: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _osc_rho_sum(v: np.ndarray, rho: np.ndarray, w: np.ndarray, power: int = 0) -> np.ndarray:
-    """sum_k w_k rho_k^power exp(i v rho_k) for an array of frequencies v."""
-    v = np.asarray(v, float)
-    wk = w * rho ** power if power else w
-    out = np.empty(v.shape, dtype=complex)
-    chunk = 4096
-    for i in range(0, v.size, chunk):
-        vi = v.flat[i:i + chunk]
-        out.flat[i:i + chunk] = np.exp(1j * np.outer(vi, rho)) @ wk
-    return out
-
-
 def _offcone_accumulate(rho: np.ndarray, P: float, z2: float,
                         qj_powers: np.ndarray, qj_coeffs: np.ndarray,
                         qj_index: np.ndarray, n: int, s: int,
@@ -246,8 +234,9 @@ def gbar_residual(n: int, s: int, xi, theta) -> complex:
 
     def eval_with(npts: int) -> complex:
         rho, w = half_disc_rule(npts, (n - 2) / 2.0)
-        a = [pref * (1j / r) ** m
-             * complex(_osc_rho_sum(np.array([v]), rho, w, power=m)[0])
+        # the rho-weights of the three v-derivatives share one exponential
+        e = np.exp(1j * np.outer([v], rho))
+        a = [pref * (1j / r) ** m * complex((e @ (w * rho ** m if m else w))[0])
              for m in range(3)]
         return -P * a[0] - n * r ** 2 * a[1] - r ** 2 * P * a[2]
 

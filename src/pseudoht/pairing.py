@@ -10,7 +10,8 @@ Three independent representations are implemented:
                  (center dimension 1, n even).
 * pair_second_form   - the 1/P^{n-1} form (n >= 2): sphere average, exact
                  r-derivatives as a coefficient recursion, and the
-                 Gamma-integral route for the regularized x-functional.
+                 Gamma-integral route for the regularized x-functional, its
+                 u-integral looked up in one cumulative v-table per term.
 
 All quadrature budgets are explicit in PairBudget and echoed in the result.
 """
@@ -36,6 +37,7 @@ from .quadrature import (
     geometric_edges,
     half_disc_rule,
     hermite_rule,
+    legendre_rule,
     sphere_rule,
 )
 
@@ -53,7 +55,6 @@ class PairBudget:
     t_order: int = 10
     theta_hermite: int = 32
     r_order: int = 10
-    u_order: int = 10
 
     def __post_init__(self):
         low = {k: v for k, v in self.as_dict().items() if v < 1}
@@ -64,12 +65,11 @@ class PairBudget:
         return replace(self, radial_order=2 * self.radial_order,
                        sphere_pts=2 * self.sphere_pts, rho_nodes=2 * self.rho_nodes,
                        t_order=2 * self.t_order, theta_hermite=2 * self.theta_hermite,
-                       r_order=2 * self.r_order, u_order=2 * self.u_order)
+                       r_order=2 * self.r_order)
 
     def doubled_light(self) -> "PairBudget":
         """Double only the axes that drive the second-form error."""
-        return replace(self, t_order=2 * self.t_order,
-                       r_order=2 * self.r_order, u_order=2 * self.u_order)
+        return replace(self, t_order=2 * self.t_order, r_order=2 * self.r_order)
 
     def as_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -360,6 +360,54 @@ def _dual_scale_edges(r_max: float, fine: float) -> np.ndarray:
     return np.array(edges)
 
 
+# the v-table's rule (see `_u_table`) and its engine block size in bytes of table
+_V_PANEL = 0.25
+_V_NODES = 8
+_V_TAIL_ORDER = 20
+_V_BYTES = 1 << 16
+
+
+def _u_table(xunit: GaussPoly, pts: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
+    """G[i, m] = int_0^inf u^{n-2} T_m(-(u + a)) du at the sorted points a = pts[i] > 0,
+    T(w) the moment table of xunit.
+
+    This is sum_k C(n-2, k) (-a)^{n-2-k} F_k(a) with F_k(a) = int_a^inf v^k
+    T(-v) dv, accumulated from the top: the tail above pts[-1] by a u / 1/u
+    split of order _V_TAIL_ORDER, then each gap between consecutive points
+    by _V_NODES-node Gauss-Legendre subpanels of length <= _V_PANEL.
+    """
+    k = np.arange(n - 1)
+    # v = top + u, graded at the 1/top feature scale
+    top = pts[-1]
+    u1, wu1 = composite_legendre(_dual_scale_edges(1.0, min(1.0, 1.0 / top)), _V_TAIL_ORDER)
+    v = top + np.concatenate([u1, 1.0 / u1])
+    wv = np.concatenate([wu1, wu1 / u1 ** 2])[:, None] * v[:, None] ** k
+    tail = wv.T @ batched_osc_integral(xunit, -v, tau, table=True)
+
+    # gap g holds subpanels end[g] - count[g] .. end[g] - 1; they are placed
+    # per block, so no array over all subpanels is held
+    gaps = np.diff(pts)
+    count = np.ceil(gaps / _V_PANEL).astype(int)
+    end = np.cumsum(count)
+    x, wx = legendre_rule(_V_NODES)
+    x = 0.5 * (x + 1.0)
+    sums = np.zeros((gaps.size,) + tail.shape, dtype=complex)
+    step = max(1, _V_BYTES // (16 * _V_NODES * tail.shape[1]))
+    for lo in range(0, end[-1], step):
+        i = np.arange(lo, min(lo + step, end[-1]))
+        g = np.searchsorted(end, i, side="right")
+        h = gaps[g] / count[g]
+        v = (pts[g] + (i - end[g] + count[g]) * h)[:, None] + h[:, None] * x
+        wv = (0.5 * h[:, None] * wx)[..., None] * v[..., None] ** k
+        sub = np.einsum("pqk,pqm->pkm", wv, batched_osc_integral(xunit, -v, tau, table=True))
+        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        sums[g[starts]] += np.add.reduceat(sub, starts, axis=0)
+
+    F = np.cumsum(np.concatenate([tail[None], sums[::-1]]), axis=0)[::-1]
+    binom = np.array([math.comb(n - 2, j) for j in k])
+    return np.einsum("pk,pkm->pm", binom * (-pts[:, None]) ** (n - 2 - k), F)
+
+
 def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
                      with_error: bool = True) -> PairingResult:
     """Second form of the (1,0) pairing for n >= 2:
@@ -372,9 +420,10 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
 
     phitilde the sphere average of the partial z-transform.  The regularized
     x-functional runs through the Gamma-integral route with exact complex
-    Gaussian x-integrals, one moment table per t node and u part for each
-    term, whose sphere nodes and r-derivatives all share its x-Gaussian
-    (`_radial_profile`); the remaining (r, u) quadratures are graded at the
+    Gaussian x-integrals.  Each term's sphere nodes and r-derivatives share
+    its x-Gaussian (`_radial_profile`), and its u-integral at a = r coth(t)/4
+    comes from one v-table per term on all (t, r) nodes (`_u_table`), so a
+    t node only contracts W[r, m] with it.  The r-grids are graded at the
     coth(t)/4 feature scale, which keeps the t-integrand accurate down to
     t = 0 (it tends to a nonzero constant there, so no truncation is safe).
     """
@@ -400,31 +449,27 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
         # geometric grading suffices)
         t_edges = geometric_edges(0.0, 1.0, 5, b.t_panels)
         rr, wt = composite_legendre(t_edges, b.t_order)
+        ccoth = 0.25 / rr
+        t_w = wt * (1.0 - rr ** 2) ** ((n - 2) / 2.0) / rr * pref_D
 
         total = 0.0 + 0.0j
-        for rho_t, w_t in zip(rr, wt):
-            coth = 1.0 / rho_t
-            ccoth = coth / 4.0
-            jac = (1.0 - rho_t ** 2) ** ((n - 2) / 2.0) / rho_t
-            # u-grids graded at the 1/coth feature scale
-            u_edges = _dual_scale_edges(1.0, 1.0 / (4 * ccoth))
-            u1, wu1 = composite_legendre(u_edges, b.u_order)
-            u_parts = ((u1, wu1 * u1 ** (n - 2)), (1.0 / u1, wu1 * u1 ** (-n)))
-            Dval = 0.0 + 0.0j
-            for xunit, c, gamma, P in profiles:
-                # one r-grid per term, sized by the slowest-decaying profile
-                c_min = c.min()
-                r_scale = math.sqrt(40.0 / c_min) if c_min > 1e-12 else 40.0
-                redges = _dual_scale_edges(r_scale, min(r_scale, 1.0 / ccoth))
-                rn, wn = composite_legendre(redges, b.r_order)
+        for xunit, c, gamma, P in profiles:
+            # one r-grid per term and t node, sized by the slowest-decaying profile
+            c_min = c.min()
+            r_scale = math.sqrt(40.0 / c_min) if c_min > 1e-12 else 40.0
+            grids = [composite_legendre(_dual_scale_edges(r_scale, min(r_scale, 1.0 / cc)),
+                                        b.r_order) for cc in ccoth]
+            pts, at = np.unique(np.concatenate([rn * cc for (rn, _), cc in zip(grids, ccoth)]),
+                                return_inverse=True)
+            G = _u_table(xunit, pts, n, tau)
+            rpow = np.arange(P.shape[1])
+            lo = 0
+            for (rn, wn), w_t in zip(grids, t_w):
                 # W[r, m] = sum_{om, j} w_r e^{-c r^2 + i gamma r} r^j P[om, j, m]
                 prof = wn * np.exp(-c[:, None] * rn ** 2 + 1j * gamma[:, None] * rn)
-                W = np.einsum("kr,rj,kjm->rm", prof, rn[:, None] ** np.arange(P.shape[1]), P)
-                for uu, wu in u_parts:
-                    table = batched_osc_integral(xunit, -(uu[None, :] + rn[:, None] * ccoth),
-                                                 tau, table=True)
-                    Dval += wu @ np.einsum("rk,ruk->u", W, table)
-            total += w_t * jac * pref_D * Dval
+                W = np.einsum("kr,rj,kjm->rm", prof, rn[:, None] ** rpow, P)
+                total += w_t * np.sum(W * G[at[lo:lo + rn.size]])
+                lo += rn.size
         return pref_out * total
 
     return _estimated(value_with, budget, budget.doubled_light(), with_error)

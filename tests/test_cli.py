@@ -1,8 +1,10 @@
 """CLI surface tests: artifacts, determinism, exit codes."""
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,8 +157,12 @@ class TestVerify:
 
 
 def test_entry_point_runs():
+    """The module entry point, in a child process that sees the source tree
+    (conftest's sys.path entry does not reach it)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "pseudoht.cli", "catalog"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert '"catalog"' in proc.stdout
 

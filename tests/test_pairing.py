@@ -15,6 +15,7 @@ from pseudoht.pairing import (
     pair_second_form,
     pseudo_pair_n2,
 )
+from second_form_reference import second_form_reference
 
 SMALL = PairBudget(radial_geo_panels=8, radial_lin_panels=6, radial_order=8,
                    sphere_pts=12, rho_nodes=64)
@@ -252,21 +253,68 @@ class TestSecondForm:
         assert abs(b) >= 1e-6
         assert abs(a - b) <= 1e-2 * abs(b)
 
-    @pytest.mark.parametrize("phi", [GaussPoly.iso_gaussian(6), ANISO6], ids=["iso", "aniso"])
-    def test_one_table_per_term_and_t_node(self, phi, monkeypatch):
-        """Every sphere node and r-derivative of a term shares its x-Gaussian, so
-        each t node makes one table call per u part: 2 x 130 t nodes x 1 term."""
-        calls = 0
+    @pytest.mark.parametrize("phi, most", [(GaussPoly.iso_gaussian(6), 220_000),
+                                           (ANISO6, 250_000)], ids=["iso", "aniso"])
+    def test_engine_frequencies_per_value(self, phi, most, monkeypatch):
+        """The u-integral comes from one cumulative v-table per term, not from
+        a u-grid per t node (which sent 915,800 frequencies at the iso input)."""
+        freqs = 0
         engine = pairing.batched_osc_integral
 
-        def counting(*args, **kw):
-            nonlocal calls
-            calls += 1
-            return engine(*args, **kw)
+        def counting(term, w, *args, **kw):
+            nonlocal freqs
+            freqs += np.size(w)
+            return engine(term, w, *args, **kw)
 
         monkeypatch.setattr(pairing, "batched_osc_integral", counting)
         pair_second_form(2, 2, phi, with_error=False)
-        assert calls == 2 * 130
+        assert 0 < freqs <= most
+
+
+# one input per kind of moment table: an r^2 monomial at (2,1), sphere nodes
+# with different c at (2,2), n = 3 and n = 4 (binomial sums of 2 and 3
+# terms), and an x-shifted Gaussian with an x-monomial, whose table oscillates
+# in the frequency
+VTABLE_INPUTS = {
+    "021": (2, 1, PHI5),
+    "022_aniso": (2, 2, ANISO6),
+    "013_aniso": (3, 1, GaussPoly.gaussian(np.diag(np.linspace(1.0, 1.4, 7)))),
+    "034_aniso": (4, 3, GaussPoly.gaussian(np.diag(np.linspace(0.9, 1.4, 11)))),
+    "021_shifted": (2, 1, GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]),
+                                    {(0,) * 5: 1.0, (1, 0, 0, 0, 2): 0.25},
+                                    shift=[0.3, -0.2, 0.1, 0.25, 0.0])),
+}
+
+
+class TestSecondFormVTable:
+    """The cumulative v-table against the u-quadrature per t node."""
+
+    @pytest.mark.parametrize("case", VTABLE_INPUTS.values(), ids=VTABLE_INPUTS.keys())
+    def test_matches_u_quadrature_per_t_node(self, case):
+        """The oracle at u_order 20; at its old order 10 the (0,3,4) value
+        is 2.7e-12 off, so that was the old u-grid's error."""
+        n, s, phi = case
+        want = second_form_reference(n, s, phi, u_order=20)
+        got = pair_second_form(n, s, phi, with_error=False).value
+        assert abs(want) >= 1e-6
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("case", VTABLE_INPUTS.values(), ids=VTABLE_INPUTS.keys())
+    def test_converged_in_subpanels_and_tail(self, case, monkeypatch):
+        n, s, phi = case
+        base = pair_second_form(n, s, phi, with_error=False).value
+        monkeypatch.setattr(pairing, "_V_PANEL", pairing._V_PANEL / 2)
+        monkeypatch.setattr(pairing, "_V_TAIL_ORDER", 2 * pairing._V_TAIL_ORDER)
+        fine = pair_second_form(n, s, phi, with_error=False).value
+        assert abs(fine - base) <= 1e-14 * abs(base)
+
+    def test_blocks_do_not_change_the_table(self, monkeypatch):
+        """Engine blocks of one subpanel give the same value to rounding."""
+        n, s, phi = VTABLE_INPUTS["022_aniso"]
+        base = pair_second_form(n, s, phi, with_error=False).value
+        monkeypatch.setattr(pairing, "_V_BYTES", 1)
+        one = pair_second_form(n, s, phi, with_error=False).value
+        assert abs(one - base) <= 1e-14 * abs(base)
 
 
 class TestPseudoPair:

@@ -129,7 +129,7 @@ def test_legendre_passes_do_not_import_scipy_linalg():
         from pseudoht.pairing import PairBudget
         from pseudoht.quadrature import legendre_rule
         legendre_rule(10)
-        budget = PairBudget(t_panels=2, t_order=4, r_order=4, u_order=4)
+        budget = PairBudget(t_panels=2, t_order=4, r_order=4)
         value = pair_second_form(2, 1, GaussPoly.iso_gaussian(5), budget,
                                  with_error=False).value
         assert value == value
