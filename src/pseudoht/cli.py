@@ -100,6 +100,7 @@ def cmd_validate(args) -> int:
 
 def cmd_kernel(args) -> int:
     from .kernels import KernelSelector, kernel_q_lm, smooth_kernel_offcone
+    from .quadrature import tensor_rule
 
     if args.mode == "eval":
         sel = KernelSelector.heaviside() if args.selector == "heaviside" \
@@ -119,17 +120,15 @@ def cmd_kernel(args) -> int:
         return EXIT_OK
     # cone sampling: K(x, z) on a grid of the smooth region |P| > 4 |z|
     rows = []
-    for x1 in np.linspace(args.xmin, args.xmax, args.grid):
-        x = np.zeros(2 * args.n)
-        x[0] = x1
-        for z1 in np.linspace(-args.zmax, args.zmax, args.grid):
-            z = np.zeros(args.s)
-            z[0] = z1
-            P = x1 * x1
-            if abs(P) <= 4 * abs(z1) + 1e-9:
-                continue
-            K = smooth_kernel_offcone(args.n, args.s, x, z)
-            rows.append([x1, z1, K.real, K.imag])
+    grid = tensor_rule([np.linspace(args.xmin, args.xmax, args.grid),
+                        np.linspace(-args.zmax, args.zmax, args.grid)])
+    for x1, z1 in grid:
+        if x1 * x1 <= 4 * abs(z1) + 1e-9:
+            continue
+        x, z = np.zeros(2 * args.n), np.zeros(args.s)
+        x[0], z[0] = x1, z1
+        K = smooth_kernel_offcone(args.n, args.s, x, z)
+        rows.append([x1, z1, K.real, K.imag])
     _write_csv(args.output, ["x1", "z1", "re_K", "im_K"], rows)
     return EXIT_OK
 

@@ -15,12 +15,14 @@ Not every (r, s, n) admits such data.  In module dimension 2 the only
 candidates are +-[[0,1],[1,0]], so (0,2) needs n >= 2; an exhaustive
 parameterization of the 4x4 case (J = tau S, S skew) shows that (0,3) and
 (2,1) need n >= 4.  The catalog therefore carries each signature at its
-minimal admissible n.
+minimal admissible n.  The catalog is one table, `_CATALOG`, from each
+Signature to its generators; `CATALOG_SIGNATURES` is its key tuple.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -30,6 +32,8 @@ _S1 = np.array([[0, 1], [1, 0]])
 _S3 = np.array([[1, 0], [0, -1]])
 _EPS = np.array([[0, 1], [-1, 0]])
 _I2 = np.eye(2, dtype=int)
+
+_VALIDATION_SAMPLES, _VALIDATION_SEED = 100, 2024
 
 
 @dataclass(frozen=True)
@@ -73,35 +77,23 @@ def p_form(x) -> float:
     return float(np.sum(x[..., :n] ** 2) - np.sum(x[..., n:] ** 2))
 
 
-def _generators(r: int, s: int, n: int):
-    """Integer generator matrices for the shipped signatures, or None."""
-    k = np.kron
-    if (r, s) == (0, 1) and n in (1, 2, 3):
-        return [k(_S1, np.eye(n, dtype=int))]
-    if (r, s) == (0, 2) and n == 2:
-        return [k(_S1, _S1), k(_S1, _S3)]
-    if (r, s) == (0, 3) and n == 4:
-        return [k(_S1, k(_S1, _S1)), k(_S1, k(_S1, _S3)), k(_S1, k(_S3, _I2))]
-    if (r, s) == (1, 1) and n == 2:
-        return [-k(_S3, _EPS), k(_EPS, _EPS)]
-    if (r, s) == (1, 2) and n == 2:
-        return [-k(_S3, _EPS), k(_EPS, _EPS), k(_S1, _I2)]
-    if (r, s) == (2, 1) and n == 4:
-        rho11 = [-k(_S3, _EPS), k(_EPS, _EPS)]
-        return [k(rho11[0], _S3), k(np.eye(4, dtype=int), _EPS), k(rho11[1], _S3)]
-    return None
+# The one source of the catalog: {Signature: generators}, each generator
+# written as its Kronecker factors (rho(Z_k) = kron of the tuple, built on use)
+_CATALOG = {
+    Signature(0, 1, 1): [(_S1,)],
+    Signature(0, 1, 2): [(_S1, _I2)],
+    Signature(0, 1, 3): [(_S1, np.eye(3, dtype=int))],
+    Signature(0, 2, 2): [(_S1, _S1), (_S1, _S3)],
+    Signature(0, 3, 4): [(_S1, _S1, _S1), (_S1, _S1, _S3), (_S1, _S3, _I2)],
+    Signature(1, 1, 2): [(-_S3, _EPS), (_EPS, _EPS)],
+    Signature(1, 2, 2): [(-_S3, _EPS), (_EPS, _EPS), (_S1, _I2)],
+    Signature(2, 1, 4): [(-_S3, _EPS, _S3), (_I2, _I2, _EPS), (_EPS, _EPS, _S3)],
+}
+CATALOG_SIGNATURES = tuple(_CATALOG)
 
 
-CATALOG_SIGNATURES = (
-    Signature(0, 1, 1),
-    Signature(0, 1, 2),
-    Signature(0, 1, 3),
-    Signature(0, 2, 2),
-    Signature(0, 3, 4),
-    Signature(1, 1, 2),
-    Signature(1, 2, 2),
-    Signature(2, 1, 4),
-)
+def _generators(sig: Signature) -> list:
+    return [reduce(np.kron, factors) for factors in _CATALOG[sig]]
 
 
 @dataclass
@@ -111,7 +103,6 @@ class AdmissibleModule:
     sig: Signature
     rho_gen: list
     tau: np.ndarray
-    form_signature_labels: list
 
     def rho(self, eta) -> np.ndarray:
         """rho(eta) = sum_k eta_k rho(Z_k); linear in eta."""
@@ -127,16 +118,14 @@ class AdmissibleModule:
 
 def build_module(sig: Signature) -> AdmissibleModule:
     """Catalog lookup; raises UnknownSignature outside the shipped list."""
-    gens = _generators(sig.r, sig.s, sig.n)
-    if gens is None or sig not in CATALOG_SIGNATURES:
+    if sig not in _CATALOG:
         hint = ""
         if (sig.r, sig.s, sig.n) in ((0, 2, 1), (0, 3, 2), (2, 1, 2)):
             hint = (" (no admissible module exists at this dimension; the catalog"
                     " carries the minimal admissible n for this (r, s))")
         raise UnknownSignature(f"signature {sig} is not in the catalog{hint}")
-    n = sig.n
-    labels = ["+"] * n + ["-"] * n
-    return AdmissibleModule(sig, [np.asarray(g, float) for g in gens], tau_matrix(n), labels)
+    return AdmissibleModule(sig, [np.asarray(g, float) for g in _generators(sig)],
+                            tau_matrix(sig.n))
 
 
 @dataclass
@@ -149,9 +138,9 @@ class ValidationReport:
         return max(self.residuals.values())
 
 
-def validate_module(mod: AdmissibleModule, tol: float = 1e-12,
-                    n_random: int = 100, seed: int = 2024) -> ValidationReport:
-    """Check GL_1-GL_3, the Clifford relations, skewness, and block identities."""
+def validate_module(mod: AdmissibleModule, tol: float = 1e-12) -> ValidationReport:
+    """Check GL_1-GL_3, the Clifford relations, skewness, and block identities
+    (the last four at _VALIDATION_SAMPLES seeded random eta)."""
     sig, tau = mod.sig, mod.tau
     eye = np.eye(2 * sig.n)
     signs = [1.0] * sig.r + [-1.0] * sig.s
@@ -167,10 +156,10 @@ def validate_module(mod: AdmissibleModule, tol: float = 1e-12,
     skew = max(np.abs(tau @ rk + (tau @ rk).T).max() for rk in mod.rho_gen)
     res["tau_rho_skew"] = skew
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_VALIDATION_SEED)
     gl3 = gl2 = sq = blocks = 0.0
     n = sig.n
-    for _ in range(n_random):
+    for _ in range(_VALIDATION_SAMPLES):
         eta = rng.normal(size=sig.center_dim)
         R = mod.rho(eta)
         q = sig.eta_form(eta)
@@ -195,16 +184,12 @@ def validate_module(mod: AdmissibleModule, tol: float = 1e-12,
     return ValidationReport(res, all(v <= tol for v in res.values()), tol)
 
 
-def rho(mod: AdmissibleModule, eta) -> np.ndarray:
-    return mod.rho(eta)
-
-
 # ------------------------------------------------------------- serialization
 
 def catalog_to_json() -> str:
     entries = []
     for sig in CATALOG_SIGNATURES:
-        gens = _generators(sig.r, sig.s, sig.n)
+        gens = _generators(sig)
         entries.append({
             "r": sig.r, "s": sig.s, "n": sig.n,
             "rho": [np.asarray(g, dtype=int).tolist() for g in gens],
@@ -212,15 +197,14 @@ def catalog_to_json() -> str:
     return json.dumps({"catalog": entries}, indent=1, sort_keys=True)
 
 
-def catalog_from_json(text: str, tol: float = 1e-12) -> dict:
+def catalog_from_json(text: str) -> dict:
     """Parse and re-validate a serialized catalog; returns {Signature: module}."""
     data = json.loads(text)
     out = {}
     for e in data["catalog"]:
         sig = Signature(int(e["r"]), int(e["s"]), int(e["n"]))
-        mod = AdmissibleModule(sig, [np.array(g, float) for g in e["rho"]],
-                               tau_matrix(sig.n), ["+"] * sig.n + ["-"] * sig.n)
-        report = validate_module(mod, tol=tol)
+        mod = AdmissibleModule(sig, [np.array(g, float) for g in e["rho"]], tau_matrix(sig.n))
+        report = validate_module(mod)
         if not report.passed:
             raise UnknownSignature(f"serialized entry {sig} fails validation: "
                                    f"{report.residuals}")

@@ -59,3 +59,7 @@ class NonTimelikeEta(PseudoHTError):
 
 class BumpOutsideK(PseudoHTError):
     """Witness bump support must stay inside {<eta,eta>_{r,s} > 0}."""
+
+
+class NotConverged(RuntimeError):
+    """A refined quadrature did not agree with itself by its largest order."""

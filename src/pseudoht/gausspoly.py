@@ -902,14 +902,18 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     pair the integral factors over the axes: axis j is the 1-D complex
     Gaussian with beta_j = a_j - 2 i tau_j w, mean mu_j = lin_j / beta_j,
     lin_j = i b_j + 2 i tau_j w c_j, and variance sigma_j^2 = 1 / beta_j.
-    The prefactor prod_j sqrt(2 pi / beta_j) e^{lin_j mu_j / 2} splits into
-    its modulus, one log of prod_j (a_j^2 + 4 w^2) (node-free, every factor
-    >= a_j^2 > 0), and its phase, -1/2 sum_j arg(beta_j) by arctan2 per axis
-    (the angle of the product would lose multiples of 2 pi).  An axis is
-    live when some node of the family has a nonzero centre or frequency on
-    it; on a dead axis lin_j is exactly 0, hence mu_j = 0 and the factor
-    e^{lin_j mu_j / 2} = 1, so lin and mu are formed on live axes only and
-    the moments of a dead axis come from the sigma^2 recursion alone.
+    The prefactor prod_j sqrt(2 pi / beta_j) splits into its modulus, one log
+    of prod_j (a_j^2 + 4 w^2) (node-free, every factor >= a_j^2 > 0), and
+    its phase, -1/2 sum_j arg(beta_j) by arctan2 per axis (the angle of the
+    product would lose multiples of 2 pi).  The exponent of axis j,
+    lin_j^2 / (2 beta_j) + i b_j c_j + i tau_j w c_j^2, is formed as
+        (-b_j^2 - 4 tau_j w b_j c_j + 2 i tau_j w a_j c_j^2) / (2 beta_j) + i b_j c_j,
+    in which the w^2 c_j^2 terms of the two parts have cancelled exactly, so
+    it keeps its relative accuracy at large |w|.  An axis is live when some
+    node of the family has a nonzero centre or frequency on it; on a dead
+    axis the exponent and mu_j are exactly 0, so both are formed on live
+    axes only and the moments of a dead axis come from the sigma^2
+    recursion alone.
 
     A pass holds _OSC_BYTES // (16 (M_table + M + 2 d)) pairs: M_table the
     caller's monomial count in table mode (0 otherwise), M and d the
@@ -932,8 +936,8 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     # with `take`, which keeps the gathers C-ordered (a fancy index on the
     # last axis returns them F-ordered, and the products then run strided)
     shift, freq, t_live = fam.shift[:, live].T, fam.freq[:, live].T, t[live]
-    phase = np.sum(fam.freq * fam.shift, axis=1)
-    curv = fam.shift ** 2 @ tau
+    b2, bc = freq ** 2, freq * shift
+    cross = 4.0 * bc - 2j * a[live] * shift ** 2
     a2, const = a ** 2, (2 * np.pi) ** (d / 2)
     wf, nw = w.ravel(), w.shape[1]
     width = user_coef.shape[1] if table else 0
@@ -952,9 +956,10 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
             beta = a - 2j * t * wc
         mu = {}
         if live.size:
-            lin = 1j * freq.take(i, axis=1) + (2j * t_live * wc) * shift.take(i, axis=1)
-            m = lin / beta[live]
-            ex += 0.5 * np.sum(lin * m, axis=0) + 1j * (phase[i] + wc * curv[i])
+            tw, beta_l = t_live * wc, beta[live]
+            m = 1j * (freq.take(i, axis=1) + 2.0 * tw * shift.take(i, axis=1)) / beta_l
+            ex += np.sum((-b2.take(i, axis=1) - tw * cross.take(i, axis=1)) / (2.0 * beta_l)
+                         + 1j * bc.take(i, axis=1), axis=0)
             mu = dict(zip(live.tolist(), m))
         pref = const * np.exp(ex)
         # E[(mu + sigma N)^m] per axis, sigma^2 = 1/beta, by the recursion

@@ -9,6 +9,11 @@ family attached to P^lambda.
 The t-integrals over (0, infinity) are always pulled back to (0, 1) by
 rho = tanh t, which turns them into Gauss-Jacobi integrals with weight
 exponent (n-2)/2 (the same rho-form as the Bessel/Struve representations).
+q^{lam,mu} takes one such rho-integral per value: its mu-part is the
+conjugate of its lam-part.  P^lambda acts on radial test functions
+g(P, S) e^{-aS} (`PSGauss`), with g in the (expo, coef) form of `gausspoly`
+and the flat ultra-hyperbolic operator applied on its graded basis.
+Tolerances and caps no caller changes are module constants.
 """
 from __future__ import annotations
 
@@ -20,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    NotConverged,
     OnConeRegion,
     PolePosition,
     ThetaZero,
@@ -28,6 +34,8 @@ from .errors import (
 from .gausspoly import (
     GaussMixture,
     GaussPoly,
+    _degree,
+    _graded,
     as_families,
     as_terms,
     batched_osc_integral,
@@ -40,8 +48,17 @@ from .quadrature import (
     refine_many,
     refine_until,
     sine_map_rule,
+    tensor_rule,
 )
 from .specfun import gamma_half, osc_weight_integral
+
+_OFFCONE_TOL = 1e-6                      # smooth_kernel_offcone
+_INV_P_TOL = 1e-7                        # inv_p_power, both t-halves
+_ORACLE_EPS = (0.1, 0.05, 0.025, 0.0125)  # inv_p_eps_oracle's Richardson ladder
+_P_I0_TOL = 1e-8                         # p_i0_power
+# SciPy's generalized Laguerre weights are NaN from order 384 on, so the
+# doubling 48, 96, 192 stops there
+_P_I0_MAX_ORDER = 192
 
 
 # ------------------------------------------------------------ array kernels
@@ -149,9 +166,7 @@ class KernelSelector:
         return (1.0, 0.0) if d[0] >= 0 else (0.0, 1.0)
 
     @staticmethod
-    def constant(lam0, mu0=None) -> "KernelSelector":
-        if mu0 is not None and abs(lam0 + mu0 - 1.0) > 1e-14:
-            raise ValueError("selector must satisfy lam + mu = 1")
+    def constant(lam0) -> "KernelSelector":
         return KernelSelector("constant", lam0)
 
     @staticmethod
@@ -168,8 +183,8 @@ def kernel_q(n: int, s: int, xi, theta) -> complex:
     return kernel_q_lm(n, s, xi, theta, KernelSelector.constant(1.0))
 
 
-def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
-    """q^{lam,mu}(xi, theta) via the rho-integral on [0, 1]."""
+def _q_arguments(xi, theta, sel: KernelSelector) -> tuple:
+    """(r, lam, mu, v): |theta|, the selector at theta / r and v = P(xi) / r."""
     from .clifford import p_form
 
     theta = np.atleast_1d(np.asarray(theta, float))
@@ -177,39 +192,35 @@ def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
     if r == 0.0:
         raise ThetaZero("kernel requires theta != 0")
     lam, mu = sel.lam_mu(theta / r)
-    v = p_form(np.asarray(xi, float)) / r
-    out = 0.0 + 0.0j
-    if lam != 0:
-        ip, _ = osc_weight_integral(n, v)
-        out += lam * ip
-    if mu != 0:
-        im, _ = osc_weight_integral(n, -v)
-        out -= mu * im
-    return kernel_prefactor(n, s) / r * out
+    return r, lam, mu, p_form(np.asarray(xi, float)) / r
+
+
+def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
+    """q^{lam,mu}(xi, theta) via the rho-integral I(v) on [0, 1].
+
+    The mu-part integrates e^{-iv rho}, whose integral is conj(I(v)) (the
+    weight is real), so one rho-integral serves both parts.
+    """
+    r, lam, mu, v = _q_arguments(xi, theta, sel)
+    i_v, _ = osc_weight_integral(n, v)
+    return kernel_prefactor(n, s) / r * (lam * i_v - mu * i_v.conjugate())
 
 
 def kernel_q_lm_bessel(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
     """Same kernel through the Bessel/Struve closed form (c2 = 0 family)."""
-    from .clifford import p_form
     from .specfun import jh_combo
 
-    theta = np.atleast_1d(np.asarray(theta, float))
-    r = float(np.linalg.norm(theta))
-    if r == 0.0:
-        raise ThetaZero("kernel requires theta != 0")
-    lam, mu = sel.lam_mu(theta / r)
-    c1 = lam - mu
-    v = p_form(np.asarray(xi, float)) / r
-    nu = (n - 1) / 2.0
+    r, lam, mu, v = _q_arguments(xi, theta, sel)
     if v == 0.0:
         # fall back to the rho-integral value (the closed form has a 0/0)
         return kernel_q_lm(n, s, xi, theta, sel)
+    nu = (n - 1) / 2.0
     av = abs(v)
     # lam e^{iv rho} - mu e^{-iv rho} = c1 cos(v rho) + i sin(v rho), which is
     # c1 J + i sign(v) H in terms of the absolute argument; J + iH is one
     # rho-integral
     jh = jh_combo(n, av)
-    combo = c1 * jh.real + 1j * math.copysign(1.0, v) * jh.imag
+    combo = (lam - mu) * jh.real + 1j * math.copysign(1.0, v) * jh.imag
     pref = 1j * math.sqrt(math.pi) * gamma_half(n / 2.0) \
         / (2.0 * (2.0 * math.pi) ** (n + s / 2.0) * r) * (2.0 / av) ** nu
     return pref * combo
@@ -281,16 +292,7 @@ def qj_table(n: int, s: int):
     return powers, coeffs, index
 
 
-def qj_degree_bound_holds(n: int, s: int) -> bool:
-    """2((s+1)/2 + j) - deg Q_j >= s + n - 1 for every j present."""
-    powers, _, index = qj_table(n, s)
-    deg = {}
-    for a, j in zip(powers, index):
-        deg[j] = max(deg.get(j, 0), int(a))
-    return all(2 * ((s + 1) / 2 + j) - d >= s + n - 1 for j, d in deg.items())
-
-
-def smooth_kernel_offcone(n: int, s: int, x, z, rel_tol: float = 1e-6) -> complex:
+def smooth_kernel_offcone(n: int, s: int, x, z) -> complex:
     """K(x, z) in the region |P(x)| > 4 |z| where the t-integral converges.
 
     K(x,z) = i * integral_0^inf (2 sinh t)^{-n} sum_j Q_j(lam0) /
@@ -318,13 +320,13 @@ def smooth_kernel_offcone(n: int, s: int, x, z, rel_tol: float = 1e-6) -> comple
         return complex(w @ _offcone_accumulate(rho, P, z2, powers, coeffs, index,
                                                n, s, branch))
 
-    val, _, _ = refine_until(eval_with, 12, rel_tol)
+    val, _, _ = refine_until(eval_with, 12, _OFFCONE_TOL)
     return 1j * val
 
 
 # ----------------------------------------------------------------- 1/P^{n-1}
 
-def inv_p_power(psi, n: int, rel_tol: float = 1e-7):
+def inv_p_power(psi, n: int):
     """lim_{eps->0} integral psi(x) / (P(x) - i eps)^{n-1} dx for n >= 2.
 
     Split at t = 1 of the Gamma-integral representation: the inner x-integrals
@@ -358,8 +360,8 @@ def inv_p_power(psi, n: int, rel_tol: float = 1e-7):
         u, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
         return pref / 2 ** n * on_nodes(finv, idx, u / 4.0, w)  # t = 1/u
 
-    v1, _, _ = refine_many(i1, 16, rel_tol, count)
-    v2, _, _ = refine_many(i2, 16, rel_tol, count)
+    v1, _, _ = refine_many(i1, 16, _INV_P_TOL, count)
+    v2, _, _ = refine_many(i2, 16, _INV_P_TOL, count)
     out = v1 + v2
     return complex(out[0]) if isinstance(psi, (GaussPoly, GaussMixture)) else out
 
@@ -374,7 +376,7 @@ def _centred_iso_gaussian(t: GaussPoly) -> tuple:
     return complex(t.coef.sum()), a
 
 
-def inv_p_eps_oracle(psi, n: int, eps_values=(0.1, 0.05, 0.025, 0.0125)) -> complex:
+def inv_p_eps_oracle(psi, n: int) -> complex:
     """Richardson-extrapolated integral psi/(P - i eps) over a graded v-grid.
 
     Independent route for the n = 2 acceptance check: for a centered isotropic
@@ -396,7 +398,7 @@ def inv_p_eps_oracle(psi, n: int, eps_values=(0.1, 0.05, 0.025, 0.0125)) -> comp
     u = np.linspace(-1.0, 1.0, 160001)
     v = 80.0 * np.sinh(8 * u) / np.sinh(8)
     Gv = density(v)
-    vals = [complex(np.trapezoid(Gv / (v - 1j * eps), v)) for eps in eps_values]
+    vals = [complex(np.trapezoid(Gv / (v - 1j * eps), v)) for eps in _ORACLE_EPS]
     r1 = [2 * vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
     r2 = [2 * r1[i + 1] - r1[i] for i in range(len(r1) - 1)]
     return r2[-1]
@@ -407,50 +409,39 @@ def inv_p_eps_oracle(psi, n: int, eps_values=(0.1, 0.05, 0.025, 0.0125)) -> comp
 class PSGauss:
     """Functions g(P, S) e^{-a S} with polynomial g; S = |x|^2, P = sum tau x^2.
 
-    Closed under the flat ultra-hyperbolic operator:
+    g = sum_m coef[m] P^i S^j over the rows (i, j) of expo (M, 2), the
+    (expo, coef) form of `gausspoly`.  The class is closed under the flat
+    ultra-hyperbolic operator L = sum_j tau_j d^2/dx_j^2, which acts as
         L f = 4n f_P + 4P f_PP + 8S f_PS + 4P f_SS
-    evaluated with the product rule against e^{-aS}.
+    on f(P, S); `apply_L` evaluates it with the product rule against e^{-aS}
+    as gathers on the graded monomial basis in (P, S).
     """
 
-    def __init__(self, n: int, a: float, coeffs: dict | None = None):
+    def __init__(self, n: int, a: float, expo, coef):
         self.n = n
         self.a = float(a)
-        coeffs = {(0, 0): 1.0} if coeffs is None else coeffs
-        self.coeffs = {k: complex(v) for k, v in coeffs.items() if v != 0}
+        self.expo = np.asarray(expo, dtype=int).reshape(-1, 2)
+        self.coef = np.asarray(coef, dtype=complex)
 
     @classmethod
     def from_gausspoly(cls, psi: GaussPoly, n: int) -> "PSGauss":
         if psi.dim != 2 * n:
             raise UnsupportedN(f"psi must live on R^{2 * n}")
         c0, a = _centred_iso_gaussian(psi)
-        return cls(n, a / 2.0, {(0, 0): c0})
+        return cls(n, a / 2.0, [(0, 0)], [c0])
 
     def apply_L(self) -> "PSGauss":
         """L f / e^{-aS} for f = g e^{-aS}:
 
-        4n g_P + 4P g_PP + 8S (g_PS - a g_P) + 4P (g_SS - 2a g_S + a^2 g).
+        4n g_P + 8S (g_PS - a g_P) + 4P (g_PP + g_SS - 2a g_S + a^2 g).
         """
         a = self.a
-        out: dict = {}
-
-        def add(key, val):
-            if val != 0:
-                out[key] = out.get(key, 0.0) + val
-
-        for (i, j), c in self.coeffs.items():
-            if i >= 1:
-                add((i - 1, j), 4 * self.n * i * c)            # 4n g_P
-                add((i - 1, j + 1), -8 * a * i * c)            # 8S (-a g_P)
-            if i >= 2:
-                add((i - 1, j), 4 * i * (i - 1) * c)           # 4P g_PP
-            if i >= 1 and j >= 1:
-                add((i - 1, j), 8 * i * j * c)                 # 8S g_PS
-            if j >= 2:
-                add((i + 1, j - 2), 4 * j * (j - 1) * c)       # 4P g_SS
-            if j >= 1:
-                add((i + 1, j - 1), -8 * a * j * c)            # 4P (-2a g_S)
-            add((i + 1, j), 4 * a * a * c)                     # 4P a^2 g
-        return PSGauss(self.n, a, out)
+        b = _graded(2, _degree(self.expo) + 1)
+        g = b.dense(self.expo, self.coef)
+        g_p, g_s = b.partial(g, 0), b.partial(g, 1)
+        out = 4 * self.n * g_p + 8 * b.times(b.partial(g_p, 1) - a * g_p, (0, 1)) \
+            + 4 * b.times(b.partial(g_p, 0) + b.partial(g_s, 1) - 2 * a * g_s + a * a * g, (1, 0))
+        return PSGauss(self.n, a, *b.sparse(out))
 
     def integral_region(self, mu: complex, sign: int, npts: int) -> complex:
         """(P_{+-}^mu, f): [pi^{n/2}/Gamma(n/2)]^2 * 2-D Laguerre quadrature.
@@ -464,20 +455,19 @@ class PSGauss:
             raise PolePosition("two-region integral needs Re(mu) > -1")
         xv, wv = genlaguerre_rule(npts, remu)
         xb, wb = genlaguerre_rule(npts, 0.0)
-        v = xv / a                     # weight v^{Re mu} e^{-a v}
-        b = xb / (2 * a)               # weight e^{-2 a b}
-        V, B = np.meshgrid(v, b, indexing="ij")
-        WT = np.outer(wv / a ** (remu + 1), wb / (2 * a))
+        # v = xv / a carries the weight v^{Re mu} e^{-a v}, b = xb / (2a) e^{-2ab}
+        pts, wt = tensor_rule([xv / a, xb / (2 * a)], [wv / a ** (remu + 1), wb / (2 * a)])
+        V, B = pts.T.copy()
         A = B + V
-        P = np.where(sign > 0, V, -V)
+        P = V if sign > 0 else -V
         S = 2 * B + V
         g = np.zeros_like(V, dtype=complex)
-        for (i, j), c in self.coeffs.items():
+        for (i, j), c in zip(self.expo.tolist(), self.coef):
             g = g + c * P ** i * S ** j
         extra = V ** (mu - remu) if mu != remu else 1.0  # v^{i Im mu}
         integ = (A * B) ** (n / 2.0 - 1.0) * g * extra
         const = (math.pi ** (n / 2.0) / gamma_half(n / 2.0)) ** 2
-        return const * complex(np.sum(WT * integ))
+        return const * complex(np.sum(wt * integ))
 
 
 def lambda_factor(lam: complex, k: int, n: int):
@@ -494,8 +484,7 @@ def lambda_factor(lam: complex, k: int, n: int):
     return 1.0 / (4.0 ** k * prod)
 
 
-def p_i0_power(lam: complex, psi, k: int, n: int, side: str = "minus",
-               rel_tol: float = 1e-8) -> complex:
+def p_i0_power(lam: complex, psi, k: int, n: int, side: str = "minus") -> complex:
     """Lambda(lam,k) [(P_+^{lam+k}, L^k psi) + e^{+-i pi (lam+k)} (P_-^{...}, L^k psi)].
 
     side "minus" carries the phase e^{-i pi mu} and is the boundary value
@@ -503,7 +492,14 @@ def p_i0_power(lam: complex, psi, k: int, n: int, side: str = "minus",
     1/P^{n-1} at lam = -(n-1); side "plus" is its mirror.  At the removable
     integer points (lam + j = 0 for some j <= k) the value is the two-sided
     analytic limit, evaluated by averaging lam +- delta.
+
+    Each value refines its Laguerre order from 48 up to _P_I0_MAX_ORDER and
+    raises NotConverged if two orders never agree.  Odd n is rejected: there
+    the weight (A B)^{n/2 - 1} is singular at the edges of the Laguerre grid
+    and the refinement does not settle.
     """
+    if n % 2:
+        raise UnsupportedN("the two-region P^lambda quadrature needs even n")
     if np.real(lam) + k <= -1:
         raise PolePosition("two-region quadrature needs Re(lambda) + k > -1")
     ps = psi if isinstance(psi, PSGauss) else PSGauss.from_gausspoly(psi, n)
@@ -522,7 +518,10 @@ def p_i0_power(lam: complex, psi, k: int, n: int, side: str = "minus",
             vm = lk.integral_region(mu, -1, npts)
             return vp + np.exp(phase_sign * 1j * math.pi * mu) * vm
 
-        val, _, _ = refine_until(eval_with, 48, rel_tol)
+        val, err, order = refine_until(eval_with, 48, _P_I0_TOL, _P_I0_MAX_ORDER)
+        if not math.isfinite(err):
+            raise NotConverged(f"P^lambda at lambda = {lmb} did not converge by "
+                               f"Laguerre order {order}")
         return factor * val
 
     if lambda_factor(lam, k, n) is not None:

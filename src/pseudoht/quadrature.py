@@ -22,7 +22,7 @@ rule belongs with a change that records those references again.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
@@ -142,11 +142,16 @@ def tensor_rule(axes, weights=None):
     Returns the (N, d) point array; with per-axis `weights` also the (N,)
     product weights, as (points, weights).
     """
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    d = len(axes)
+    pts = np.empty(tuple(len(a) for a in axes) + (d,))
+    for k, a in enumerate(axes):
+        pts[..., k] = np.reshape(a, (-1,) + (1,) * (d - 1 - k))
+    pts = pts.reshape(-1, d)
     if weights is None:
         return pts
-    wgrids = np.meshgrid(*weights, indexing="ij")
-    return pts, np.prod(np.stack([g.ravel() for g in wgrids], axis=1), axis=1)
+    # ((w_1 w_2) w_3) ... by outer products; np.prod over the (N, d) grid's
+    # rows gives the same numbers at several times the cost
+    return pts, reduce(np.multiply.outer, weights).ravel()
 
 
 def circle_rule(npts: int):

@@ -42,7 +42,7 @@ def gamma_half(x: float) -> float:
     return val
 
 
-def osc_weight_integral(n: int, v, tol: float = _BESSEL_TOL):
+def osc_weight_integral(n: int, v):
     """int_0^1 (1-rho^2)^{(n-2)/2} e^{i v rho} drho for scalar or array v.
 
     This is the rho-form shared by the kernel family and by J + iH at order
@@ -59,7 +59,7 @@ def osc_weight_integral(n: int, v, tol: float = _BESSEL_TOL):
 
     # oscillation needs roughly |v| / pi nodes before superalgebraic decay
     start = int(max(24, np.max(np.abs(v_arr)) / 2.5))
-    out, errs, _ = refine_many(eval_with, start, tol, v_arr.size)
+    out, errs, _ = refine_many(eval_with, start, _BESSEL_TOL, v_arr.size)
     err = float(errs.max())
     return (complex(out[0]), err) if np.ndim(v) == 0 else (out, err)
 
@@ -75,24 +75,6 @@ def _poisson_prefactor(nu: float, v: float) -> float:
     return 2.0 * (abs(v) / 2.0) ** nu / (math.sqrt(math.pi) * gamma_half(nu + 0.5))
 
 
-def bessel_j(nu: float, v: float) -> float:
-    """J_nu(v) for half-integer nu >= 0, real v."""
-    n = _order_n(nu)
-    if v == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    val, _ = osc_weight_integral(n, abs(v))
-    return _poisson_prefactor(nu, v) * val.real
-
-
-def struve_h(nu: float, v: float) -> float:
-    """Struve H_nu(v) for half-integer nu >= 0, real v (odd continuation)."""
-    n = _order_n(nu)
-    if v == 0.0:
-        return 0.0
-    val, _ = osc_weight_integral(n, abs(v))
-    return math.copysign(1.0, v) * _poisson_prefactor(nu, v) * val.imag
-
-
 def jh_combo(n: int, v: float) -> complex:
     """J_{(n-1)/2}(v) + i H_{(n-1)/2}(v) via the shared rho-integral.
 
@@ -102,13 +84,23 @@ def jh_combo(n: int, v: float) -> complex:
     nu = (n - 1) / 2.0
     _order_n(nu)
     if v == 0.0:
-        return complex(bessel_j(nu, 0.0))
+        return complex(nu == 0)  # J_0(0) = 1; J_nu(0) = H_nu(0) = 0 otherwise
     val, _ = osc_weight_integral(n, abs(v))
     out = _poisson_prefactor(nu, v) * val
-    return complex(np.conj(out)) if v < 0 else complex(out)
+    return out.conjugate() if v < 0 else out
 
 
-def _laplace_tail(nu: float, v: float, tol: float = _BESSEL_TOL) -> float:
+def bessel_j(nu: float, v: float) -> float:
+    """J_nu(v) for half-integer nu >= 0, real v."""
+    return jh_combo(_order_n(nu), v).real
+
+
+def struve_h(nu: float, v: float) -> float:
+    """Struve H_nu(v) for half-integer nu >= 0, real v (odd continuation)."""
+    return jh_combo(_order_n(nu), v).imag
+
+
+def _laplace_tail(nu: float, v: float) -> float:
     """int_0^infty e^{-v rho} (1+rho^2)^{nu-1/2} drho via rho = sinh(theta)."""
     # integrand e^{-v sinh(theta)} cosh(theta)^{2 nu}; cut where v sinh > 745
     theta_max = math.asinh(745.0 / v)
@@ -119,7 +111,7 @@ def _laplace_tail(nu: float, v: float, tol: float = _BESSEL_TOL) -> float:
         f = np.exp(-v * np.sinh(th)) * np.cosh(th) ** (2 * nu)
         return float(w @ f)
 
-    val, _, _ = refine_until(eval_with, 16, tol)
+    val, _, _ = refine_until(eval_with, 16, _BESSEL_TOL)
     return val
 
 
@@ -131,9 +123,13 @@ def bessel_y(nu: float, v: float) -> float:
 
 
 def specfun_table(nu: float, v_values) -> list:
-    """Rows (v, J_nu, Y_nu, H_nu) for the CLI CSV output."""
+    """Rows (v, J_nu, Y_nu, H_nu) for the CLI CSV output: one rho-integral per
+    row gives J and H, and Y = H - prefactor * Laplace integral."""
+    n = _order_n(nu)
     rows = []
     for v in v_values:
-        rows.append((float(v), bessel_j(nu, v),
-                     bessel_y(nu, v) if v > 0 else float("nan"), struve_h(nu, v)))
+        jh = jh_combo(n, v)
+        y = jh.imag - _poisson_prefactor(nu, v) * _laplace_tail(nu, v) if v > 0 \
+            else float("nan")
+        rows.append((float(v), jh.real, y, jh.imag))
     return rows

@@ -27,6 +27,8 @@ from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial
 from .group import GroupStructure, tau_signs
 from .quadrature import legendre_rule, tensor_rule
 
+_XI_HALFWIDTH_SIGMAS = 6.0     # certification xi-grid half-width, in widest sigmas
+_Z_HALFWIDTH, _Z_GRID = 2.0, 5  # nonsolvability_report's per-axis z-grid
 
 # ------------------------------------------------------------- A/B operators
 
@@ -105,7 +107,6 @@ class WitnessConfig:
     flow_nodes: int = 64
     eta_grid: int = 7          # per-axis nodes for integrals over the bump ball
     xi_grid: int = 9           # per-axis certification grid
-    xi_halfwidth_sigmas: float = 6.0
 
     def __post_init__(self):
         self.eta0 = np.asarray(self.eta0, float)
@@ -211,7 +212,7 @@ def _xi_grid(w: WitnessFunction):
     qmax = w.G.sig.eta_form(w.cfg.eta0) + 2 * abs(w.cfg.delta) * np.linalg.norm(w.cfg.eta0) \
         + w.cfg.delta ** 2
     sigma = (abs(qmax)) ** 0.25 / math.sqrt(2.0)
-    half = w.cfg.xi_halfwidth_sigmas * sigma
+    half = _XI_HALFWIDTH_SIGMAS * sigma
     return tensor_rule([np.linspace(-half, half, w.cfg.xi_grid)] * n2)
 
 
@@ -246,8 +247,7 @@ def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -
     }
 
 
-def nonsolvability_report(w: WitnessFunction, z_halfwidth: float = 2.0,
-                          z_grid: int = 5) -> dict:
+def nonsolvability_report(w: WitnessFunction) -> dict:
     """Certified numbers for the local-solvability criterion, r > 0.
 
     phi = c^{-1} F^{-1} psi with c = [F^{-1} psi](0) satisfies phi(0) = 1 and
@@ -264,7 +264,7 @@ def nonsolvability_report(w: WitnessFunction, z_halfwidth: float = 2.0,
 
     # x-grid (coarser than certification: the transform is band-limited-ish)
     X = tensor_rule([np.linspace(-3.0, 3.0, 7)] * n2)
-    Z = tensor_rule([np.linspace(-z_halfwidth, z_halfwidth, z_grid)] * cd)
+    Z = tensor_rule([np.linspace(-_Z_HALFWIDTH, _Z_HALFWIDTH, _Z_GRID)] * cd)
 
     dphi_max = 0.0
     phi0 = 0.0 + 0.0j

@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from pseudoht.clifford import p_form
-from pseudoht.errors import OnConeRegion, PolePosition, ThetaZero, UnsupportedN
-from pseudoht.gausspoly import GaussPoly
+from pseudoht import kernels
+from pseudoht.errors import NotConverged, OnConeRegion, PolePosition, ThetaZero, UnsupportedN
+from pseudoht.gausspoly import GaussPoly, apply_operator, axis_monomial
 from pseudoht.kernels import (
     KernelSelector,
     PSGauss,
@@ -20,12 +21,11 @@ from pseudoht.kernels import (
     kernel_q_lm,
     kernel_q_lm_bessel,
     p_i0_power,
-    qj_degree_bound_holds,
     qj_table,
     smooth_kernel_offcone,
     volume_element,
 )
-from pseudoht.quadrature import half_disc_rule
+from pseudoht.quadrature import genlaguerre_rule, half_disc_rule
 from pseudoht.specfun import osc_weight_integral
 from radial_l1 import radial_l1_norm
 
@@ -115,6 +115,28 @@ class TestKernelQ:
             b = kernel_q_lm_bessel(n, s, xi, th, sel)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
+    @pytest.mark.parametrize("sel", [KernelSelector.constant(1.0), KernelSelector.constant(0.0),
+                                     KernelSelector.constant(0.3 + 0.4j),
+                                     KernelSelector.heaviside()],
+                             ids=["one", "zero", "complex", "heaviside"])
+    def test_one_rho_integral_per_value(self, sel, monkeypatch):
+        """The mu-part is the conjugate of the lam-part's rho-integral, so each
+        value makes one call; the value equals the two-integral form bit for bit."""
+        xi, th = np.array([1.3, -0.2, 0.4, 0.9]), np.array([-0.7])
+        lam, mu = sel.lam_mu(th / 0.7)
+        two = lam * osc_weight_integral(2, p_form(xi) / 0.7)[0] \
+            - mu * osc_weight_integral(2, -p_form(xi) / 0.7)[0]
+        calls = []
+
+        def spy(n, v):
+            calls.append(v)
+            return osc_weight_integral(n, v)
+
+        monkeypatch.setattr(kernels, "osc_weight_integral", spy)
+        got = kernel_q_lm(2, 1, xi, th, sel)
+        assert len(calls) == 1
+        assert got == kernels.kernel_prefactor(2, 1) / 0.7 * two
+
     def test_even_in_xi_radial_in_theta(self):
         rng = np.random.default_rng(1)
         sel = KernelSelector.constant(0.7)
@@ -174,6 +196,15 @@ class TestGbar:
 
     def test_v_derivative_vs_finite_differences(self):
         assert gbar_derivative_check(2, np.array([0.8, 0.1, 0.2, 0.0]), [0.9, 0.2]) < 1e-6
+
+
+def qj_degree_bound_holds(n: int, s: int) -> bool:
+    """2((s+1)/2 + j) - deg Q_j >= s + n - 1 for every j present."""
+    powers, _, index = qj_table(n, s)
+    deg = {}
+    for a, j in zip(powers, index):
+        deg[j] = max(deg.get(j, 0), int(a))
+    return all(2 * ((s + 1) / 2 + j) - d >= s + n - 1 for j, d in deg.items())
 
 
 class TestOffconeKernel:
@@ -287,13 +318,65 @@ class TestPi0Power:
 
     def test_ps_class_l_operator(self):
         """L e^{-aS} = 4 a^2 P e^{-aS} and the second iterate, exactly."""
-        ps = PSGauss(2, 1.0)
+        ps = PSGauss(2, 1.0, [(0, 0)], [1.0])
         l1 = ps.apply_L()
-        assert l1.coeffs == {(1, 0): pytest.approx(4.0)}
+        assert _ps_coeffs(l1) == {(1, 0): pytest.approx(4.0)}
         l2 = l1.apply_L()
-        assert l2.coeffs[(0, 0)] == pytest.approx(32.0)
-        assert l2.coeffs[(0, 1)] == pytest.approx(-32.0)
-        assert l2.coeffs[(2, 0)] == pytest.approx(16.0)
+        assert _ps_coeffs(l2)[(0, 0)] == pytest.approx(32.0)
+        assert _ps_coeffs(l2)[(0, 1)] == pytest.approx(-32.0)
+        assert _ps_coeffs(l2)[(2, 0)] == pytest.approx(16.0)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_apply_l_matches_the_cartesian_operator(self, n):
+        """apply_L^k of PSGauss against sum_j tau_j d_j^2 applied k times to the
+        Cartesian Gaussian by `apply_operator`, at random points, k = 1..3."""
+        dim, a = 2 * n, 0.7
+        tau = np.array([1.0] * n + [-1.0] * n)
+        op = [(np.zeros((1, dim), dtype=int), np.array([t]), axis_monomial(dim, j, 2))
+              for j, t in enumerate(tau)]
+        phi = GaussPoly.iso_gaussian(dim, a=2 * a, coeff=0.8 - 0.3j)
+        ps = PSGauss.from_gausspoly(phi, n)
+        X = np.random.default_rng(7).normal(size=(25, dim)) * 0.8
+        P, S = X ** 2 @ tau, np.sum(X ** 2, axis=1)
+        for _ in range(3):
+            phi, ps = apply_operator(phi, op), ps.apply_L()
+            want = phi.evaluate_many(X)
+            got = np.exp(-a * S) * sum(c * P ** i * S ** j for (i, j), c in _ps_coeffs(ps).items())
+            assert np.min(np.abs(want)) > 1e-3
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    @pytest.fixture
+    def laguerre_orders(self, monkeypatch):
+        """The orders of every Laguerre rule p_i0_power requests."""
+        orders = []
+
+        def spy(npts, alpha):
+            orders.append(npts)
+            return genlaguerre_rule(npts, alpha)
+
+        monkeypatch.setattr(kernels, "genlaguerre_rule", spy)
+        return orders
+
+    def test_refinement_is_capped_and_raises(self, laguerre_orders):
+        """At complex lambda the two-region quadrature does not settle; the
+        doubling stops at Laguerre order 192 (SciPy's weights are NaN from 384)
+        and raises instead of returning an unconverged number."""
+        with pytest.raises(NotConverged):
+            p_i0_power(-1.0 + 0.1j, GaussPoly.iso_gaussian(4, a=2.0), 2, 2)
+        assert max(laguerre_orders) == 192
+
+    def test_converged_values_stop_below_the_cap(self, laguerre_orders):
+        p_i0_power(-1.0, GaussPoly.iso_gaussian(4, a=2.0), 2, 2)
+        assert max(laguerre_orders) <= 96
+
+    def test_odd_n_rejected(self):
+        with pytest.raises(UnsupportedN):
+            p_i0_power(-0.5, GaussPoly.iso_gaussian(6, a=2.0), 1, 3)
+
+
+def _ps_coeffs(ps: PSGauss) -> dict:
+    """{(i, j): c} of g(P, S) = sum c P^i S^j."""
+    return {tuple(e): c for e, c in zip(ps.expo.tolist(), ps.coef)}
 
 
 class TestCentredIsotropicInput:

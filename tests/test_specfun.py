@@ -163,6 +163,70 @@ class TestJHCombo:
         assert jh_combo(1, 0.0) == pytest.approx(1.0)  # J_0(0)
 
 
+def _separate_j(nu, v):
+    """bessel_j as three separate evaluations computed it: J from the real part."""
+    from pseudoht.specfun import _order_n, _poisson_prefactor
+    n = _order_n(nu)
+    if v == 0.0:
+        return 1.0 if nu == 0 else 0.0
+    val, _ = osc_weight_integral(n, abs(v))
+    return _poisson_prefactor(nu, v) * val.real
+
+
+def _separate_h(nu, v):
+    from pseudoht.specfun import _order_n, _poisson_prefactor
+    n = _order_n(nu)
+    if v == 0.0:
+        return 0.0
+    val, _ = osc_weight_integral(n, abs(v))
+    return math.copysign(1.0, v) * _poisson_prefactor(nu, v) * val.imag
+
+
+def _separate_jh(n, v):
+    from pseudoht.specfun import _poisson_prefactor
+    nu = (n - 1) / 2.0
+    if v == 0.0:
+        return complex(_separate_j(nu, 0.0))
+    val, _ = osc_weight_integral(n, abs(v))
+    out = _poisson_prefactor(nu, v) * val
+    return complex(np.conj(out)) if v < 0 else complex(out)
+
+
+class TestOneEvaluation:
+    """J and H are the real and imaginary parts of one jh_combo; pinned bit for
+    bit against separate evaluations of the same rho-integral."""
+
+    V = (0.0, 1e-3, 0.37, -0.37, 2.0, -5.5, 17.25, -60.0, 130.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bitwise_equal_to_separate_evaluations(self, n):
+        nu = (n - 1) / 2.0
+        for v in self.V:
+            assert bessel_j(nu, v) == _separate_j(nu, v)
+            assert struve_h(nu, v) == _separate_h(nu, v)
+            assert jh_combo(n, v) == _separate_jh(n, v)
+
+    def test_table_row_is_one_rho_integral(self, monkeypatch):
+        from pseudoht import specfun
+
+        calls = []
+
+        def spy(n, v):
+            calls.append(v)
+            return osc_weight_integral(n, v)
+
+        monkeypatch.setattr(specfun, "osc_weight_integral", spy)
+        rows = specfun.specfun_table(1.5, [0.0, 0.5, 3.0, 11.0])
+        assert len(calls) == 3                          # none at v = 0
+        monkeypatch.undo()
+        for v, j, y, h in rows:
+            assert j == _separate_j(1.5, v) and h == _separate_h(1.5, v)
+            if v > 0:
+                assert y == bessel_y(1.5, v)
+            else:
+                assert math.isnan(y)
+
+
 class TestODEResiduals:
     """5-point finite differences on v in [1, 10].
 
