@@ -10,8 +10,9 @@ Three independent representations are implemented:
                  (center dimension 1, n even).
 * pair_second_form   - the 1/P^{n-1} form (n >= 2): sphere average, exact
                  r-derivatives as a coefficient recursion, and the
-                 Gamma-integral route for the regularized x-functional, its
-                 u-integral looked up in one cumulative v-table per term.
+                 Gamma-integral route for the regularized x-functional: one
+                 cumulative v-table per term, on subpanels graded by its own
+                 scale, contracted with all (t, r) nodes in blocks.
 
 All quadrature budgets are explicit in PairBudget and echoed in the result.
 """
@@ -347,20 +348,26 @@ def _radial_profile(term: GaussPoly, sphere: np.ndarray, ws: np.ndarray, n: int,
     return xunit, c, gamma, P * ws[:, None, None]
 
 
-def _dual_scale_edges(r_max: float, fine: float) -> np.ndarray:
-    """Panel edges refined geometrically at scale `fine` near 0, up to r_max."""
-    if fine >= r_max / 4:
-        return np.linspace(0.0, r_max, 6)
-    edges = [0.0]
-    e = fine
-    while e < r_max / 4:
-        edges.append(e)
-        e *= 2.0
-    edges.extend(np.linspace(e, r_max, 4))
-    return np.array(edges)
+def _dual_scale_rule(r_max: float, fine, npts: int):
+    """npts-node composite Gauss-Legendre rules on [0, r_max], one per scale f in
+    `fine`, concatenated: nodes, weights and the index of each node's f.  Panels
+    [0, f], [f, 2f], ... up to the first 2^k f >= r_max/4, then three equal ones
+    (five if f >= r_max/4); each row of edges is padded with r_max."""
+    fine = np.atleast_1d(fine).astype(float)[:, None]
+    geo = fine * 2.0 ** np.arange(2 + max(0, int(np.log2(r_max / 4 / fine.min()))))
+    k = np.sum(geo < r_max / 4, axis=1, keepdims=True)
+    top = np.where(k > 0, np.take_along_axis(geo, k, 1), 0.0)
+    panels, i = np.where(k > 0, 3, 5), np.arange(1, 6)  # i: the equal panels' upper edges
+    lin = np.where(i < panels, top + i * ((r_max - top) / panels), r_max)
+    edges = np.sort(np.hstack([0.0 * top, np.where(geo <= top, geo, r_max), lin]), axis=1)
+    keep = edges[:, 1:] > edges[:, :-1]
+    half = (0.5 * np.diff(edges, axis=1))[keep][:, None]
+    x, w = legendre_rule(npts)
+    nodes = (0.5 * (edges[:, :-1] + edges[:, 1:]))[keep][:, None] + half * x
+    return nodes.ravel(), (half * w).ravel(), np.repeat(np.nonzero(keep)[0], npts)
 
 
-# the v-table's rule (see `_u_table`) and its engine block size in bytes of table
+# the v-table's rule (`_u_table`); bytes per block of its engine calls and of the contraction
 _V_PANEL = 0.25
 _V_NODES = 8
 _V_TAIL_ORDER = 20
@@ -369,25 +376,24 @@ _V_BYTES = 1 << 16
 
 def _u_table(xunit: GaussPoly, pts: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
     """G[i, m] = int_0^inf u^{n-2} T_m(-(u + a)) du at the sorted points a = pts[i] > 0,
-    T(w) the moment table of xunit.
-
-    This is sum_k C(n-2, k) (-a)^{n-2-k} F_k(a) with F_k(a) = int_a^inf v^k
-    T(-v) dv, accumulated from the top: the tail above pts[-1] by a u / 1/u
-    split of order _V_TAIL_ORDER, then each gap between consecutive points
-    by _V_NODES-node Gauss-Legendre subpanels of length <= _V_PANEL.
-    """
+    T(w) the moment table of xunit: sum_k C(n-2, k) (-a)^{n-2-k} F_k(a) with
+    F_k(a) = int_a^inf v^k T(-v) dv, accumulated from the top.  The tail above
+    pts[-1] is a u / 1/u split of order _V_TAIL_ORDER, each gap between
+    consecutive points _V_NODES-node Gauss-Legendre subpanels of length
+    <= _V_PANEL * max(1, v/2) at its lower point v: T carries beta_j^{-1/2},
+    beta_j = a_j + 2 i tau_j v, and |d/dv log beta_j^{-1/2}| <= 1/max(a_j, 2v),
+    so above the dense points T(-v) varies on the scale v."""
     k = np.arange(n - 1)
-    # v = top + u, graded at the 1/top feature scale
-    top = pts[-1]
-    u1, wu1 = composite_legendre(_dual_scale_edges(1.0, min(1.0, 1.0 / top)), _V_TAIL_ORDER)
-    v = top + np.concatenate([u1, 1.0 / u1])
+    # v = pts[-1] + u, graded at the 1/pts[-1] feature scale
+    u1, wu1, _ = _dual_scale_rule(1.0, min(1.0, 1.0 / pts[-1]), _V_TAIL_ORDER)
+    v = pts[-1] + np.concatenate([u1, 1.0 / u1])
     wv = np.concatenate([wu1, wu1 / u1 ** 2])[:, None] * v[:, None] ** k
     tail = wv.T @ batched_osc_integral(xunit, -v, tau, table=True)
 
     # gap g holds subpanels end[g] - count[g] .. end[g] - 1; they are placed
     # per block, so no array over all subpanels is held
     gaps = np.diff(pts)
-    count = np.ceil(gaps / _V_PANEL).astype(int)
+    count = np.ceil(gaps / (_V_PANEL * np.maximum(1.0, 0.5 * pts[:-1]))).astype(int)
     end = np.cumsum(count)
     x, wx = legendre_rule(_V_NODES)
     x = 0.5 * (x + 1.0)
@@ -422,54 +428,47 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
     x-functional runs through the Gamma-integral route with exact complex
     Gaussian x-integrals.  Each term's sphere nodes and r-derivatives share
     its x-Gaussian (`_radial_profile`), and its u-integral at a = r coth(t)/4
-    comes from one v-table per term on all (t, r) nodes (`_u_table`), so a
-    t node only contracts W[r, m] with it.  The r-grids are graded at the
-    coth(t)/4 feature scale, which keeps the t-integrand accurate down to
-    t = 0 (it tends to a nonzero constant there, so no truncation is safe).
+    comes from one v-table per term on all (t, r) nodes (`_u_table`).  The
+    r-grids, graded at the coth(t)/4 feature scale, form one ragged (t, r)
+    grid whose weights carry the t weights, contracted with the table in
+    blocks of _V_BYTES, so no (sphere x all (t, r)) array is held.  The
+    t-integrand tends to a nonzero constant at t = 0, so no truncation is safe.
     """
     if n < 2:
         raise UnsupportedN("second form needs n >= 2")
     budget = budget or PairBudget()
-    d = 2 * n + s
-    _check_dim(phi, d)
+    _check_dim(phi, 2 * n + s)
     tau = tau_signs(n)
-    fz = phi.partial_fourier(range(2 * n, d))
-    terms = as_terms(fz)
+    terms = as_terms(phi.partial_fourier(range(2 * n, 2 * n + s)))
     pref_out = (2.0 / 1j) ** (n - 2) * (2.0 * math.pi) ** (-(n + s / 2.0))
     pref_D = 1j ** (n - 1) / math.factorial(n - 2)
 
     def value_with(b: PairBudget) -> complex:
         sphere, ws = sphere_rule(s, b.sphere_pts)
-        profiles = [_radial_profile(term, sphere, ws, n, s)
-                    for term in terms if len(term.coef)]
+        profiles = [_radial_profile(term, sphere, ws, n, s) for term in terms if len(term.coef)]
 
         # outer t-integral via rho = tanh t:
         # (sinh t cosh^{n-1} t)^{-1} dt = rho^{-1} (1-rho^2)^{(n-2)/2} drho
-        # (the integrand extends continuously to rho = 0, so a shallow
-        # geometric grading suffices)
-        t_edges = geometric_edges(0.0, 1.0, 5, b.t_panels)
-        rr, wt = composite_legendre(t_edges, b.t_order)
+        rr, wt = composite_legendre(geometric_edges(0.0, 1.0, 5, b.t_panels), b.t_order)
         ccoth = 0.25 / rr
         t_w = wt * (1.0 - rr ** 2) ** ((n - 2) / 2.0) / rr * pref_D
 
         total = 0.0 + 0.0j
         for xunit, c, gamma, P in profiles:
-            # one r-grid per term and t node, sized by the slowest-decaying profile
-            c_min = c.min()
-            r_scale = math.sqrt(40.0 / c_min) if c_min > 1e-12 else 40.0
-            grids = [composite_legendre(_dual_scale_edges(r_scale, min(r_scale, 1.0 / cc)),
-                                        b.r_order) for cc in ccoth]
-            pts, at = np.unique(np.concatenate([rn * cc for (rn, _), cc in zip(grids, ccoth)]),
-                                return_inverse=True)
+            # all t nodes' r-grids, sized by the slowest-decaying profile, as one (t, r) grid
+            r_scale = math.sqrt(40.0 / c.min()) if c.min() > 1e-12 else 40.0
+            rn, wn, tn = _dual_scale_rule(r_scale, np.minimum(r_scale, 1.0 / ccoth), b.r_order)
+            pts, at = np.unique(rn * ccoth[tn], return_inverse=True)
             G = _u_table(xunit, pts, n, tau)
-            rpow = np.arange(P.shape[1])
-            lo = 0
-            for (rn, wn), w_t in zip(grids, t_w):
-                # W[r, m] = sum_{om, j} w_r e^{-c r^2 + i gamma r} r^j P[om, j, m]
-                prof = wn * np.exp(-c[:, None] * rn ** 2 + 1j * gamma[:, None] * rn)
-                W = np.einsum("kr,rj,kjm->rm", prof, rn[:, None] ** rpow, P)
-                total += w_t * np.sum(W * G[at[lo:lo + rn.size]])
-                lo += rn.size
+            # sum_{r, m} W[r, m] G[at[r], m] with W[r, m] = sum_{om, j} w_r w_t
+            # e^{-c r^2 + i gamma r} r^j P[om, j, m], in blocks of (t, r) nodes
+            step = max(1, _V_BYTES // (16 * (len(P) + P[0].size)))
+            for lo in range(0, rn.size, step):
+                blk = slice(lo, lo + step)
+                r = rn[blk, None]
+                prof = (wn[blk] * t_w[tn[blk]])[:, None] * np.exp(-c * r ** 2 + 1j * gamma * r)
+                X = np.einsum("rk,kjm->rjm", prof, P)
+                total += np.einsum("rj,rjm,rm->", r ** np.arange(P.shape[1]), X, G[at[blk]])
         return pref_out * total
 
     return _estimated(value_with, budget, budget.doubled_light(), with_error)

@@ -196,19 +196,22 @@ def check_representation_crosscheck(quick: bool = False) -> dict:
         entries.append({"pair": "MR vs K at (2,1)", "mr": [a.real, a.imag],
                         "k": [b.real, b.imag], **_crosscheck(a, b, 1e-2)})
     sel10 = KernelSelector.constant(1.0)
-    for phi in _test_functions(6)[:1 if quick else 2]:
-        a = pair_second_form(2, 2, phi, with_error=False).value
-        b = pair_k(2, 2, phi, sel10, with_error=False).value
-        entries.append({"pair": "second form vs K at (2,2)",
+    cases = [((2, 2), phi) for phi in _test_functions(6)[:1 if quick else 2]]
+    if not quick:
+        cases += [((n, s), _test_functions(2 * n + s)[0]) for n, s in ((3, 1), (4, 3))]
+    for (n, s), phi in cases:
+        a = pair_second_form(n, s, phi, with_error=False).value
+        b = pair_k(n, s, phi, sel10, with_error=False).value
+        entries.append({"pair": f"second form vs K at ({n},{s})",
                         "second": [a.real, a.imag], "k": [b.real, b.imag],
                         **_crosscheck(a, b, 1e-2)})
     # delta-reproduction through the second form
-    if not quick:
-        G22 = GroupStructure.from_signature(Signature(0, 2, 2))
-        phi = GaussPoly.iso_gaussian(6)
-        v = pair_second_form(2, 2, G22.apply_delta_rs(phi), with_error=False).value
+    for n, s in () if quick else ((2, 2), (4, 3)):
+        G = GroupStructure.from_signature(Signature(0, s, n))
+        phi = GaussPoly.iso_gaussian(2 * n + s)
+        v = pair_second_form(n, s, G.apply_delta_rs(phi), with_error=False).value
         rel = abs(v - 1.0)
-        entries.append({"pair": "second form delta-reproduction (2,2)",
+        entries.append({"pair": f"second form delta-reproduction ({n},{s})",
                         "value": [v.real, v.imag], "relative_error": rel,
                         "tol": 1e-2, "passed": rel <= 1e-2})
     return _result("representation_crosscheck", all(e["passed"] for e in entries),

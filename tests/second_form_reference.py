@@ -13,7 +13,7 @@ import numpy as np
 
 from pseudoht.gausspoly import as_terms, batched_osc_integral
 from pseudoht.group import tau_signs
-from pseudoht.pairing import PairBudget, _dual_scale_edges, _radial_profile
+from pseudoht.pairing import PairBudget, _dual_scale_rule, _radial_profile
 from pseudoht.quadrature import composite_legendre, geometric_edges, sphere_rule
 
 
@@ -36,15 +36,13 @@ def second_form_reference(n: int, s: int, phi, budget: PairBudget | None = None,
     for rho_t, w_t in zip(rr, wt):
         ccoth = 0.25 / rho_t
         jac = (1.0 - rho_t ** 2) ** ((n - 2) / 2.0) / rho_t
-        u_edges = _dual_scale_edges(1.0, 1.0 / (4 * ccoth))
-        u1, wu1 = composite_legendre(u_edges, u_order)
+        u1, wu1, _ = _dual_scale_rule(1.0, 1.0 / (4 * ccoth), u_order)
         u_parts = ((u1, wu1 * u1 ** (n - 2)), (1.0 / u1, wu1 * u1 ** (-n)))
         Dval = 0.0 + 0.0j
         for xunit, c, gamma, P in profiles:
             c_min = c.min()
             r_scale = math.sqrt(40.0 / c_min) if c_min > 1e-12 else 40.0
-            redges = _dual_scale_edges(r_scale, min(r_scale, 1.0 / ccoth))
-            rn, wn = composite_legendre(redges, b.r_order)
+            rn, wn, _ = _dual_scale_rule(r_scale, min(r_scale, 1.0 / ccoth), b.r_order)
             prof = wn * np.exp(-c[:, None] * rn ** 2 + 1j * gamma[:, None] * rn)
             W = np.einsum("kr,rj,kjm->rm", prof, rn[:, None] ** np.arange(P.shape[1]), P)
             for uu, wu in u_parts:

@@ -87,6 +87,15 @@ def test_criterion_04_fails_when_mu_flips_sign(monkeypatch):
     assert not verification.check_family_equivalence(quick=True)["passed"]
 
 
+# check 5's full-mode entries beyond (2,2), on the isotropic Gaussian: the
+# second form and K (relative 3.3e-4 and 6.9e-11), and the reproduced value
+CHECK5_PINS = {
+    "second form vs K at (3,1)": (0.42858507755037306j, 0.4287279789407935j),
+    "second form vs K at (4,3)": (0.28517743159310366j, 0.2851774316128395j),
+    "second form delta-reproduction (4,3)": (0.9999999988214713,),
+}
+
+
 def test_criterion_05_representation_crosscheck():
     res = _record(5, verification.check_representation_crosscheck())
     assert res["passed"]
@@ -95,6 +104,12 @@ def test_criterion_05_representation_crosscheck():
     for e in res["entries"]:
         if "k" in e:
             assert math.hypot(*e["k"]) >= verification.VACUOUS_FLOOR, e
+    pinned = {e["pair"]: e for e in res["entries"] if e["pair"] in CHECK5_PINS}
+    assert pinned.keys() == CHECK5_PINS.keys()
+    for pair, want in CHECK5_PINS.items():
+        got = [complex(*pinned[pair][k]) for k in ("second", "k", "value") if k in pinned[pair]]
+        for g, w in zip(got, want, strict=True):
+            assert abs(g - w) <= 1e-12 * abs(w), (pair, g, w)
 
 
 def test_crosscheck_vacuous_reference_fails():

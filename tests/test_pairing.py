@@ -253,11 +253,12 @@ class TestSecondForm:
         assert abs(b) >= 1e-6
         assert abs(a - b) <= 1e-2 * abs(b)
 
-    @pytest.mark.parametrize("phi, most", [(GaussPoly.iso_gaussian(6), 220_000),
-                                           (ANISO6, 250_000)], ids=["iso", "aniso"])
-    def test_engine_frequencies_per_value(self, phi, most, monkeypatch):
+    @pytest.mark.parametrize("phi", [GaussPoly.iso_gaussian(6), ANISO6], ids=["iso", "aniso"])
+    def test_engine_frequencies_per_value(self, phi, monkeypatch):
         """The u-integral comes from one cumulative v-table per term, not from
-        a u-grid per t node (which sent 915,800 frequencies at the iso input)."""
+        a u-grid per t node (which sent 915,800 frequencies at the iso input),
+        and the table's subpanels grow with v above the dense points (45,432
+        and 42,872 frequencies here; 217,728 and 246,880 at a fixed length)."""
         freqs = 0
         engine = pairing.batched_osc_integral
 
@@ -268,13 +269,14 @@ class TestSecondForm:
 
         monkeypatch.setattr(pairing, "batched_osc_integral", counting)
         pair_second_form(2, 2, phi, with_error=False)
-        assert 0 < freqs <= most
+        assert 0 < freqs <= 60_000
 
 
 # one input per kind of moment table: an r^2 monomial at (2,1), sphere nodes
 # with different c at (2,2), n = 3 and n = 4 (binomial sums of 2 and 3
-# terms), and an x-shifted Gaussian with an x-monomial, whose table oscillates
-# in the frequency
+# terms), an x-shifted Gaussian with an x-monomial, whose table oscillates
+# in the frequency, and a narrow one shifted far in x, whose table carries a
+# large centre phase
 VTABLE_INPUTS = {
     "021": (2, 1, PHI5),
     "022_aniso": (2, 2, ANISO6),
@@ -283,6 +285,8 @@ VTABLE_INPUTS = {
     "021_shifted": (2, 1, GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]),
                                     {(0,) * 5: 1.0, (1, 0, 0, 0, 2): 0.25},
                                     shift=[0.3, -0.2, 0.1, 0.25, 0.0])),
+    "021_far": (2, 1, GaussPoly.gaussian(np.diag([44.0, 44.0, 44.0, 44.0, 1.0]),
+                                         shift=[3.0, 0.0, 0.0, 0.0, 0.0])),
 }
 
 
@@ -291,10 +295,12 @@ class TestSecondFormVTable:
 
     @pytest.mark.parametrize("case", VTABLE_INPUTS.values(), ids=VTABLE_INPUTS.keys())
     def test_matches_u_quadrature_per_t_node(self, case):
-        """The oracle at u_order 20; at its old order 10 the (0,3,4) value
-        is 2.7e-12 off, so that was the old u-grid's error."""
+        """The oracle at u_order 40.  At its old order 10 the (0,3,4) value
+        is 2.7e-12 off, and at 20 the far-shifted one 1.3e-8 (its u-grid does
+        not resolve the centre phase); at 40 and 80 that one agrees with the
+        table to 5e-15, and the other inputs do not move."""
         n, s, phi = case
-        want = second_form_reference(n, s, phi, u_order=20)
+        want = second_form_reference(n, s, phi, u_order=40)
         got = pair_second_form(n, s, phi, with_error=False).value
         assert abs(want) >= 1e-6
         assert abs(got - want) <= 1e-13 * abs(want)
@@ -309,7 +315,8 @@ class TestSecondFormVTable:
         assert abs(fine - base) <= 1e-14 * abs(base)
 
     def test_blocks_do_not_change_the_table(self, monkeypatch):
-        """Engine blocks of one subpanel give the same value to rounding."""
+        """Engine blocks of one subpanel and contraction blocks of one (t, r)
+        node give the same value to rounding."""
         n, s, phi = VTABLE_INPUTS["022_aniso"]
         base = pair_second_form(n, s, phi, with_error=False).value
         monkeypatch.setattr(pairing, "_V_BYTES", 1)
