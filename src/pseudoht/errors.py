@@ -41,7 +41,7 @@ class UnsupportedN(PseudoHTError):
     """Operation not implemented for this n or s.
 
     E.g. the 1/P^{n-1} route needs n >= 2, and the sphere quadrature of the
-    center directions exists only for s in (1, 2).
+    center directions exists only for s in (1, 2, 3).
     """
 
 

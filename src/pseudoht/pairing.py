@@ -112,10 +112,17 @@ def _theta_envelope(terms, theta_axes) -> float:
     return r_max
 
 
-def _rho_rule_for(n: int, r: float, base: int):
+def _rho_nodes_for(r: float, base: int) -> int:
     """rho-node count adapted to the feature scale r of the exact xi-integrals."""
     npts = int(min(1024, max(base, 6.0 / max(r, 6.0 / 1024))))
-    npts = 1 << (npts - 1).bit_length()
+    return 1 << (npts - 1).bit_length()
+
+
+def _rho_rule_for(n: int, npts: int):
+    """The rho-rule for the weight (1 - rho^2)^{(n-2)/2} on [0, 1]; at n = 2
+    the weight is 1, so it is plain Gauss-Legendre."""
+    if n == 2:
+        return composite_legendre((0.0, 1.0), npts)
     return half_disc_rule(npts, (n - 2) / 2.0)
 
 
@@ -173,12 +180,11 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
 
     # blocks of radial nodes that share a rho-rule, so their frequencies form
     # one array
-    groups: dict = {}
+    counts: dict = {}
     for j, r in enumerate(radial):
-        rho, wq = _rho_rule_for(n, r, budget.rho_nodes)
-        groups.setdefault(rho.size, (rho, wq, []))[2].append(j)
-    groups = [(rho, wq, np.array(js)[b]) for rho, wq, js in groups.values()
-              for b in node_blocks(len(js), rho.size)]
+        counts.setdefault(_rho_nodes_for(r, budget.rho_nodes), []).append(j)
+    groups = [(*_rho_rule_for(n, npts), np.array(js)[b]) for npts, js in counts.items()
+              for b in node_blocks(len(js), npts)]
 
     total = 0.0 + 0.0j
     for term in fphi_terms:

@@ -11,26 +11,47 @@ Gauss-Legendre rules are built here in NumPy: Newton's method on P_n, with
 P_n and P_n' from the three-term recurrence, from Tricomi's initial guesses
 (Hale and Townsend, SIAM J. Sci. Comput. 35 (2013) A652).  This takes O(n)
 memory and O(n^2) time, reaches every node to rounding, and gives weights
-more accurate than SciPy's (tests/test_quadrature.py).  It also keeps the
-Legendre-only passes (the witness's eta-grid, every composite and sphere
-rule) from importing `scipy.linalg`, which SciPy's `roots_*` functions load
-on their first call (about 0.05 s per process).  The Jacobi, Hermite and
-Laguerre rules still come from SciPy.  Its Jacobi weights carry relative
-errors up to 4e-10 for n = 128-248 (against mpmath), and the benchmark's
-rho-integral references were recorded with them, so a more accurate Jacobi
-rule belongs with a change that records those references again.
+more accurate than SciPy's (tests/test_quadrature.py).  Gauss-Hermite rules
+are built in NumPy too: nodes from the eigenvalues of the Jacobi matrix
+(Golub and Welsch, Math. Comp. 23 (1969) 221), polished by Newton on the
+orthonormal recurrence.  pair_k's rho-rule at n = 2 has the unit weight, so
+it is Gauss-Legendre on [0, 1].  The Legendre and Hermite passes (the
+witness's eta-grid, every composite and sphere rule, the second form, pair_k
+at n = 2, pair_mr_heisenberg and pseudo_pair_n2) therefore never import
+`scipy.linalg`, which SciPy's `roots_*` functions load on their first call
+(about 0.05 s per process).
+
+The Jacobi rules (half_disc_rule for every alpha, hence every rho-integral of
+specfun and gbar_residual) and the generalized Laguerre rules (p_i0_power)
+still come from SciPy.  Both feed rho-integral values that the benchmark's
+drift gate holds to 1e-12 relative against references recorded with SciPy's
+rules, and SciPy's Jacobi weights carry relative errors up to 4e-10 for
+n = 128-248 (against mpmath): even the Legendre rule in place of
+half_disc_rule(., 0) moves n = 2 gbar values past that gate.  So more
+accurate Jacobi and Laguerre rules belong with a change that records those
+references again.
 """
 from __future__ import annotations
 
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_hermite, roots_jacobi
+from scipy.special import roots_genlaguerre, roots_jacobi
 
-from .errors import UnsupportedN
+from .errors import NotConverged, UnsupportedN
 
 
-_NEWTON_STEPS = 10  # from Tricomi's guesses 4 steps suffice for n <= 400 and n = 16384
+# Newton steps before a rule raises NotConverged: from Tricomi's guesses
+# Legendre needs at most 4 for n <= 400 and n = 16384, and Hermite from its
+# eigenvalue seeds at most 2 for n <= 700
+_NEWTON_STEPS = 10
+
+
+def _order(npts, kind: str) -> int:
+    n = int(npts)
+    if n < 1 or n != npts:
+        raise ValueError(f"{kind} order must be a positive integer, got {npts!r}")
+    return n
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray):
@@ -49,9 +70,7 @@ def legendre_rule(npts: int):
     (1 - x^2), weights 2 / ((1 - x^2) P_n'^2); the rule is mirrored, so it is
     exactly symmetric and the middle node of an odd rule is exactly 0.
     """
-    n = int(npts)
-    if n < 1 or n != npts:
-        raise ValueError(f"Gauss-Legendre order must be a positive integer, got {npts!r}")
+    n = _order(npts, "Gauss-Legendre")
     half = (n + 1) // 2
     theta = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
     x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(theta)
@@ -64,7 +83,7 @@ def legendre_rule(npts: int):
         if np.max(np.abs(dx)) <= 4 * np.finfo(float).eps:
             break
     else:
-        raise RuntimeError(f"Gauss-Legendre nodes of order {n} did not converge")
+        raise NotConverged(f"Gauss-Legendre nodes of order {n} did not converge")
     # weights at the final nodes: taken at the nodes before the last step
     # (at most 4 eps away) they are 1.3e-11 off at n = 256, against 1.9e-13
     _, dp = _legendre_and_derivative(n, x)
@@ -73,11 +92,43 @@ def legendre_rule(npts: int):
     return np.concatenate([0.0 - x, x[::-1][odd:]]), np.concatenate([w, w[::-1][odd:]])
 
 
+def _hermite_functions(n: int, x: np.ndarray):
+    """(psi_n(x), psi_{n-1}(x)) for the orthonormal Hermite functions
+    psi_k = h_k e^{-x^2/2}, by the three-term recurrence of the h_k."""
+    psi_prev, psi = np.zeros_like(x), np.exp(-0.5 * x * x) / np.pi ** 0.25
+    for k in range(n):
+        psi_prev, psi = psi, np.sqrt(2.0 / (k + 1)) * x * psi - np.sqrt(k / (k + 1)) * psi_prev
+    return psi, psi_prev
+
+
 @lru_cache(maxsize=256)
 def hermite_rule(npts: int):
-    """Physicists' Gauss-Hermite: integral f(x) e^{-x^2} dx = sum w f(x)."""
-    x, w = roots_hermite(npts)
-    return x, w
+    """Physicists' Gauss-Hermite: integral f(x) e^{-x^2} dx = sum w f(x).
+
+    Nodes seeded by the eigenvalues of the Jacobi matrix (Golub-Welsch),
+    polished by Newton on h_n, h_n' = sqrt(2n) h_{n-1}; weights 1 / (n h_{n-1}^2).
+    The h_k carry e^{-x^2/2} (Hermite functions) so that they neither
+    overflow nor underflow below order about 700 (above it the rule raises
+    NotConverged); the rule is mirrored, so it is exactly symmetric and the
+    middle node of an odd rule is exactly 0.
+    """
+    n = _order(npts, "Gauss-Hermite")
+    off = np.sqrt(np.arange(1, n) / 2.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[n // 2:]
+    if n % 2:
+        x[0] = 0.0  # h_n(0) = 0 exactly in the recurrence, so it stays 0
+    for _ in range(_NEWTON_STEPS):
+        psi, psi_prev = _hermite_functions(n, x)
+        dx = psi / (np.sqrt(2.0 * n) * psi_prev)
+        x = x - dx
+        if np.max(np.abs(dx) / np.maximum(1.0, x)) <= 4 * np.finfo(float).eps:
+            break
+    else:
+        raise NotConverged(f"Gauss-Hermite nodes of order {n} did not converge")
+    _, psi_prev = _hermite_functions(n, x)
+    w = np.exp(-x * x) / (n * psi_prev ** 2)
+    odd = n % 2
+    return np.concatenate([0.0 - x[::-1], x[odd:]]), np.concatenate([w[::-1], w[odd:]])
 
 
 @lru_cache(maxsize=512)

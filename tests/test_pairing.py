@@ -15,6 +15,7 @@ from pseudoht.pairing import (
     pair_second_form,
     pseudo_pair_n2,
 )
+from pseudoht.quadrature import half_disc_rule
 from second_form_reference import second_form_reference
 
 SMALL = PairBudget(radial_geo_panels=8, radial_lin_panels=6, radial_order=8,
@@ -120,6 +121,26 @@ class TestPairK:
                 lambda r, t: mp.exp(-r * r / 2) * r / mp.sqrt(r * r + 4 * mp.sin(t) ** 2),
                 [0, 1, mp.inf], [0, mp.pi / 2]))
         assert abs(ref - exact) <= 2e-3 * abs(exact)
+
+
+class TestRhoRule:
+    """pair_k's rho-rule: Gauss-Legendre on [0, 1] at n = 2, where the weight
+    (1 - rho^2)^{(n-2)/2} is 1, and the Jacobi rule otherwise."""
+
+    @pytest.mark.parametrize("npts", [128, 256, 512, 1024])
+    def test_n2_is_the_unit_weight_rule(self, npts):
+        assert pairing._rho_nodes_for(6.0 / npts, 96) == npts
+        rho, w = pairing._rho_rule_for(2, npts)
+        ref_rho, ref_w = half_disc_rule(npts, 0.0)
+        assert rho.shape == w.shape == (npts,)
+        assert np.max(np.abs(rho - ref_rho)) <= 2 * np.finfo(float).eps
+        assert np.sum(np.abs(w - ref_w)) <= 1e-12 * np.sum(ref_w)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_other_n_keep_the_jacobi_rule(self, n):
+        rho, w = pairing._rho_rule_for(n, 1024)
+        ref_rho, ref_w = half_disc_rule(1024, (n - 2) / 2.0)
+        assert np.array_equal(rho, ref_rho) and np.array_equal(w, ref_w)
 
 
 def _engine_freqs(monkeypatch, dphi, sphere_pts: int) -> int:

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from pseudoht.errors import UnsupportedN
+from pseudoht import quadrature
+from pseudoht.errors import NotConverged, UnsupportedN
 from pseudoht.quadrature import (
     composite_legendre,
+    hermite_rule,
     legendre_rule,
     refine_many,
     refine_until,
@@ -41,6 +43,92 @@ def _mp_legendre_rule(n: int, guesses):
             nodes.append(r)
             weights.append(2 / ((1 - r * r) * dp ** 2))
         return nodes, weights
+
+
+def _mp_hermite_rule(n: int, guesses):
+    """Gauss-Hermite nodes, weights w and w e^{x^2} at 40 digits, polished
+    from `guesses` by Newton on the orthonormal recurrence."""
+    with mpmath.workdps(40):
+        def h_pair(r):
+            h_prev, h = mpmath.mpf(0), mpmath.pi ** mpmath.mpf(-0.25)
+            for k in range(n):
+                h_prev, h = h, (mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * r * h
+                                - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * h_prev)
+            return h, h_prev
+
+        nodes, weights, scaled = [], [], []
+        for g in guesses:
+            r = mpmath.mpf(float(g))
+            for _ in range(3):
+                h, h_prev = h_pair(r)
+                r -= h / (mpmath.sqrt(2 * n) * h_prev)
+            w = 1 / (n * h_pair(r)[1] ** 2)
+            nodes.append(r)
+            weights.append(w)
+            scaled.append(w * mpmath.exp(r * r))
+        return nodes, weights, scaled
+
+
+HERMITE_ORDERS = [1, 2, 6, 8, 10, 32, 64, 128, 256]  # pair_mr_heisenberg, check 6
+
+
+class TestHermiteRule:
+    @pytest.mark.parametrize("n", HERMITE_ORDERS)
+    def test_against_mpmath(self, n):
+        """Nodes to 2 ulp, and both w and w e^{x^2} (the weights
+        pair_mr_heisenberg uses) to 2e-13 relative; SciPy's own weights are
+        up to 7e-13 off at n = 128."""
+        x, w = hermite_rule(n)
+        nodes, weights, scaled = _mp_hermite_rule(n, x)
+        we = w * np.exp(x ** 2)
+        for xi, wi, wei, r, W, WE in zip(x, w, we, nodes, weights, scaled):
+            assert abs(xi - r) <= 2 * EPS * max(1.0, abs(xi))
+            assert abs(wi - W) <= 2e-13 * W
+            assert abs(wei - WE) <= 2e-13 * WE
+
+    @pytest.mark.parametrize("n", HERMITE_ORDERS)
+    def test_even_moments_exact(self, n):
+        """sum w x^{2k} = Gamma(k + 1/2) for 2k <= 2n - 1, with x scaled by
+        sqrt(n) so that no power overflows."""
+        x, w = hermite_rule(n)
+        c = math.sqrt(n)
+        for k in range(n):
+            with mpmath.workdps(30):
+                exact = float(mpmath.gamma(k + mpmath.mpf(0.5)) / mpmath.mpf(c) ** (2 * k))
+            assert abs(w @ (x / c) ** (2 * k) - exact) <= 1e-13 * exact, (n, k)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 21, 64, 255])
+    def test_symmetric_ascending_and_odd_middle_is_zero(self, n):
+        x, w = hermite_rule(n)
+        assert x.shape == w.shape == (n,)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        if n % 2:
+            mid = x[n // 2]
+            assert mid == 0.0 and not np.signbit(mid)
+
+    def test_matches_scipy_nodes(self):
+        """SciPy's rule as a test-only oracle for the nodes."""
+        from scipy.special import roots_hermite
+
+        for n in range(1, 65):
+            x, _ = hermite_rule(n)
+            sx, _ = roots_hermite(n)
+            assert np.all(np.abs(x - sx) <= 4 * EPS * np.maximum(1.0, np.abs(sx))), n
+
+    def test_order_one_and_invalid_orders(self):
+        x, w = hermite_rule(1)
+        assert x.tolist() == [0.0] and abs(w[0] - math.sqrt(math.pi)) <= EPS
+        for bad in (0, -3, 2.5):
+            with pytest.raises(ValueError):
+                hermite_rule.__wrapped__(bad)
+
+
+@pytest.mark.parametrize("rule", [legendre_rule, hermite_rule])
+def test_newton_without_steps_raises_not_converged(monkeypatch, rule):
+    monkeypatch.setattr(quadrature, "_NEWTON_STEPS", 0)
+    with pytest.raises(NotConverged):
+        rule.__wrapped__(8)
 
 
 class TestLegendreRule:
@@ -120,19 +208,32 @@ class TestLegendreRule:
 
 
 def test_legendre_passes_do_not_import_scipy_linalg():
-    """The witness grid, composite rules and the second form use Legendre
-    rules only, which are built without SciPy's linear algebra."""
+    """The witness grid, composite rules, the second form and everything the
+    pair-k benchmark runs (pair_k at n = 2, pair_mr_heisenberg,
+    pseudo_pair_n2) use rules built in NumPy, without SciPy's linear
+    algebra."""
     code = textwrap.dedent("""
         import sys
+        import numpy as np
         import pseudoht
-        from pseudoht import GaussPoly, pair_second_form
+        from pseudoht import (GaussPoly, GroupStructure, KernelSelector, Signature,
+                              pair_k, pair_mr_heisenberg, pair_second_form,
+                              pseudo_pair_n2)
         from pseudoht.pairing import PairBudget
         from pseudoht.quadrature import legendre_rule
         legendre_rule(10)
         budget = PairBudget(t_panels=2, t_order=4, r_order=4)
-        value = pair_second_form(2, 1, GaussPoly.iso_gaussian(5), budget,
-                                 with_error=False).value
-        assert value == value
+        values = [pair_second_form(2, 1, GaussPoly.iso_gaussian(5), budget,
+                                   with_error=False).value]
+        # the selectors of the benchmark's delta jobs (heaviside needs s = 1)
+        for s, sel in ((2, KernelSelector.constant(1.0)), (1, KernelSelector.heaviside())):
+            phi = GaussPoly.iso_gaussian(4 + s)
+            values.append(pair_k(2, s, phi, sel, with_error=False).value)
+        G = GroupStructure.from_signature(Signature(0, 1, 2))
+        phi = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]), {(0,) * 5: 1.0})
+        values.append(pair_mr_heisenberg(G, phi, with_error=False).value)
+        values.extend(pseudo_pair_n2(G, phi))
+        assert all(v == v for v in values)
         print("scipy.linalg" in sys.modules)
     """)
     src = Path(__file__).resolve().parent.parent / "src"
