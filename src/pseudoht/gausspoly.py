@@ -32,7 +32,9 @@ The oscillatory engine `batched_osc_integral` integrates stacks against
 exp(i w P_tau(u)) in closed form for the kernel pairings, and
 `integrate_against` integrates a term against exp(-1/2 u^T W u + eta.u) for
 complex symmetric W with positive-definite Re(A + W) (principal branch of
-det^{-1/2}, Wick moments for the polynomial part).
+det^{-1/2}); every integral, plain or against W, is that one batched routine,
+with the moments of the polynomial part from one recursion over the graded
+basis.
 """
 from __future__ import annotations
 
@@ -209,62 +211,57 @@ def _derivative(b: _Graded, quad: np.ndarray, freq: np.ndarray):
     return step
 
 
-# -------------------------------------------------------------- Wick engine
+# ------------------------------------------------------- Gaussian integrals
 
-def _wick_moment(cov: np.ndarray, idx: tuple) -> complex:
-    """E[y_{i1} ... y_{ik}] for the (complex) covariance cov, via pairings."""
-    k = len(idx)
-    if k == 0:
-        return 1.0
-    if k % 2 == 1:
-        return 0.0
-    cache: dict = {}
+def _moments(S: np.ndarray, mu: np.ndarray, deg: int) -> np.ndarray:
+    """E[w^a] for every monomial a of the graded basis of degree <= deg, as
+    (n + 1, N) with the last row 0, for the (complex) Gaussians with
+    covariance S (N, d, d) and mean mu (N, d).
 
-    def rec(ids: tuple) -> complex:
-        if not ids:
-            return 1.0
-        if ids in cache:
-            return cache[ids]
-        first, rest = ids[0], ids[1:]
-        total = 0.0 + 0.0j
-        for pos in range(len(rest)):
-            c = cov[first, rest[pos]]
-            if c != 0:
-                total += c * rec(rest[:pos] + rest[pos + 1:])
-        cache[ids] = total
-        return total
-
-    return rec(tuple(sorted(idx)))
+    Stein's identity E[w^{a+e_j}] = mu_j E[w^a] + sum_k S_jk a_k E[w^{a-e_k}]
+    fills one degree at a time, raising each monomial from its parent
+    a = expo - e_j on its first nonzero axis j, as gathers on `down`; rows
+    over the terms keep each gather contiguous.  The engine's per-axis
+    recursion (`_osc_family`) needs a diagonal form; here a complex W couples
+    the axes, so the recursion runs over the whole basis.
+    """
+    d = mu.shape[1]
+    b = _graded(d, deg)
+    mom = np.zeros((b.n + 1, len(mu)), dtype=complex)
+    mom[0] = 1.0
+    start = 1
+    for k in range(1, deg + 1):
+        pos = np.arange(start, start + math.comb(k + d - 1, k))   # the monomials of degree k
+        j = np.argmax(b.expo[pos] > 0, axis=1)
+        a = b.down[j, pos]
+        new = mu[:, j].T * mom[a]
+        for i in range(d):
+            new += S[:, j, i].T * b.expo[a, i, None] * mom[b.down[i, a]]
+        mom[pos] = new
+        start = pos[-1] + 1
+    return mom
 
 
 def det_inv_sqrt(M: np.ndarray):
     """det(M)^{-1/2} for complex symmetric M with Re M positive definite, or for
     each matrix of a stack (..., d, d).
 
-    The branch is the analytic continuation from real SPD matrices: every
-    eigenvalue of M lies in the open right half-plane, so the product of
-    principal inverse square roots is the continued branch.
+    A real M is positive definite and the value is 1 / prod diag(L) for its
+    Cholesky factor L.  For a complex M the branch is the analytic
+    continuation from real SPD matrices: every eigenvalue of M lies in the
+    open right half-plane, so the product of principal inverse square roots
+    is the continued branch.
     """
+    if not np.iscomplexobj(M):
+        try:
+            L = np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            raise NonSPDQuadraticForm("quadratic form is not positive definite") from None
+        return 1.0 / np.prod(np.diagonal(L, axis1=-2, axis2=-1), axis=-1)
     lam = np.linalg.eigvals(M)
     if np.any(lam.real <= 0):
         raise NonSPDQuadraticForm("Re part of the quadratic form is not positive definite")
     return np.prod(lam ** -0.5, axis=-1)
-
-
-def gaussian_poly_integral(M: np.ndarray, lin: np.ndarray, expo: np.ndarray,
-                           coef: np.ndarray) -> complex:
-    """integral p(w) exp(-1/2 w^T M w + lin.w) dw, Re M positive definite,
-    for the polynomial p = (expo, coef)."""
-    d = M.shape[0]
-    Minv = np.linalg.inv(M)
-    m0 = Minv @ lin
-    pref = (2.0 * np.pi) ** (d / 2.0) * det_inv_sqrt(M) * np.exp(0.5 * lin @ m0)
-    total = 0.0 + 0.0j
-    for mono, c in zip(*_shift(expo, coef, m0)):  # p(y + m0) as a poly in y
-        mom = _wick_moment(Minv, tuple(np.repeat(np.arange(d), mono)))
-        if mom != 0:
-            total += c * mom
-    return pref * total
 
 
 # ------------------------------------------------------------------- class
@@ -436,22 +433,12 @@ class GaussPoly:
 
     # -- integrals ----------------------------------------------------------
     def integral(self) -> complex:
-        """integral phi(u) du, exact (see `TermStack.integral`)."""
-        return complex(self.stack.integral()[0])
+        """integral phi(u) du, exact (see `TermStack.integrate_against`)."""
+        return complex(self.stack.integrate_against()[0])
 
     def integrate_against(self, W=None, eta=None) -> complex:
-        """integral phi(u) exp(-1/2 u^T W u + eta.u) du, by Wick moments.
-
-        W complex symmetric with Re(quad + W) positive definite; eta complex.
-        """
-        d = self.dim
-        W = np.zeros((d, d)) if W is None else np.asarray(W)
-        eta = np.zeros(d) if eta is None else np.asarray(eta)
-        M = self.quad + W
-        c = self.shift
-        lin = 1j * self.freq + eta - W @ c
-        const = np.exp(1j * self.freq @ c + eta @ c - 0.5 * c @ W @ c)
-        return const * gaussian_poly_integral(M, lin, self.expo, self.coef)
+        """integral phi(u) exp(-1/2 u^T W u + eta.u) du (see `TermStack.integrate_against`)."""
+        return complex(self.stack.integrate_against(W, eta)[0])
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -532,10 +519,10 @@ class GaussMixture:
         return GaussMixture([self.stack.precompose_affine(M, v)])
 
     def integral(self) -> complex:
-        return complex(self.stack.integral().sum())
+        return complex(self.stack.integrate_against().sum())
 
     def integrate_against(self, W=None, eta=None) -> complex:
-        return complex(sum(t.integrate_against(W, eta) for t in self.terms))
+        return complex(self.stack.integrate_against(W, eta).sum())
 
 
 def as_terms(phi) -> list:
@@ -766,18 +753,39 @@ class TermStack(Sequence):
         """F^{-1} of every term."""
         return self.fourier(sign=-1)
 
-    def integral(self) -> np.ndarray:
-        """The integral of each term: for plain Gaussians the batched closed form
-        c (2 pi)^{d/2} det(A)^{-1/2} e^{i b.c - b^T A^{-1} b / 2}, for
-        polynomial terms Wick moments (`GaussPoly.integrate_against`)."""
-        if self.expo.any():
-            return np.array([self.term(i).integrate_against() for i in range(len(self))])
-        A, c, b = self.quad, self.shift, self.freq
-        e = 1j * np.sum(b * c, axis=1)
-        if b.any():
-            e = e - 0.5 * np.sum(b * np.linalg.solve(A, b[..., None])[..., 0], axis=1)
-        return ((2 * np.pi) ** (self.dim / 2) * np.linalg.det(A) ** -0.5 * np.exp(e)
-                * self.coef.sum(axis=1))
+    def integrate_against(self, W=None, eta=None) -> np.ndarray:
+        """integral phi_i(u) exp(-1/2 u^T W u + eta.u) du for each term i, for W
+        (d, d) complex symmetric with Re(A_i + W) positive definite and eta
+        (d,) complex (default 0: the plain integrals); only the symmetric part
+        of W enters.
+
+        With u = w + c, M = A + W, lin = i b + eta - W c and
+        k = (i b + eta).c - 1/2 c^T W c, a term integrates to
+        (2 pi)^{d/2} det(M)^{-1/2} e^{lin.mu / 2 + k} sum_m coef[m] E[w^expo[m]],
+        the moments of the Gaussian with covariance M^{-1} and mean
+        mu = M^{-1} lin (`_moments`).
+        """
+        d = self.dim
+        M, c, lin = self.quad, self.shift, 1j * self.freq
+        if eta is not None:
+            eta = np.asarray(eta)
+            if eta.shape != (d,):
+                raise DimensionMismatch(f"eta must have shape ({d},)")
+            lin = lin + eta
+        k = np.sum(lin * c, axis=1)
+        if W is not None:
+            W = np.asarray(W)
+            if W.shape != (d, d):
+                raise DimensionMismatch(f"W must have shape ({d}, {d})")
+            W = 0.5 * (W + W.T)
+            Wc = c @ W
+            M, lin, k = M + W, lin - Wc, k - 0.5 * np.sum(Wc * c, axis=1)
+        deg = _degree(self.expo)
+        mu = np.linalg.solve(M, lin[..., None])[..., 0] if lin.any() else np.zeros((len(self), d))
+        S = np.linalg.inv(M) if deg else None
+        poly = np.sum(self.coef * _moments(S, mu, deg)[_rank(self.expo)].T, axis=1)
+        pref = (2 * np.pi) ** (d / 2) * det_inv_sqrt(M)
+        return pref * np.exp(0.5 * np.sum(lin * mu, axis=1) + k) * poly
 
 
 def as_families(phi) -> list:

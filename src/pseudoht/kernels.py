@@ -63,33 +63,6 @@ _P_I0_MAX_ORDER = 192
 
 # ------------------------------------------------------------ array kernels
 
-def _kappa_vec(rho: np.ndarray) -> np.ndarray:
-    """(rho/4) coth(rho/2) with the continuous value 1/2 at rho = 0."""
-    rho = np.asarray(rho, float)
-    out = np.empty_like(rho)
-    small = rho < 1e-8
-    out[small] = 0.5
-    r = rho[~small]
-    out[~small] = 0.25 * r / np.tanh(0.5 * r)
-    return out
-
-
-def _volume_element_vec(rho: np.ndarray, n: int) -> np.ndarray:
-    """((rho/2) / sinh(rho/2))^n with value 1 at rho = 0, overflow-safe."""
-    rho = np.asarray(rho, float)
-    out = np.empty_like(rho)
-    x = 0.5 * rho
-    small = x < 1e-8
-    out[small] = 1.0
-    big = x > 30.0
-    mid = ~(small | big)
-    out[mid] = (x[mid] / np.sinh(x[mid])) ** n
-    # log form: n (log x - (x + log1p(-e^{-2x}) - log 2))
-    xb = x[big]
-    out[big] = np.exp(n * (np.log(xb) - xb - np.log1p(-np.exp(-2 * xb)) + np.log(2.0)))
-    return out
-
-
 def _offcone_accumulate(rho: np.ndarray, P: float, z2: float,
                         qj_powers: np.ndarray, qj_coeffs: np.ndarray,
                         qj_index: np.ndarray, n: int, s: int,
@@ -125,14 +98,20 @@ def kappa(rho: float) -> float:
     """(rho/4) coth(rho/2), continuously extended by kappa(0) = 1/2."""
     if rho < 0:
         raise ValueError("kappa is used for rho >= 0")
-    return float(_kappa_vec(np.array([rho]))[0])
+    return 0.5 if rho < 1e-8 else float(0.25 * rho / np.tanh(0.5 * rho))
 
 
 def volume_element(rho: float, n: int) -> float:
-    """W(rho) = ((rho/2)/sinh(rho/2))^n with W(0) = 1."""
+    """W(rho) = ((rho/2)/sinh(rho/2))^n with W(0) = 1, overflow-safe."""
     if rho < 0:
         raise ValueError("volume element is used for rho >= 0")
-    return float(_volume_element_vec(np.array([rho]), n)[0])
+    x = 0.5 * float(rho)
+    if x < 1e-8:
+        return 1.0
+    if x <= 30.0:
+        return float((x / np.sinh(x)) ** n)
+    # log form: n (log x - (x + log1p(-e^{-2x}) - log 2))
+    return float(np.exp(n * (np.log(x) - x - np.log1p(-np.exp(-2 * x)) + np.log(2.0))))
 
 
 # ------------------------------------------------------------ kernel family

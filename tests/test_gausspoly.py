@@ -15,11 +15,11 @@ from pseudoht.gausspoly import (
     apply_operator,
     batched_osc_integral,
     compose,
-    gaussian_poly_integral,
 )
 from pseudoht.kernels import inv_p_power
 from osc_reference import osc_family_reference
 from radial_l1 import radial_l1_norm
+from wick_reference import gaussian_poly_integral, wick_integrate_against
 
 
 def rand_points(rng, n, dim, scale=2.0):
@@ -665,30 +665,98 @@ def _stack_terms(rng, count=5, dim=3, poly=True) -> list:
     return terms
 
 
+def _complex_weight(rng, dim=3):
+    """A complex symmetric W with Re W positive definite, and a complex eta."""
+    X = rng.normal(size=(dim, dim)) * 0.3
+    eta = rng.normal(size=dim) * 0.3 + 1j * rng.normal(size=dim) * 0.3
+    return 0.2 * np.eye(dim) + 0.5j * (X + X.T), eta
+
+
 class TestTermStack:
-    def test_closed_form_integral_matches_wick(self, monkeypatch):
-        """Plain Gaussians: the batched closed form agrees with the Wick route,
-        which it does not call."""
-        terms = _stack_terms(np.random.default_rng(30), poly=False)
-        want = np.array([t.integrate_against() for t in terms])
+    @pytest.mark.parametrize("poly", [False, True], ids=["plain", "polynomial"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain_integral", "complex_W_eta"])
+    def test_integrate_against_matches_wick(self, poly, weighted):
+        """Every term of a stack of coupled, shifted, frequency-carrying terms,
+        and their mixture, integrate as the Wick pairings of the oracle."""
+        rng = np.random.default_rng(30 + poly)
+        terms = _stack_terms(rng, poly=poly)
+        W, eta = _complex_weight(rng) if weighted else (None, None)
+        want = np.array([wick_integrate_against(t, W, eta) for t in terms])
         mix = GaussMixture(terms)
         assert np.count_nonzero(mix.stack.quad[0] - np.diag(np.diagonal(mix.stack.quad[0])))
-        calls = []
-        monkeypatch.setattr(gausspoly, "gaussian_poly_integral", lambda *a: calls.append(a))
-        got = mix.stack.integral()
-        assert not calls
+        got = mix.stack.integrate_against(W, eta)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
-        assert abs(mix.integral() - want.sum()) <= 1e-13 * np.abs(want).sum()
+        assert abs(mix.integrate_against(W, eta) - want.sum()) <= 1e-13 * np.abs(want).sum()
+        if not weighted:
+            assert abs(mix.integral() - want.sum()) <= 1e-13 * np.abs(want).sum()
 
-    def test_polynomial_terms_take_wick(self, monkeypatch):
-        terms = _stack_terms(np.random.default_rng(31))
-        want = np.array([t.integrate_against() for t in terms])
-        wick, calls = gaussian_poly_integral, []
-        monkeypatch.setattr(gausspoly, "gaussian_poly_integral",
-                            lambda *a: calls.append(a) or wick(*a))
-        got = GaussMixture(terms).stack.integral()
-        assert len(calls) == len(terms)
+    def test_high_degree_moments_match_wick(self):
+        """Degree up to 8 in 4 variables: every moment of the graded basis up to
+        that degree enters, against a complex W."""
+        rng = np.random.default_rng(33)
+        terms = []
+        for _ in range(6):
+            L = rng.normal(size=(4, 4)) * 0.5
+            expo = np.vstack([rng.integers(0, 3, size=(5, 4)), [2, 2, 2, 2]])
+            terms.append(GaussPoly(4, L @ L.T + 0.5 * np.eye(4), shift=rng.normal(size=4) * 0.5,
+                                   freq=rng.normal(size=4), expo=expo,
+                                   coef=rng.normal(size=6) + 1j * rng.normal(size=6)))
+        assert gausspoly._degree(GaussMixture(terms).stack.expo) == 8
+        for W, eta in [(None, None), _complex_weight(rng, 4)]:
+            want = np.array([wick_integrate_against(t, W, eta) for t in terms])
+            got = GaussMixture(terms).stack.integrate_against(W, eta)
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_only_symmetric_part_of_w_enters(self):
+        rng = np.random.default_rng(35)
+        terms = _stack_terms(rng)
+        W, eta = _complex_weight(rng)
+        skew = rng.normal(size=(3, 3)) * (0.5 + 0.5j)
+        want = np.array([wick_integrate_against(t, W, eta) for t in terms])
+        got = GaussMixture(terms).stack.integrate_against(W + skew - skew.T, eta)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_det_inv_sqrt_branches(self):
+        """Real forms take the Cholesky factor, complex ones the eigenvalues;
+        either raises NonSPDQuadraticForm off its domain."""
+        rng = np.random.default_rng(36)
+        L = rng.normal(size=(4, 3, 3))
+        A = L @ np.swapaxes(L, 1, 2) + 0.3 * np.eye(3)
+        assert np.allclose(gausspoly.det_inv_sqrt(A), np.linalg.det(A) ** -0.5,
+                           rtol=1e-14, atol=0)
+        W, _ = _complex_weight(rng)
+        want = np.prod(np.linalg.eigvals(A + W) ** -0.5, axis=-1)
+        assert np.allclose(gausspoly.det_inv_sqrt(A + W), want, rtol=1e-14, atol=0)
+        for bad in (INDEFINITE, INDEFINITE + 0.1j * np.eye(2)):
+            with pytest.raises(NonSPDQuadraticForm):
+                gausspoly.det_inv_sqrt(bad)
+
+    def test_zero_term_integrates_to_zero(self):
+        """A term whose coefficients are all dropped integrates to exactly 0:
+        alone, inside a mixture with polynomial terms, and against a complex W."""
+        rng = np.random.default_rng(34)
+        zero = GaussPoly(3, np.eye(3), shift=[0.1, 0.2, -0.3], freq=[0.5, 0.0, 1.0],
+                         expo=[[1, 0, 2]], coef=[0.0])
+        assert zero.expo.shape == (0, 3)
+        W, eta = _complex_weight(rng)
+        assert zero.integral() == 0
+        assert zero.integrate_against(W, eta) == 0
+        terms = _stack_terms(rng)
+        mix = GaussMixture(terms[:2] + [zero] + terms[2:])
+        for args in [(None, None), (W, eta)]:
+            got = mix.stack.integrate_against(*args)
+            assert got[2] == 0
+            assert np.all(got[[0, 1, 3, 4, 5]] != 0)
+
+    @pytest.mark.parametrize("W, eta", [(np.eye(3), None), (np.eye(2)[:1], None),
+                                        (None, np.zeros(3)), (None, np.zeros((2, 1)))],
+                             ids=["W_3x3", "W_1x2", "eta_3", "eta_2x1"])
+    def test_integrate_against_checks_shapes(self, W, eta):
+        phi = GaussPoly(2, np.eye(2), {(1, 0): 1.0})
+        with pytest.raises(DimensionMismatch):
+            phi.integrate_against(W, eta)
+        with pytest.raises(DimensionMismatch):
+            GaussMixture([phi, phi.scaled(2.0)]).integrate_against(W, eta)
 
     def test_ops_act_on_each_term(self):
         """One map per term, the inverse transform and an operator on a stack of
