@@ -874,6 +874,18 @@ def node_blocks(count: int, nw: int) -> list:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def equal_rows(key: np.ndarray):
+    """The rows of a 2-D key array grouped by value: (order, starts).
+
+    key[order] is sorted, so equal rows are adjacent (-0.0 and 0.0 compare
+    equal), and group g is order[starts[g]:starts[g + 1]].  Rows of a node
+    family with equal shift and frequency differ only in their coefficients.
+    """
+    order = np.lexsort(key.T[::-1])
+    starts = np.flatnonzero(np.r_[True, np.any(np.diff(key[order], axis=0) != 0, axis=1)])
+    return order, starts
+
+
 def _tau_diagonalize(fam: TermStack, tau: np.ndarray):
     """Precompose with S such that the quadratic form becomes diagonal while
     sum tau_j u_j^2 keeps its shape: S = A^{-1/2} Q |L|^{1/2} with

@@ -29,6 +29,7 @@ from .gausspoly import (
     TermStack,
     as_terms,
     batched_osc_integral,
+    equal_rows,
     node_blocks,
 )
 from .group import GroupStructure, tau_signs
@@ -140,10 +141,7 @@ def _merge_centers(fam: TermStack, rows: np.ndarray, weights: np.ndarray, js: np
     sum_i weights[i] coef[rows[i]].  Returns that family and the radial node
     of each of its rows.
     """
-    # equal keys are adjacent after the sort (-0.0 and 0.0 compare equal)
-    key = np.column_stack([js, fam.shift[rows], fam.freq[rows]])
-    order = np.lexsort(key.T[::-1])
-    starts = np.flatnonzero(np.r_[True, np.any(np.diff(key[order], axis=0) != 0, axis=1)])
+    order, starts = equal_rows(np.column_stack([js, fam.shift[rows], fam.freq[rows]]))
     weighted = fam.coef[rows[order]]
     weighted *= weights[order, None]
     coef = np.add.reduceat(weighted, starts, axis=0)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from pseudoht.clifford import p_form
 from pseudoht import kernels
 from pseudoht.errors import NotConverged, OnConeRegion, PolePosition, ThetaZero, UnsupportedN
-from pseudoht.gausspoly import GaussPoly, apply_operator, axis_monomial
+from pseudoht.gausspoly import GaussPoly, apply_operator, axis_monomial, equal_rows
 from pseudoht.kernels import (
     KernelSelector,
     PSGauss,
@@ -27,6 +27,7 @@ from pseudoht.kernels import (
 )
 from pseudoht.quadrature import genlaguerre_rule, half_disc_rule
 from pseudoht.specfun import osc_weight_integral
+from inv_p_reference import inv_p_power_per_node
 from radial_l1 import radial_l1_norm
 
 
@@ -273,6 +274,38 @@ class TestInvP:
     def test_rejects_n1(self):
         with pytest.raises(UnsupportedN):
             inv_p_power(GaussPoly.iso_gaussian(2), 1)
+
+    @staticmethod
+    def _row_count(fam):
+        return equal_rows(np.column_stack([fam.shift, fam.freq]))[1].size
+
+    def test_block_diagonal_family_is_one_table_row(self):
+        """Every node of a block-diagonal restriction shares its xi-Gaussian:
+        one engine row in table mode, against the per-node route."""
+        A = np.diag([1.0, 1.3, 0.8, 1.1, 0.9])
+        psi = GaussPoly(5, A, {(0, 0, 0, 0, 0): 1.0, (1, 0, 0, 0, 1): 0.3,
+                               (2, 0, 1, 0, 2): -0.2, (0, 1, 0, 3, 0): 0.1j},
+                        shift=[0.2, 0.0, -0.1, 0.0, 0.3], freq=[0.0, 0.4, 0.0, -0.2, 0.5])
+        fam = psi.restrict([4], np.linspace(-2.0, 2.0, 24)[:, None])
+        assert self._row_count(fam) == 1
+        got, want = inv_p_power(fam, 2), inv_p_power_per_node(fam, 2)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    def test_coupled_family_matches_per_node_route(self):
+        """A coupled restriction's shift varies by node (every row distinct);
+        repeated nodes make rows shared by two nodes."""
+        A = 1.2 * np.eye(5)
+        A[0, 4] = A[4, 0] = 0.3
+        A[2, 4] = A[4, 2] = -0.2
+        psi = GaussPoly(5, A, {(0, 0, 0, 0, 0): 1.0, (1, 0, 0, 0, 0): 0.5,
+                               (0, 0, 1, 1, 0): 0.25},
+                        shift=[0.1, 0.0, 0.2, 0.0, 0.3], freq=[0.2, 0.1, 0.0, 0.0, 0.4])
+        nodes = np.linspace(-1.5, 1.5, 16)[:, None]
+        for values, rows in ((nodes, 16), (np.concatenate([nodes, nodes[::3]]), 16)):
+            fam = psi.restrict([4], values)
+            assert self._row_count(fam) == rows
+            got, want = inv_p_power(fam, 2), inv_p_power_per_node(fam, 2)
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
     def test_bound_by_l1_norms(self):
         """|value| <= C (||psi||_1 + ||Delta^l psi||_1), l = 3 for n = 2.

@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pseudoht.errors import NonPositiveArgument
+from pseudoht.errors import NonPositiveArgument, NotConverged
 from pseudoht.specfun import (
     bessel_j,
     bessel_y,
@@ -225,6 +225,39 @@ class TestOneEvaluation:
                 assert y == bessel_y(1.5, v)
             else:
                 assert math.isnan(y)
+
+
+class TestUnconvergedRefinement:
+    """A refinement that ends with err = inf raises instead of returning its
+    last value (at n = 1, v = 300 that value is 7.6e-9 off).  The refinement
+    is patched to report inf, so no test waits for a real divergence."""
+
+    @staticmethod
+    def _unconverged(refine):
+        def patched(*args, **kwargs):
+            out = refine(*args, **kwargs)
+            return (out[0], np.full_like(out[1], np.inf), *out[2:]) if np.ndim(out[1]) \
+                else (out[0], math.inf, *out[2:])
+        return patched
+
+    def test_jh_combo_raises(self, monkeypatch):
+        from pseudoht import specfun
+
+        monkeypatch.setattr(specfun, "refine_many", self._unconverged(specfun.refine_many))
+        for call in (lambda: jh_combo(1, 3.0), lambda: bessel_j(0.5, 2.0),
+                     lambda: struve_h(1.5, -4.0)):
+            with pytest.raises(NotConverged):
+                call()
+        assert jh_combo(2, 0.0) == 0.0  # v = 0 takes no integral
+
+    def test_laplace_tail_raises(self, monkeypatch):
+        from pseudoht import specfun
+
+        monkeypatch.setattr(specfun, "refine_until", self._unconverged(specfun.refine_until))
+        with pytest.raises(NotConverged):
+            bessel_y(1.5, 3.1)
+        with pytest.raises(NotConverged):
+            specfun.specfun_table(1.5, [3.1])
 
 
 class TestODEResiduals:
