@@ -320,9 +320,7 @@ def inv_p_power(psi, n: int):
     `equal_rows` groups them, differ only in their coefficients: each such
     row runs the engine once in table mode, with unit coefficients, and a
     node's value is its coefficients against the weighted table.  The nodes
-    of a block-diagonal restriction all share one row.  A family whose rows
-    are all distinct (a coupled restriction) takes the plain engine call,
-    which is cheaper there.
+    of a block-diagonal restriction all share one row.
     """
     if n < 2:
         raise UnsupportedN("1/P^{n-1} needs n >= 2")
@@ -333,11 +331,11 @@ def inv_p_power(psi, n: int):
     pref = 1j ** (n - 1) / math.factorial(n - 2)
     count = len(parts[0])
 
-    def weighted(rows, w, weights, table=False):
-        """The engine on rows at the frequencies w, contracted with weights."""
+    def weighted(rows, w, weights):
+        """The engine tables of rows at the frequencies w, contracted with weights."""
         return np.concatenate([
-            np.einsum("gw...,w->g...", batched_osc_integral(
-                rows[b], np.broadcast_to(w, (len(rows[b]), w.size)), tau, table), weights)
+            np.einsum("gwm,w->gm", batched_osc_integral(
+                rows[b], np.broadcast_to(w, (len(rows[b]), w.size)), tau, True), weights)
             for b in node_blocks(len(rows), w.size)])
 
     def on_nodes(fams, idx, w, weights):
@@ -345,16 +343,12 @@ def inv_p_power(psi, n: int):
         for f in fams:
             sub = f[idx]
             order, starts = equal_rows(np.column_stack([sub.shift, sub.freq]))
-            if starts.size == idx.size:
-                # every row distinct: one table per row takes 1.3-1.4 times as long
-                out += weighted(sub, w, weights)
-                continue
             group = np.empty(idx.size, dtype=int)
             group[order] = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, idx.size]))
             first = order[starts]
             rows = TermStack(sub.form, sub.expo, np.ones((first.size, len(sub.expo))),
                              sub.shift[first], sub.freq[first])
-            out += np.sum(sub.coef * weighted(rows, w, weights, table=True)[group], axis=1)
+            out += np.sum(sub.coef * weighted(rows, w, weights)[group], axis=1)
         return out
 
     def i1(npts: int, idx) -> np.ndarray:

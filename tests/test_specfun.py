@@ -230,7 +230,8 @@ class TestOneEvaluation:
 class TestUnconvergedRefinement:
     """A refinement that ends with err = inf raises instead of returning its
     last value (at n = 1, v = 300 that value is 7.6e-9 off).  The refinement
-    is patched to report inf, so no test waits for a real divergence."""
+    is patched to report inf, so no test waits for a real divergence; at
+    v = 3e4 the real refinement stops after its first rule."""
 
     @staticmethod
     def _unconverged(refine):
@@ -258,6 +259,16 @@ class TestUnconvergedRefinement:
             bessel_y(1.5, 3.1)
         with pytest.raises(NotConverged):
             specfun.specfun_table(1.5, [3.1])
+
+    def test_first_rule_above_half_the_cap_raises(self):
+        """Above |v| = 20,480 the first rho-rule has |v| / 2.5 > 8,192 nodes,
+        so refine_many cannot double it below its 16,384 cap: the value is
+        never checked, and jh_combo raises instead of returning it."""
+        from pseudoht.specfun import osc_weight_integral
+
+        with pytest.raises(NotConverged):
+            bessel_j(0.5, 3e4)
+        assert osc_weight_integral(2, 3e4)[1] == math.inf
 
 
 class TestODEResiduals:
