@@ -836,7 +836,8 @@ def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> TermSt
 
 # ------------------------------------------------------- oscillatory engine
 
-def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = False) -> np.ndarray:
+def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = False,
+                         conj_coef: np.ndarray | None = None) -> np.ndarray:
     """integral phi(u) exp(i w P_tau(u)) du for an array of w values.
 
     P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  For a GaussPoly or
@@ -850,11 +851,13 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
     With table=True, phi is one term or one node family and the result gains
     a last axis over its monomials, in the order of its `expo`: entry k is
     the integral of monomial k times its coefficient, so the sum over that
-    axis is the plain value.
+    axis is the plain value.  conj_coef (N, M) (node family, plain mode) is a
+    block at -w with negated frequencies: U_m(-w; b, c) = conj U_m(w; -b, c)
+    for monomial m, so row i is sum coef U_m + conj(sum conj(conj_coef) U_m).
     """
     w = np.asarray(w, float)
     if isinstance(phi, TermStack):
-        return _osc_family(phi, w, tau, table)
+        return _osc_family(phi, w, tau, table, conj_coef)
     fams = as_families(phi)
     if table:
         if len(fams) != 1:
@@ -915,7 +918,7 @@ def _tau_diagonalize(fam: TermStack, tau: np.ndarray):
 
 
 def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
-                table: bool = False) -> np.ndarray:
+                table: bool = False, conj_coef: np.ndarray | None = None) -> np.ndarray:
     """The engine on a family; with `table`, the (N, Nw, M) per-monomial table.
 
     After the tau-congruence the form is diagonal, so at a (node, frequency)
@@ -932,26 +935,35 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     it keeps its relative accuracy at large |w|.  An axis is live when some
     node of the family has a nonzero centre or frequency on it; on a dead
     axis the exponent and mu_j are exactly 0, so both are formed on live
-    axes only and the moments of a dead axis come from the sigma^2
-    recursion alone.
+    axes only, its moments come from the sigma^2 recursion alone, and a
+    monomial odd on it (moment exactly 0) is dropped; a table keeps its 0s.
 
     A pass holds _OSC_BYTES // (16 (M_table + M + 2 d)) pairs: M_table the
-    caller's monomial count in table mode (0 otherwise), M and d the
+    caller's monomial count in table mode (0 otherwise), M and d the formed
     monomial count and dimension of the diagonal family.  Both modes build
     the same per-pass moment products mono and prefactor pref.  The plain
-    mode folds the coefficients into mono and sums over monomials; the table
-    mode keeps unit coefficients, maps the columns back through the basis
-    map of the tau-congruence and then multiplies by the caller's
-    coefficients.
+    mode folds the coefficients into mono and sums over monomials (with
+    conj_coef, mapped as coef is, it contracts a unit mono with both blocks,
+    U_m(-w; b) = conj U_m(w; -b)); the table mode keeps unit coefficients,
+    maps the columns back through the basis map of the tau-congruence and
+    then multiplies by the caller's coefficients.
     """
     user_coef, basis = fam.coef, None
     A = fam.form
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
-    d, expo = fam.dim, fam.expo
-    a, t = np.diagonal(fam.form)[:, None], tau[:, None]
-    axes = [j for j in range(d) if expo.size and expo[:, j].max() > 0]
-    live = np.flatnonzero(np.any(fam.shift != 0, axis=0) | np.any(fam.freq != 0, axis=0))
+    d, a, t = fam.dim, np.diagonal(fam.form)[:, None], tau[:, None]
+    live = np.any(fam.shift != 0, axis=0) | np.any(fam.freq != 0, axis=0)
+    odd = fam.expo[:, ~live] % 2
+    kept = ~odd.any(axis=1) if odd.any() else slice(None)   # a slice keeps views
+    live = np.flatnonzero(live)
+    expo, coef = fam.expo[kept], fam.coef[:, kept]
+    if conj_coef is not None:
+        conj_coef = (conj_coef if basis is None else conj_coef @ basis)[:, kept].conj()
+    if table and not isinstance(kept, slice):   # dropped monomials map to 0 columns
+        basis = (np.eye(len(fam.expo)) if basis is None else basis)[:, kept]
+    deg = expo.max(axis=0, initial=0).tolist()
+    axes = [j for j in range(d) if deg[j]]
     # per-axis arrays are laid out (axis, pair); node data is gathered per pass
     # with `take`, which keeps the gathers C-ordered (a fancy index on the
     # last axis returns them F-ordered, and the products then run strided)
@@ -984,22 +996,23 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
         pref = const * np.exp(ex)
         # E[(mu + sigma N)^m] per axis, sigma^2 = 1/beta, by the recursion
         # m_k = mu m_{k-1} + (k - 1) sigma^2 m_{k-2}, gathered per monomial
-        mono = np.ones((len(expo), wc.size), dtype=complex) if table else fam.coef.T.take(i, axis=1)
+        unit = table or conj_coef is not None
+        mono = np.ones((len(expo), wc.size), dtype=complex) if unit else coef.T.take(i, axis=1)
         for j in axes:
-            deg = int(expo[:, j].max())
             sig2 = 1.0 / beta[j]
-            mom = np.empty((deg + 1, wc.size), dtype=complex)
+            mom = np.empty((deg[j] + 1, wc.size), dtype=complex)
             mom[0], mom[1] = 1.0, mu.get(j, 0.0)
-            for k in range(2, deg + 1):
+            for k in range(2, deg[j] + 1):
                 mom[k] = (k - 1) * sig2 * mom[k - 2]
                 if j in mu:
                     mom[k] += mu[j] * mom[k - 1]
             mono *= mom[expo[:, j]]
-        if not table:
+        if table:
+            tab = pref * mono if basis is None else basis @ (pref * mono)
+            out[lo:lo + wc.size] = (tab * user_coef.T.take(i, axis=1)).T
+        elif conj_coef is None:
             out[lo:lo + wc.size] = pref * np.sum(mono, axis=0)
-            continue
-        tab = pref * mono
-        if basis is not None:
-            tab = basis @ tab
-        out[lo:lo + wc.size] = (tab * user_coef.T.take(i, axis=1)).T
+        else:
+            out[lo:lo + wc.size] = pref * np.sum(coef.T.take(i, axis=1) * mono, axis=0) \
+                + np.conj(pref * np.sum(conj_coef.T.take(i, axis=1) * mono, axis=0))
     return out.reshape(w.shape + out.shape[1:])

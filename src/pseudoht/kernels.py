@@ -25,7 +25,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    NotConverged,
     OnConeRegion,
     PolePosition,
     ThetaZero,
@@ -45,6 +44,7 @@ from .gausspoly import (
 )
 from .quadrature import (
     composite_legendre,
+    converged,
     genlaguerre_rule,
     half_disc_rule,
     refine_many,
@@ -183,7 +183,7 @@ def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
     weight is real), so one rho-integral serves both parts.
     """
     r, lam, mu, v = _q_arguments(xi, theta, sel)
-    i_v, _ = osc_weight_integral(n, v)
+    i_v = converged(*osc_weight_integral(n, v), "the rho-integral of q at v = %g", v)
     return kernel_prefactor(n, s) / r * (lam * i_v - mu * i_v.conjugate())
 
 
@@ -232,8 +232,8 @@ def gbar_residual(n: int, s: int, xi, theta) -> complex:
              for m in range(3)]
         return -P * a[0] - n * r ** 2 * a[1] - r ** 2 * P * a[2]
 
-    val, _, _ = refine_until(eval_with, max(32, int(abs(v) / 2.0)), 1e-13)
-    return val
+    val, err, _ = refine_until(eval_with, max(32, int(abs(v) / 2.0)), 1e-13)
+    return converged(val, err, "gbar_residual at v = %g", v)
 
 
 # ----------------------------------------------------- off-cone smooth kernel
@@ -301,8 +301,8 @@ def smooth_kernel_offcone(n: int, s: int, x, z) -> complex:
         return complex(w @ _offcone_accumulate(rho, P, z2, powers, coeffs, index,
                                                n, s, branch))
 
-    val, _, _ = refine_until(eval_with, 12, _OFFCONE_TOL)
-    return 1j * val
+    val, err, _ = refine_until(eval_with, 12, _OFFCONE_TOL)
+    return 1j * converged(val, err, "the off-cone kernel at P = %g, |z|^2 = %g", P, z2)
 
 
 # ----------------------------------------------------------------- 1/P^{n-1}
@@ -361,9 +361,8 @@ def inv_p_power(psi, n: int):
         u, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
         return pref / 2 ** n * on_nodes(finv, idx, u / 4.0, w)  # t = 1/u
 
-    v1, _, _ = refine_many(i1, 16, _INV_P_TOL, count)
-    v2, _, _ = refine_many(i2, 16, _INV_P_TOL, count)
-    out = v1 + v2
+    out = sum(converged(*refine_many(half, 16, _INV_P_TOL, count)[:2], "1/P^%d", n - 1)
+              for half in (i1, i2))
     return complex(out[0]) if isinstance(psi, (GaussPoly, GaussMixture)) else out
 
 
@@ -520,10 +519,7 @@ def p_i0_power(lam: complex, psi, k: int, n: int, side: str = "minus") -> comple
             return vp + np.exp(phase_sign * 1j * math.pi * mu) * vm
 
         val, err, order = refine_until(eval_with, 48, _P_I0_TOL, _P_I0_MAX_ORDER)
-        if not math.isfinite(err):
-            raise NotConverged(f"P^lambda at lambda = {lmb} did not converge by "
-                               f"Laguerre order {order}")
-        return factor * val
+        return factor * converged(val, err, "P^lambda at %s, Laguerre order %d", lmb, order)
 
     if lambda_factor(lam, k, n) is not None:
         return value_at(lam)

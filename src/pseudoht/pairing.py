@@ -6,6 +6,8 @@ Three independent representations are implemented:
                  in the center variable; for each node the xi-integral against
                  e^{i rho P(xi)/|theta|} is an exact complex Gaussian, so only
                  the rho-weight integral and the center quadrature are numeric.
+                 The xi-integral at -rho and xi-frequency b is the conjugate of
+                 the one at +rho and -b, so both kernel halves share one pass.
 * pair_mr_heisenberg - the iterated-integral form on the Heisenberg group
                  (center dimension 1, n even).
 * pair_second_form   - the 1/P^{n-1} form (n >= 2): sphere average, exact
@@ -135,19 +137,20 @@ def _center_nodes(radial: np.ndarray, sphere: np.ndarray) -> np.ndarray:
 def _merge_centers(fam: TermStack, rows: np.ndarray, weights: np.ndarray, js: np.ndarray):
     """The weighted rows of fam that share a radial node and a center, summed.
 
-    Rows with the same radial node js[i], shift and frequency differ only in
-    their coefficients, and the engine is linear in those, so the weighted
-    sum of their integrals is the integral of one row with coefficients
-    sum_i weights[i] coef[rows[i]].  Returns that family and the radial node
-    of each of its rows.
+    weights (R, 2) is row i's weight in the lam-half or, frequency negated,
+    the mu-half (`_pair_k_value`).  Rows with the same radial node js[i],
+    shift and frequency differ only in their coefficients, and the engine is
+    linear in those, so the weighted sum of their integrals is the integral
+    of one row with coefficients sum_i weights[i] coef[rows[i]].  Returns
+    that family (lam-half), the mu-half block and each row's radial node.
     """
-    order, starts = equal_rows(np.column_stack([js, fam.shift[rows], fam.freq[rows]]))
-    weighted = fam.coef[rows[order]]
-    weighted *= weights[order, None]
+    freq = np.where(weights[:, 1:] != 0, -fam.freq[rows], fam.freq[rows])
+    order, starts = equal_rows(np.column_stack([js, fam.shift[rows], freq]))
+    weighted = fam.coef[rows[order], None, :] * weights[order, :, None]
     coef = np.add.reduceat(weighted, starts, axis=0)
     first = order[starts]
-    rows = rows[first]
-    return TermStack(fam.form, fam.expo, coef, fam.shift[rows], fam.freq[rows]), js[first]
+    merged = TermStack(fam.form, fam.expo, coef[:, 0], fam.shift[rows[first]], freq[first])
+    return merged, coef[:, 1], js[first]
 
 
 def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
@@ -157,11 +160,14 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     Restricted at the center r om, a term's xi-Gaussian depends on om only
     through its coefficients unless its theta-block is coupled to xi, so the
     sphere sum is taken inside the engine: per radial node and center, the
-    +rho/r call integrates sum_om w_om lam(om) c_om and the -rho/r call
-    -sum_om w_om mu(om) c_om (`_merge_centers`), and rows of zero weight are
-    dropped.  A block-diagonal term thus costs one engine row per radial node
-    and sign whatever the sphere budget; a coupled term keeps one row per
-    distinct center.
+    lam-half (+rho/r) integrates sum_om w_om lam(om) c_om and the mu-half
+    (-rho/r) -sum_om w_om mu(om) c_om (`_merge_centers`); rows of zero weight
+    are dropped.  As U_m(-w; b, c) = conj U_m(w; -b, c) for monomial m at
+    xi-frequency b and centre c, the mu-half is keyed at +rho/r with b
+    negated and runs in the same engine pass, as conj_coef.  A block-diagonal
+    term with b = 0 costs one engine row per radial node whatever the sphere
+    budget and selector, an off-centre one a row per half, a coupled one a
+    row per distinct center and half.
     """
     d = 2 * n + s
     theta_axes = list(range(2 * n, d))
@@ -174,7 +180,7 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     pref = kernel_prefactor(n, s)
     node_w = wr * radial ** (s - 1) * pref / radial
     lam, mu = np.array([sel.lam_mu(om) for om in sphere], dtype=complex).T
-    signed = ((1.0, ws * lam), (-1.0, -ws * mu))
+    halves = np.concatenate([np.outer(ws * lam, [1, 0]), np.outer(ws * mu, [0, -1])])
 
     # blocks of radial nodes that share a rho-rule, so their frequencies form
     # one array
@@ -188,17 +194,15 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     for term in fphi_terms:
         fam = term.restrict(theta_axes, _center_nodes(radial, sphere))
         for rho, wq, js in groups:
-            # rows k R + j of the block, sphere node k slowest
-            rows = (np.arange(len(sphere))[:, None] * radial.size + js).ravel()
-            row_js = np.tile(js, len(sphere))
-            for sign, wo in signed:
-                row_w = np.repeat(wo, js.size)
-                keep = row_w != 0
-                if not keep.any():
-                    continue
-                merged, mj = _merge_centers(fam, rows[keep], row_w[keep], row_js[keep])
-                freqs = sign * rho[None, :] / radial[mj][:, None]
-                total += np.sum(node_w[mj] * (batched_osc_integral(merged, freqs, tau) @ wq))
+            # rows k R + j of the block, sphere node k slowest, lam- then mu-half
+            rows = np.tile((np.arange(len(sphere))[:, None] * radial.size + js).ravel(), 2)
+            row_w = np.repeat(halves, js.size, axis=0)
+            keep = row_w.any(axis=1)
+            merged, conj, mj = _merge_centers(fam, rows[keep], row_w[keep],
+                                              np.tile(js, 2 * len(sphere))[keep])
+            vals = batched_osc_integral(merged, rho[None, :] / radial[mj][:, None], tau,
+                                        conj_coef=conj if conj.any() else None)
+            total += np.sum(node_w[mj] * (vals @ wq))
     return total
 
 
@@ -303,11 +307,16 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
                     h = math.pi / (1.3 * fmax + 4.0 / s)
                     L = 9.0 * s
                     npts = int(2 * L / h) + 1
-                    th_nodes = np.linspace(-L, L, npts)
+                    th_nodes = 2 * L / (npts - 1) * (np.arange(npts) - (npts - 1) / 2)  # mirrored
                     th_w = np.full(npts, th_nodes[1] - th_nodes[0])
-                fam = term.restrict([z_axis], th_nodes[:, None])
-                xint = batched_osc_integral(fam, -th_nodes[:, None] * cvals[sel][None, :], tau)
-                total[sel] += (th_w * (1j * th_nodes) ** (n - 1)) @ xint
+                fam = term.restrict([z_axis], th_nodes[:, None]).scaled(
+                    (th_w * (1j * th_nodes) ** (n - 1))[:, None])
+                w, conj = -th_nodes[:, None] * cvals[sel][None, :], None
+                if not fam.freq.any() and np.array_equal(th_nodes, -th_nodes[::-1]):
+                    # node K-1-k (at -w) is node k's conj_coef part; a middle node has weight 0
+                    k = np.arange(len(fam) // 2, len(fam))
+                    fam, w, conj = fam[k], w[k], fam.coef[::-1][k]
+                total[sel] += np.sum(batched_osc_integral(fam, w, tau, conj_coef=conj), axis=0)
         total /= math.sqrt(2.0 * math.pi)
         return mr_constant(n) * complex(np.sum(wr * jac * total))
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
 
 from .errors import NotConverged, UnsupportedN
 
@@ -202,15 +201,15 @@ def hermite_rule(npts: int):
 @lru_cache(maxsize=512)
 def jacobi_rule(npts: int, alpha: float):
     """Nodes/weights for integral_{-1}^{1} (1-x)^alpha f(x) dx."""
-    x, w = roots_jacobi(npts, alpha, 0.0)
-    return x, w
+    from scipy.special import roots_jacobi   # here, not at import: 0.1 s per process
+    return roots_jacobi(npts, alpha, 0.0)
 
 
 @lru_cache(maxsize=256)
 def genlaguerre_rule(npts: int, alpha: float):
     """Nodes/weights for integral_0^inf x^alpha e^{-x} f(x) dx."""
-    x, w = roots_genlaguerre(npts, alpha)
-    return x, w
+    from scipy.special import roots_genlaguerre
+    return roots_genlaguerre(npts, alpha)
 
 
 @lru_cache(maxsize=512)
@@ -338,6 +337,13 @@ def refine_many(evaluate, start: int, tol: float, count: int, max_order: int = 1
     for hit, val, err, at in done_parts:
         values[hit], errs[hit], orders[hit] = val, err, at
     return values, errs, orders
+
+
+def converged(value, err, what: str, *args):
+    """value, or NotConverged (what % args) if its refinement ended with err inf or nan."""
+    if not (err < np.inf if isinstance(err, float) else np.all(err < np.inf)):
+        raise NotConverged(f"{what % args} did not converge")
+    return value
 
 
 def refine_until(evaluate, start: int, tol: float, max_order: int = 1 << 14):

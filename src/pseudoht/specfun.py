@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import NonPositiveArgument, NotConverged
-from .quadrature import composite_legendre, half_disc_rule, refine_many, refine_until
+from .errors import NonPositiveArgument
+from .quadrature import composite_legendre, converged, half_disc_rule, refine_many, refine_until
 
 _BESSEL_TOL = 1e-12
 
@@ -92,9 +92,7 @@ def jh_combo(n: int, v: float) -> complex:
     _order_n(nu)
     if v == 0.0:
         return complex(nu == 0)  # J_0(0) = 1; J_nu(0) = H_nu(0) = 0 otherwise
-    val, err = osc_weight_integral(n, abs(v))
-    if err == math.inf:
-        raise NotConverged(f"the rho-integral of J + iH at n = {n}, v = {v} did not converge")
+    val = converged(*osc_weight_integral(n, abs(v)), "J + iH at n = %d, v = %g", n, v)
     out = _poisson_prefactor(nu, v) * val
     return out.conjugate() if v < 0 else out
 
@@ -122,10 +120,8 @@ def _laplace_tail(nu: float, v: float) -> float:
         f = np.exp(-v * np.sinh(th)) * np.cosh(th) ** (2 * nu)
         return float(w @ f)
 
-    val, err, _ = refine_until(eval_with, 16, _BESSEL_TOL)
-    if err == math.inf:
-        raise NotConverged(f"the Laplace integral of Y at nu = {nu}, v = {v} did not converge")
-    return val
+    return converged(*refine_until(eval_with, 16, _BESSEL_TOL)[:2],
+                     "the Laplace integral of Y at nu = %g, v = %g", nu, v)
 
 
 def bessel_y(nu: float, v: float) -> float:

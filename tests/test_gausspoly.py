@@ -546,6 +546,10 @@ def _matches_reference(fam, w, table):
     got = batched_osc_integral(fam, w, TAU4, table=table)
     want = osc_family_reference(fam, w, TAU4, table=table)
     assert got.shape == want.shape == w.shape + ((fam.coef.shape[1],) if table else ())
+    _close_to_reference(got, want)
+
+
+def _close_to_reference(got, want):
     assert np.all(np.isfinite(got))
     assert np.all(got[want == 0] == 0)
     scale = np.abs(want).max()
@@ -644,6 +648,77 @@ class TestOscEngine:
                         * mpmath.exp(lin ** 2 / (2 * beta) + 1j * b * c + 1j * t * wj * c ** 2)
                 worst = max(worst, float(abs(got[k, col] - complex(want)) / abs(want)))
         assert worst <= 1e-14
+
+
+def _coupled_form(rng) -> np.ndarray:
+    L = rng.normal(size=(4, 4)) * 0.4
+    return L @ L.T + np.eye(4)
+
+
+class TestConjCoef:
+    """conj_coef is a coefficient block taken at -w with the frequencies
+    negated: U_m(-w; b, c) = conj U_m(w; -b, c) lets the engine read it off
+    the same per-monomial integrals as coef."""
+
+    @staticmethod
+    def _two_calls(fam, conj, w):
+        mirrored = TermStack(fam.form, fam.expo, conj, fam.shift, -fam.freq)
+        return osc_family_reference(fam, w, TAU4) + osc_family_reference(mirrored, -w, TAU4)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["diagonal", "coupled"])
+    @pytest.mark.parametrize("axes", [((), ()), ((0, 2), (1,)), ((1, 3), (0, 3))],
+                             ids=["centred", "some_axes", "off_centre"])
+    def test_against_the_oracle_at_minus_w(self, coupled, axes):
+        rng = np.random.default_rng(47)
+        form = _coupled_form(rng) if coupled else DIAG4
+        fam = _engine_family(rng, form, 4, shift_axes=axes[0], freq_axes=axes[1], deg=3)
+        conj = (rng.normal(size=fam.coef.shape) + 1j * rng.normal(size=fam.coef.shape)) * 0.3
+        conj[:, 0] += 1.0 - 2.0j
+        w = rng.uniform(-5.0, 5.0, size=(4, 25))
+        got = batched_osc_integral(fam, w, TAU4, conj_coef=conj)
+        want = self._two_calls(fam, conj, w)
+        assert got.shape == want.shape == w.shape
+        _close_to_reference(got, want)
+
+    def test_zero_block_is_the_plain_value(self):
+        rng = np.random.default_rng(48)
+        fam = _engine_family(rng, DIAG4, 3, shift_axes=(1,), freq_axes=(0,), deg=2)
+        w = rng.uniform(-5.0, 5.0, size=(3, 20))
+        got = batched_osc_integral(fam, w, TAU4, conj_coef=np.zeros_like(fam.coef))
+        _close_to_reference(got, osc_family_reference(fam, w, TAU4))
+
+
+class TestDeadAxes:
+    """A monomial odd on a dead axis (no node has a centre or frequency on
+    it) has moment exactly 0 there, so the engine does not form it; the
+    oracle forms every monomial, and a table keeps every column."""
+
+    U0 = 1   # the column of u_0 in the graded order of `_engine_family`
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_same_monomial_dead_then_live(self, table):
+        """u_0 on the same family twice: axis 0 dead (dropped, an exact 0
+        column) and live through one node's centre (kept, nonzero there)."""
+        rng = np.random.default_rng(49)
+        dead = _engine_family(rng, DIAG4, 3, freq_axes=(1,), deg=3)
+        assert tuple(dead.expo[self.U0]) == (1, 0, 0, 0)
+        live = TermStack(DIAG4, dead.expo, dead.coef, dead.shift.copy(), dead.freq)
+        live.shift[1, 0] = 0.6
+        w = rng.uniform(-5.0, 5.0, size=(3, 20))
+        for fam in (dead, live):
+            _matches_reference(fam, w, table)
+        if table:
+            assert np.all(batched_osc_integral(dead, w, TAU4, table=True)[..., self.U0] == 0)
+            col = batched_osc_integral(live, w, TAU4, table=True)[..., self.U0]
+            assert np.all(col[[0, 2]] == 0) and np.all(np.abs(col[1]) > 0)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_coupled_centred_family(self, table):
+        """Every axis of the diagonal family is dead; the table maps back
+        through the congruence's basis restricted to the kept monomials."""
+        rng = np.random.default_rng(50)
+        fam = _engine_family(rng, _coupled_form(rng), 3, deg=4)
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(3, 20)), table)
 
 
 # ------------------------------------------------- term stacks (per-term forms)

@@ -426,3 +426,53 @@ class TestCentredIsotropicInput:
         zero = GaussPoly.iso_gaussian(4, coeff=0.0)
         assert inv_p_eps_oracle(zero, 2) == 0
         assert p_i0_power(-0.5, zero, 1, 2) == 0
+
+
+class TestUnconvergedRefinement:
+    """Each refinement that ends with err = inf raises NotConverged instead of
+    returning its last value.  The refinement is patched to report inf."""
+
+    @staticmethod
+    def _unconverged(refine, calls=None):
+        """refine, reporting err = inf on the calls listed (every call if None)."""
+        count = [0]
+
+        def patched(*args, **kwargs):
+            out = refine(*args, **kwargs)
+            count[0] += 1
+            if calls is not None and count[0] - 1 not in calls:
+                return out
+            err = np.full_like(out[1], np.inf) if np.ndim(out[1]) else math.inf
+            return (out[0], err, *out[2:])
+        return patched
+
+    def test_kernel_q_lm(self, monkeypatch):
+        from pseudoht import specfun
+
+        monkeypatch.setattr(specfun, "refine_many", self._unconverged(specfun.refine_many))
+        with pytest.raises(NotConverged):
+            kernel_q_lm(2, 1, np.array([0.8, 0.1, 0.2, 0.0]), [0.9], KernelSelector.heaviside())
+
+    @pytest.mark.parametrize("call", [
+        lambda: gbar_residual(2, 2, np.array([0.8, 0.1, 0.2, 0.0]), [0.9, 0.2]),
+        lambda: smooth_kernel_offcone(2, 1, np.array([2.0, 0.3, 0.1, 0.2]), [0.2]),
+    ], ids=["gbar_residual", "smooth_kernel_offcone"])
+    def test_refine_until_sites(self, monkeypatch, call):
+        call()   # converges unpatched
+        monkeypatch.setattr(kernels, "refine_until", self._unconverged(kernels.refine_until))
+        with pytest.raises(NotConverged):
+            call()
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["t_below_1", "t_above_1"])
+    def test_inv_p_power_either_half(self, monkeypatch, half):
+        """Only one of its two refine_many calls fails; a single term and a
+        node family both raise."""
+        term = GaussPoly.iso_gaussian(4, a=2.0)
+        family = GaussPoly.iso_gaussian(5, a=2.0).restrict([4], np.array([[0.1], [0.3]]))
+        refine = kernels.refine_many
+        for psi in (term, family):
+            inv_p_power(psi, 2)   # converges unpatched
+            monkeypatch.setattr(kernels, "refine_many", self._unconverged(refine, {half}))
+            with pytest.raises(NotConverged):
+                inv_p_power(psi, 2)
+            monkeypatch.setattr(kernels, "refine_many", refine)

@@ -16,6 +16,7 @@ from pseudoht.pairing import (
     pseudo_pair_n2,
 )
 from pseudoht.quadrature import half_disc_rule
+from pair_k_reference import pair_k_two_calls, pair_mr_per_node
 from second_form_reference import second_form_reference
 
 SMALL = PairBudget(radial_geo_panels=8, radial_lin_panels=6, radial_order=8,
@@ -173,6 +174,75 @@ class TestEngineWork:
         dphi = g022.apply_delta_rs(g022.left_translate(PHI6, G6))
         counts = [_engine_freqs(monkeypatch, dphi, m) for m in (8, 16)]
         assert counts[1] > counts[0] > 0
+
+
+# off-centre in x, so the transforms carry a xi-frequency b != 0
+OFF6 = GaussPoly(6, np.diag([1.0, 1.3, 0.8, 1.1, 0.9, 1.2]),
+                 {(0,) * 6: 1.0, (1, 0, 0, 0, 0, 1): 0.3},
+                 shift=np.array([0.4, -0.3, 0.2, 0.1, 0.0, 0.0]))
+OFF5 = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]), {(0,) * 5: 1.0, (0, 1, 0, 0, 1): 0.3},
+                 shift=np.array([0.4, -0.3, 0.2, 0.1, 0.2]))
+
+
+class TestOneEnginePass:
+    """Both kernel halves in one engine pass against the two-call route
+    (`tests/pair_k_reference.py`), which runs the mu-half at -rho/r."""
+
+    @staticmethod
+    def close(got, want):
+        assert abs(want) >= 1e-3
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("case", [
+        (2, 2, lambda G: OFF6, KernelSelector.constant(0.3 + 0.2j)),
+        (2, 1, lambda G: OFF5, KernelSelector.heaviside()),
+        (2, 2, lambda G: G.apply_delta_rs(G.left_translate(PHI6, G6)),
+         KernelSelector.constant(0.3 + 0.2j)),
+        (2, 2, lambda G: PHI6, KernelSelector.constant(0.3 + 0.2j)),
+        (2, 1, lambda G: G.apply_delta_rs(PHI5), KernelSelector.heaviside()),
+    ], ids=["off_centre", "off_centre_heaviside", "coupled_x_z", "complex_constant", "heaviside"])
+    def test_pair_k_matches_two_calls(self, case):
+        n, s, make, sel = case
+        G = GroupStructure.from_signature(Signature(0, s, n))
+        phi = make(G)
+        self.close(pair_k(n, s, phi, sel, SMALL, with_error=False).value,
+                   pair_k_two_calls(n, s, phi, sel, SMALL))
+
+    def test_one_call_per_rho_block(self, heis2, monkeypatch):
+        """A heaviside pairing of a centred term: lam and mu each live on one
+        sphere node, and both halves share each block's one engine call, half
+        the calls of the two-call route."""
+        import pair_k_reference
+
+        calls = []
+        engine = pairing.batched_osc_integral
+
+        def counting(phi, w, tau, **kw):
+            calls.append(kw.get("conj_coef") is not None)
+            return engine(phi, w, tau, **kw)
+
+        monkeypatch.setattr(pairing, "batched_osc_integral", counting)
+        monkeypatch.setattr(pair_k_reference, "batched_osc_integral", counting)
+        dphi = heis2.apply_delta_rs(PHI5)
+        pair_k(2, 1, dphi, KernelSelector.heaviside(), SMALL, with_error=False)
+        merged = list(calls)
+        pair_k_two_calls(2, 1, dphi, KernelSelector.heaviside(), SMALL)
+        assert merged and all(merged)
+        assert len(calls) == 3 * len(merged)
+
+    @pytest.mark.parametrize("phi", [
+        PHI5,
+        GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]), {(0,) * 5: 1.0},
+                  shift=np.array([0.0, 0.0, 0.0, 0.0, 15.0])),
+        OFF5,
+        GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]), {(0,) * 5: 1.0},
+                  freq=np.array([0.5, 0.0, 0.2, 0.0, 0.0])),
+    ], ids=["hermite", "trapezoid_odd", "off_centre", "x_frequency"])
+    def test_pair_mr_matches_per_node(self, heis2, phi):
+        """Mirrored theta nodes share a row (Hermite; the trapezoid, whose odd
+        rule has a middle node at theta = 0); with b != 0 every node keeps its own."""
+        self.close(pair_mr_heisenberg(heis2, phi, with_error=False).value,
+                   pair_mr_per_node(heis2, phi))
 
 
 class TestInputChecks:
