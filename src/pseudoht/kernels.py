@@ -12,8 +12,9 @@ exponent (n-2)/2 (the same rho-form as the Bessel/Struve representations).
 q^{lam,mu} takes one such rho-integral per value: its mu-part is the
 conjugate of its lam-part.  P^lambda acts on radial test functions
 g(P, S) e^{-aS} (`PSGauss`), with g in the (expo, coef) form of `gausspoly`
-and the flat ultra-hyperbolic operator applied on its graded basis.
-Tolerances and caps no caller changes are module constants.
+and the flat ultra-hyperbolic operator applied on its graded basis; at even n
+its region integrals are exact Gamma moments, at real and complex lambda (odd
+n raises UnsupportedN).  Tolerances no caller changes are module constants.
 """
 from __future__ import annotations
 
@@ -24,43 +25,36 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    OnConeRegion,
-    PolePosition,
-    ThetaZero,
-    UnsupportedN,
-)
+from .errors import NonPositiveScale, OnConeRegion, PolePosition, ThetaZero, UnsupportedN
 from .gausspoly import (
     GaussMixture,
     GaussPoly,
     TermStack,
+    _contract,
     _degree,
     _graded,
+    _linear_subst,
+    _product,
     as_families,
     as_terms,
     batched_osc_integral,
+    collect,
     equal_rows,
     node_blocks,
 )
 from .quadrature import (
     composite_legendre,
     converged,
-    genlaguerre_rule,
     half_disc_rule,
     refine_many,
     refine_until,
     sine_map_rule,
-    tensor_rule,
 )
-from .specfun import gamma_half, osc_weight_integral
+from .specfun import gamma, gamma_half, osc_weight_integral
 
 _OFFCONE_TOL = 1e-6                      # smooth_kernel_offcone
 _INV_P_TOL = 1e-7                        # inv_p_power, both t-halves
 _ORACLE_EPS = (0.1, 0.05, 0.025, 0.0125)  # inv_p_eps_oracle's Richardson ladder
-_P_I0_TOL = 1e-8                         # p_i0_power
-# SciPy's generalized Laguerre weights are NaN from order 384 on, so the
-# doubling 48, 96, 192 stops there
-_P_I0_MAX_ORDER = 192
 
 
 # ------------------------------------------------------------ array kernels
@@ -418,8 +412,9 @@ class PSGauss:
     """
 
     def __init__(self, n: int, a: float, expo, coef):
-        self.n = n
-        self.a = float(a)
+        if not a > 0:
+            raise NonPositiveScale(f"e^(-aS) needs a > 0, got a = {a}")
+        self.n, self.a = n, float(a)
         self.expo = np.asarray(expo, dtype=int).reshape(-1, 2)
         self.coef = np.asarray(coef, dtype=complex)
 
@@ -443,31 +438,29 @@ class PSGauss:
             + 4 * b.times(b.partial(g_p, 0) + b.partial(g_s, 1) - 2 * a * g_s + a * a * g, (1, 0))
         return PSGauss(self.n, a, *b.sparse(out))
 
-    def integral_region(self, mu: complex, sign: int, npts: int) -> complex:
-        """(P_{+-}^mu, f): [pi^{n/2}/Gamma(n/2)]^2 * 2-D Laguerre quadrature.
+    def integral_region(self, mu: complex) -> np.ndarray:
+        """((P_+^mu, f), (P_-^mu, f)) in closed form, for even n and Re mu > -1.
 
-        Coordinates A = |u|^2, B = |w|^2 with measure (A B)^{n/2 - 1} dA dB;
-        region P > 0 is A = B + v, region P < 0 is B = A + v, v > 0.
+        In A = |u|^2, B = |w|^2 the measure is [pi^{n/2}/Gamma(n/2)]^2
+        (A B)^{n/2 - 1} dA dB.  Region P > 0 is A = B + V, region P < 0 is
+        B = A + V (A renamed B), V > 0, so g (A B)^{n/2 - 1} is a polynomial in
+        (V, B) per region, and V^p B^q against V^mu e^{-a (V + 2B)} gives
+        Gamma(mu+1) (mu+1)_p a^{-(mu+p+1)} q! (2a)^{-(q+1)}.
         """
-        a, n = self.a, self.n
-        remu = float(np.real(mu))
-        if remu <= -1:
+        if np.real(mu) <= -1:
             raise PolePosition("two-region integral needs Re(mu) > -1")
-        xv, wv = genlaguerre_rule(npts, remu)
-        xb, wb = genlaguerre_rule(npts, 0.0)
-        # v = xv / a carries the weight v^{Re mu} e^{-a v}, b = xb / (2a) e^{-2ab}
-        pts, wt = tensor_rule([xv / a, xb / (2 * a)], [wv / a ** (remu + 1), wb / (2 * a)])
-        V, B = pts.T.copy()
-        A = B + V
-        P = V if sign > 0 else -V
-        S = 2 * B + V
-        g = np.zeros_like(V, dtype=complex)
-        for (i, j), c in zip(self.expo.tolist(), self.coef):
-            g = g + c * P ** i * S ** j
-        extra = V ** (mu - remu) if mu != remu else 1.0  # v^{i Im mu}
-        integ = (A * B) ** (n / 2.0 - 1.0) * g * extra
-        const = (math.pi ** (n / 2.0) / gamma_half(n / 2.0)) ** 2
-        return const * complex(np.sum(wt * integ))
+        h = (self.expo, self.coef)
+        for _ in range(self.n // 2 - 1):   # times A B = (S^2 - P^2)/4
+            h = _product(h, (np.array([[0, 2], [2, 0]]), np.array([0.25, -0.25])))
+        expo, coef = collect(*h)
+        # (P, S) = (V, V + 2B) in region P > 0 and (-V, V + 2B) in region P < 0
+        expo, T = _linear_subst(expo, np.array([[[1, 0], [1, 2]], [[-1, 0], [1, 2]]]))
+        coef = _contract(np.broadcast_to(coef, (2, coef.size)), T)
+        p, q = expo.T
+        rising = np.cumprod(np.r_[1.0, mu + 1 + np.arange(p.max(initial=0))])  # (mu+1)_p
+        moments = gamma(mu + 1) * rising[p] * self.a ** -(mu + p + 1) \
+            * np.array([math.factorial(j) for j in q]) / (2 * self.a) ** (q + 1.0)
+        return (math.pi ** (self.n / 2) / gamma_half(self.n / 2)) ** 2 * (coef @ moments)
 
 
 def lambda_factor(lam: complex, k: int, n: int):
@@ -493,33 +486,21 @@ def p_i0_power(lam: complex, psi, k: int, n: int, side: str = "minus") -> comple
     integer points (lam + j = 0 for some j <= k) the value is the two-sided
     analytic limit, evaluated by averaging lam +- delta.
 
-    Each value refines its Laguerre order from 48 up to _P_I0_MAX_ORDER and
-    raises NotConverged if two orders never agree.  Odd n is rejected: there
-    the weight (A B)^{n/2 - 1} is singular at the edges of the Laguerre grid
-    and the refinement does not settle.
+    Exact Gamma moments (`PSGauss.integral_region`) at real and complex lam;
+    odd n is rejected, as there (A B)^{n/2 - 1} is not a polynomial.
     """
     if n % 2:
-        raise UnsupportedN("the two-region P^lambda quadrature needs even n")
-    if np.real(lam) + k <= -1:
-        raise PolePosition("two-region quadrature needs Re(lambda) + k > -1")
+        raise UnsupportedN("the closed-form P^lambda moments need even n")
     ps = psi if isinstance(psi, PSGauss) else PSGauss.from_gausspoly(psi, n)
-    lk = ps
+    if ps.n != n:
+        raise UnsupportedN(f"the PSGauss lives at n = {ps.n}, not n = {n}")
     for _ in range(k):
-        lk = lk.apply_L()
+        ps = ps.apply_L()
     phase_sign = -1.0 if side == "minus" else 1.0
 
     def value_at(lmb: complex) -> complex:
-        mu = lmb + k
-        factor = lambda_factor(lmb, k, n)
-        assert factor is not None
-
-        def eval_with(npts: int) -> complex:
-            vp = lk.integral_region(mu, +1, npts)
-            vm = lk.integral_region(mu, -1, npts)
-            return vp + np.exp(phase_sign * 1j * math.pi * mu) * vm
-
-        val, err, order = refine_until(eval_with, 48, _P_I0_TOL, _P_I0_MAX_ORDER)
-        return factor * converged(val, err, "P^lambda at %s, Laguerre order %d", lmb, order)
+        vp, vm = ps.integral_region(lmb + k)
+        return lambda_factor(lmb, k, n) * (vp + np.exp(phase_sign * 1j * math.pi * (lmb + k)) * vm)
 
     if lambda_factor(lam, k, n) is not None:
         return value_at(lam)

@@ -26,14 +26,13 @@ at n = 2, pair_mr_heisenberg and pseudo_pair_n2) therefore never import
 (about 0.05 s per process).
 
 The Jacobi rules (half_disc_rule for every alpha, hence every rho-integral of
-specfun and gbar_residual) and the generalized Laguerre rules (p_i0_power)
-still come from SciPy.  Both feed rho-integral values that the benchmark's
-drift gate holds to 1e-12 relative against references recorded with SciPy's
-rules, and SciPy's Jacobi weights carry relative errors up to 4e-10 for
-n = 128-248 (against mpmath): even the Legendre rule in place of
-half_disc_rule(., 0) moves n = 2 gbar values past that gate.  So more
-accurate Jacobi and Laguerre rules belong with a change that records those
-references again.
+specfun and gbar_residual) still come from SciPy: the benchmark's drift gate
+holds their rho-integrals to 1e-12 relative against references recorded with
+SciPy's rules, and SciPy's Jacobi weights carry relative errors up to 4e-10
+for n = 128-248 (against mpmath), so even the Legendre rule in place of
+half_disc_rule(., 0) moves n = 2 gbar values past that gate.  A more accurate
+Jacobi rule belongs with a change that records those references again.  The
+Laguerre rule has no library caller; the benchmark's tracer wraps it by name.
 """
 from __future__ import annotations
 
@@ -207,7 +206,7 @@ def jacobi_rule(npts: int, alpha: float):
 
 @lru_cache(maxsize=256)
 def genlaguerre_rule(npts: int, alpha: float):
-    """Nodes/weights for integral_0^inf x^alpha e^{-x} f(x) dx."""
+    """Nodes/weights for int_0^inf x^alpha e^{-x} f(x) dx; kept for perfbench's tracer."""
     from scipy.special import roots_genlaguerre
     return roots_genlaguerre(npts, alpha)
 

@@ -290,16 +290,20 @@ def check_inv_p_and_continuation() -> dict:
     k1 = p_i0_power(-0.5, psi, 1, 2)
     k2 = p_i0_power(-0.5, psi, 2, 2)
     rel_k = abs(k1 - k2) / abs(k1)
+    kc2, kc3 = (p_i0_power(-1.0 + 0.1j, psi, k, 2) for k in (2, 3))
+    rel_kc = abs(kc2 - kc3) / abs(kc2)  # complex lambda
     # odd test function pairs to zero
     odd = GaussPoly(4, 2.0 * np.eye(4), {(1, 0, 0, 0): 1.0})
     odd_val = abs(inv_p_power(odd, 2))
-    passed = rel_eps <= 1e-3 and rel_cont <= 1e-3 and rel_k <= 1e-5 and odd_val <= 1e-10
+    passed = rel_eps <= 1e-3 and rel_cont <= 1e-3 and rel_k <= 1e-5 and rel_kc <= 1e-12 \
+        and odd_val <= 1e-10
     return _result("inv_p_and_continuation", passed, 1e-3,
                    direct=[direct.real, direct.imag],
                    eps_oracle=[oracle.real, oracle.imag],
                    closed_form=[0.0, math.pi ** 3 / 2],
                    rel_eps=rel_eps, rel_continuation=rel_cont,
                    rel_k_independence=rel_k, k_tol=1e-5, odd_value=odd_val,
+                   rel_k_independence_complex=rel_kc, k_complex_tol=1e-12,
                    runtime_s=time.time() - t0)
 
 

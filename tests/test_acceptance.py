@@ -133,6 +133,9 @@ def test_criterion_07_inv_p_and_continuation():
     assert res["rel_eps"] <= 1e-3
     assert res["rel_continuation"] <= 1e-3
     assert res["rel_k_independence"] <= 1e-5
+    # lambda = -1 + 0.1i, k = 2 against k = 3: the closed-form moments hold
+    # at complex lambda, where the Laguerre quadrature never settled
+    assert res["rel_k_independence_complex"] <= 1e-12
 
 
 def _series_j(nu, v):

@@ -7,7 +7,14 @@ from scipy.integrate import quad
 
 from pseudoht.clifford import p_form
 from pseudoht import kernels
-from pseudoht.errors import NotConverged, OnConeRegion, PolePosition, ThetaZero, UnsupportedN
+from pseudoht.errors import (
+    NonPositiveScale,
+    NotConverged,
+    OnConeRegion,
+    PolePosition,
+    ThetaZero,
+    UnsupportedN,
+)
 from pseudoht.gausspoly import GaussPoly, apply_operator, axis_monomial, equal_rows
 from pseudoht.kernels import (
     KernelSelector,
@@ -25,9 +32,10 @@ from pseudoht.kernels import (
     smooth_kernel_offcone,
     volume_element,
 )
-from pseudoht.quadrature import genlaguerre_rule, half_disc_rule
+from pseudoht.quadrature import half_disc_rule
 from pseudoht.specfun import osc_weight_integral
 from inv_p_reference import inv_p_power_per_node
+from p_lambda_reference import laguerre_region, p_i0_power_laguerre
 from radial_l1 import radial_l1_norm
 
 
@@ -324,7 +332,7 @@ class TestInvP:
 class TestPi0Power:
     def test_lambda_zero_k_zero_is_plain_integral(self):
         psi = GaussPoly.iso_gaussian(4, a=2.0)
-        assert abs(p_i0_power(0.0, psi, 0, 2) - psi.integral()) < 1e-10
+        assert abs(p_i0_power(0.0, psi, 0, 2) - psi.integral()) < 1e-13
 
     def test_matches_inv_p_at_minus_n_plus_1(self):
         psi = GaussPoly.iso_gaussian(4, a=2.0)
@@ -378,29 +386,49 @@ class TestPi0Power:
             assert np.min(np.abs(want)) > 1e-3
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
-    @pytest.fixture
-    def laguerre_orders(self, monkeypatch):
-        """The orders of every Laguerre rule p_i0_power requests."""
-        orders = []
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("mu", [-0.5, 0.5, 1.7])
+    def test_closed_form_matches_laguerre_oracle(self, n, mu):
+        """At real mu and even n both regions are polynomial in (V, B) against
+        Laguerre weights, so the order-48 rule of the oracle is exact too."""
+        ps = PSGauss(n, 0.8, [(0, 0), (1, 0), (1, 2)], [1.0, 0.3 - 0.2j, 0.05]).apply_L()
+        got = ps.integral_region(mu)
+        want = np.array([laguerre_region(ps, mu, sign, 48) for sign in (1, -1)])
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
-        def spy(npts, alpha):
-            orders.append(npts)
-            return genlaguerre_rule(npts, alpha)
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("lam, k", [(-0.5, 1), (0.7, 2)])
+    def test_matches_laguerre_route_at_real_lambda(self, n, lam, k):
+        ps = PSGauss.from_gausspoly(GaussPoly.iso_gaussian(2 * n, a=1.6, coeff=0.9), n)
+        want = p_i0_power_laguerre(lam, ps, k)
+        assert abs(p_i0_power(lam, ps, k, n) - want) <= 1e-12 * abs(want)
 
-        monkeypatch.setattr(kernels, "genlaguerre_rule", spy)
-        return orders
+    @pytest.mark.parametrize("lam", [-1.0 + 0.1j, -0.5 + 1.0j])
+    def test_k_independence_at_complex_lambda(self, lam):
+        """Complex lambda, where the Laguerre quadrature converges too slowly
+        to serve as the oracle."""
+        psi = GaussPoly.iso_gaussian(4, a=2.0)
+        v2, v3 = p_i0_power(lam, psi, 2, 2), p_i0_power(lam, psi, 3, 2)
+        assert abs(v2 - v3) <= 1e-12 * abs(v2)
 
-    def test_refinement_is_capped_and_raises(self, laguerre_orders):
-        """At complex lambda the two-region quadrature does not settle; the
-        doubling stops at Laguerre order 192 (SciPy's weights are NaN from 384)
-        and raises instead of returning an unconverged number."""
-        with pytest.raises(NotConverged):
-            p_i0_power(-1.0 + 0.1j, GaussPoly.iso_gaussian(4, a=2.0), 2, 2)
-        assert max(laguerre_orders) == 192
+    def test_n4_continuation_matches_inv_p(self):
+        """lam = -3 is removable at k = 3; the lam +- 1e-4 average carries a
+        delta^2 error (measured 7e-9)."""
+        psi = GaussPoly.iso_gaussian(8, a=2.0)
+        direct = inv_p_power(psi, 4)
+        assert abs(p_i0_power(-3.0, psi, 3, 4) - direct) <= 1e-6 * abs(direct)
 
-    def test_converged_values_stop_below_the_cap(self, laguerre_orders):
-        p_i0_power(-1.0, GaussPoly.iso_gaussian(4, a=2.0), 2, 2)
-        assert max(laguerre_orders) <= 96
+    @pytest.mark.parametrize("a", [-1.0, 0.0])
+    def test_non_positive_scale_rejected(self, a):
+        """e^{-aS} with a <= 0 is not integrable."""
+        with pytest.raises(NonPositiveScale):
+            PSGauss(2, a, [(0, 0)], [1.0])
+
+    def test_psgauss_of_another_n_rejected(self):
+        with pytest.raises(UnsupportedN):
+            p_i0_power(-0.5, PSGauss(3, 1.0, [(0, 0)], [1.0]), 1, 2)
+        with pytest.raises(UnsupportedN):
+            p_i0_power(-0.5, PSGauss(4, 1.0, [(0, 0)], [1.0]), 1, 2)
 
     def test_odd_n_rejected(self):
         with pytest.raises(UnsupportedN):

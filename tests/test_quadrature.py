@@ -216,7 +216,8 @@ class TestLegendreRule:
 def test_legendre_passes_do_not_import_scipy_linalg():
     """The witness grid, composite rules, the second form and everything the
     pair-k benchmark runs (pair_k at n = 2, pair_mr_heisenberg,
-    pseudo_pair_n2) use rules built in NumPy: no SciPy module is loaded,
+    pseudo_pair_n2) use rules built in NumPy, and P^lambda (`p_i0_power` at
+    n = 2 and 4) is a closed-form moment sum: no SciPy module is loaded,
     neither by `import pseudoht` (the Jacobi and Laguerre rules import
     `scipy.special` on their first call) nor by those passes."""
     code = textwrap.dedent("""
@@ -241,6 +242,9 @@ def test_legendre_passes_do_not_import_scipy_linalg():
         phi = GaussPoly(5, np.diag([1.0, 1.3, 0.8, 1.1, 0.9]), {(0,) * 5: 1.0})
         values.append(pair_mr_heisenberg(G, phi, with_error=False).value)
         values.extend(pseudo_pair_n2(G, phi))
+        from pseudoht import p_i0_power
+        for n in (2, 4):
+            values.append(p_i0_power(-0.5 + 0.2j, GaussPoly.iso_gaussian(2 * n), 2, n))
         assert all(v == v for v in values)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)

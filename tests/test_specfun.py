@@ -15,6 +15,7 @@ from pseudoht.errors import NonPositiveArgument, NotConverged
 from pseudoht.specfun import (
     bessel_j,
     bessel_y,
+    gamma,
     gamma_half,
     jh_combo,
     osc_weight_integral,
@@ -55,6 +56,28 @@ class TestGamma:
             gamma_half(0.3)
         with pytest.raises(NonPositiveArgument):
             gamma_half(0.0)
+
+
+class TestComplexGamma:
+    def test_against_mpmath(self):
+        """0 < Re z <= 10, |Im z| <= 3 (the range of p_i0_power's mu + 1),
+        with both sides of the |z| = 10 switch to Stirling's series."""
+        rng = np.random.default_rng(5)
+        zs = list(rng.uniform(1e-3, 10.0, 300) + 1j * rng.uniform(-3.0, 3.0, 300))
+        zs += [1e-3, 0.5, 1.0, 2.7, 9.999, 10.0, 10.5, 0.1 + 3j, 0.5 - 1j, 7.3 + 0.1j]
+        worst = max(abs(gamma(z) - complex(mpmath.gamma(mpmath.mpc(z))))
+                    / abs(complex(mpmath.gamma(mpmath.mpc(z)))) for z in zs)
+        assert worst <= 1e-14
+
+    def test_real_argument_is_real(self):
+        for x in (0.5, 1.7, 4.0):
+            assert gamma(x).imag == 0.0
+            assert gamma(x).real == pytest.approx(math.gamma(x), rel=1e-14)
+
+    @pytest.mark.parametrize("z", [0.0, -0.5, -1.0 + 2j])
+    def test_rejects_non_positive_real_part(self, z):
+        with pytest.raises(NonPositiveArgument):
+            gamma(z)
 
 
 class TestRhoIntegral:
