@@ -343,29 +343,46 @@ def check_special_functions() -> dict:
 
 # ---------------------------------------------------------------- criterion 9
 
-def check_nonexistence_witness(quick: bool = False) -> dict:
-    t0 = time.time()
-    sig = Signature(1, 1, 2)
+def _witness_numbers(sig: Signature, eta0, delta: float, **grids):
+    """The witness at one signature, its certificate and its report, and
+    whether it passes: relative residual <= 1e-8, integral psi > 0 and
+    |phi(0) - 1| <= 1e-10."""
     G = GroupStructure.from_signature(sig)
-    cfg = WitnessConfig(sig, np.array([2.0, 1.0]), 0.5,
-                        flow_nodes=64, eta_grid=4 if quick else 5,
-                        xi_grid=7 if quick else 9)
-    w = build_witness(G, cfg)
+    w = build_witness(G, WitnessConfig(sig, np.array(eta0), delta, **grids))
     cert = certify_kernel_residual(w)
     rep = nonsolvability_report(w)
+    passed = bool(cert["relative_residual"] <= 1e-8 and cert["integral_psi"] > 0
+                  and abs(rep["phi_at_0"] - 1.0) <= 1e-10)
+    return w, cert, rep, passed
+
+
+def check_nonexistence_witness(quick: bool = False) -> dict:
+    """The witness at (1,1,2), with the spectral drop of its kernel residual;
+    the full mode also certifies it at (1,2,2) (one entry)."""
+    t0 = time.time()
+    w, cert, rep, passed = _witness_numbers(
+        Signature(1, 1, 2), [2.0, 1.0], 0.5, flow_nodes=64,
+        eta_grid=4 if quick else 5, xi_grid=7 if quick else 9)
     # spectral drop of the trapezoid residual when node count doubles
     lo = certify_kernel_residual(w, flow_nodes=16)
     hi = certify_kernel_residual(w, flow_nodes=32)
     drop = lo["residual_sup"] / max(hi["residual_sup"], 1e-300)
-    passed = (cert["relative_residual"] <= 1e-8 and cert["integral_psi"] > 0
-              and abs(rep["phi_at_0"] - 1.0) <= 1e-10 and drop >= 100.0)
+    entries = []
+    if not quick:
+        _, c2, r2, ok = _witness_numbers(Signature(1, 2, 2), [2.0, 0.6, 0.5], 0.3,
+                                         flow_nodes=32, eta_grid=3, xi_grid=5)
+        entries.append({"instance": "(1,2,2) eta0 (2, 0.6, 0.5), delta 0.3",
+                        "relative_residual": c2["relative_residual"],
+                        "integral_psi": c2["integral_psi"], "phi_at_0": r2["phi_at_0"],
+                        "delta_phi_sup": r2["delta_phi_sup"], "tol": 1e-8, "passed": ok})
+    passed = passed and drop >= 100.0 and all(e["passed"] for e in entries)
     return _result("nonexistence_witness", passed, 1e-8,
                    relative_residual=cert["relative_residual"],
                    residual_sup=cert["residual_sup"], psi_sup=cert["psi_sup"],
                    integral_psi=cert["integral_psi"],
                    finv_psi_at_0=cert["finv_psi_at_0"],
                    phi_at_0=rep["phi_at_0"], delta_phi_sup=rep["delta_phi_sup"],
-                   node_doubling_drop=drop, runtime_s=time.time() - t0)
+                   node_doubling_drop=drop, entries=entries, runtime_s=time.time() - t0)
 
 
 # --------------------------------------------------------------- criterion 10

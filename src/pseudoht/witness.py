@@ -13,6 +13,11 @@ Fourier-side operator.  Since [F^{-1} psi](0) = (2 pi)^{-(n+(r+s)/2)}
 integral psi > 0, no tempered fundamental solution can exist, and the
 normalized phi = F^{-1} psi / c witnesses local non-solvability (constant
 sequence in the semi-norm criterion).
+
+`certify_kernel_residual` applies G_eta = A_eta + B_eta to each eta node's
+mixture as one operator (one derivative table, one term per flow image), and
+`nonsolvability_report` forms Delta phi over its x-grid one block of points at
+a time.
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ import numpy as np
 
 from .clifford import Signature, p_form
 from .errors import BumpOutsideK, DimensionMismatch, NonTimelikeEta
+from . import gausspoly
 from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial
 from .group import GroupStructure, tau_signs
 from .quadrature import legendre_rule, tensor_rule
@@ -69,12 +75,22 @@ def phi_eta(G: GroupStructure, eta) -> GaussPoly:
     return GaussPoly.iso_gaussian(2 * G.sig.n, a=2.0 * c)
 
 
+def _is_even(s) -> bool:
+    """Every term of the stack s is even: centred at 0, no frequency, and
+    every monomial of even total degree."""
+    return not (s.shift.any() or s.freq.any() or np.any(s.expo.sum(axis=1) % 2))
+
+
 def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     """Trapezoid discretization of D_eta phi = int_0^{q_eta} phi(e^{t Om tau} .) dt.
 
     Each node contributes a real-SPD precomposition, and the flow images of
     every term of phi are built as one stack (node-major); the trapezoid rule
     on the periodic analytic integrand converges spectrally in the node count.
+    Half a period on flips the flow, e^{(t + q_eta/2) Om tau} = -e^{t Om tau},
+    so for an even node count and an even phi (see `_is_even`) node k + N/2
+    repeats the image of node k: then only the first N/2 images are built,
+    each with weight 2 q_eta / N, which is the same trapezoid sum.
     """
     if nodes < 8:
         raise ValueError("use at least 8 trapezoid nodes")
@@ -82,11 +98,12 @@ def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     if q <= 0:
         raise NonTimelikeEta("D_eta averaging needs <eta,eta>_{r,s} > 0")
     period = G.flow_period(eta)
-    E = G.exp_flow(eta, np.arange(nodes) * period / nodes, side="right")
     s = phi.stack
-    images = s[np.tile(np.arange(len(s)), nodes)].precompose_affine(
+    built = nodes // 2 if nodes % 2 == 0 and _is_even(s) else nodes
+    E = G.exp_flow(eta, np.arange(built) * period / nodes, side="right")
+    images = s[np.tile(np.arange(len(s)), built)].precompose_affine(
         np.repeat(E, len(s), axis=0), np.zeros(2 * G.sig.n))
-    return GaussMixture([images.scaled(period / nodes)])
+    return GaussMixture([images.scaled(period / built)])
 
 
 # ------------------------------------------------------------------- witness
@@ -220,7 +237,8 @@ def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -
     """max |G_{r,s} psi| over the certification grid, plus the contradiction pair.
 
     G_{r,s} acts in xi only (eta enters through coefficients), so the residual
-    is evaluated exactly per eta node via the A/B mixture calculus.
+    is evaluated exactly per eta node: G_eta = A_eta + B_eta applied to the
+    node's mixture as one operator.
     """
     G, cfg = w.G, w.cfg
     nodes = flow_nodes or cfg.flow_nodes
@@ -232,7 +250,7 @@ def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -
         if om == 0.0:
             continue
         mix = w.mixture_at(eta, nodes)
-        vals = (a_eta_apply(G, mix, eta) + b_eta_apply(G, mix, eta)).evaluate_many(XI)
+        vals = apply_operator(mix, a_eta_op(G, eta) + b_eta_op(G, eta)).evaluate_many(XI)
         worst = max(worst, float(np.max(np.abs(vals))) * om)
     sup = witness_sup(w)
     integral = witness_integral(w)
@@ -266,23 +284,26 @@ def nonsolvability_report(w: WitnessFunction) -> dict:
     X = tensor_rule([np.linspace(-3.0, 3.0, 7)] * n2)
     Z = tensor_rule([np.linspace(-_Z_HALFWIDTH, _Z_HALFWIDTH, _Z_GRID)] * cd)
 
-    dphi_max = 0.0
+    dmixes, coeffs = [], []
     phi0 = 0.0 + 0.0j
-    vals_grid = np.zeros((X.shape[0], Z.shape[0]), dtype=complex)
     for eta, wk in zip(pts, wt):
         om = w.omega(eta)
         if om == 0.0:
             continue
-        mix = w.mixture_at(eta)
-        finv = mix.inverse_fourier()
-        dmix = apply_operator(finv, G.delta_eta_op(eta))
-        dvals = dmix.evaluate_many(X)
-        base = finv.evaluate_many(np.zeros((1, n2)))[0]
-        phase = np.exp(1j * Z @ eta)
+        finv = w.mixture_at(eta).inverse_fourier()
+        dmixes.append(apply_operator(finv, G.delta_eta_op(eta)))
         weight = wk * om * (2 * math.pi) ** (-cd / 2.0)
-        vals_grid += weight * np.outer(dvals, phase)
-        phi0 += weight * base * 1.0  # e^{i 0 . eta}
-    dphi_max = float(np.max(np.abs(vals_grid))) / abs(c)
+        coeffs.append(weight * np.exp(1j * Z @ eta))
+        phi0 += weight * finv.evaluate_many(np.zeros((1, n2)))[0]  # e^{i 0 . eta} = 1
+    # Delta phi on X x Z is D^T C, D (eta nodes, x-points) and C (eta nodes,
+    # z-points): formed one block of x-points at a time, keeping only its max
+    C = np.array(coeffs)
+    dphi_max = 0.0
+    for lo in range(0, len(X), gausspoly._EVAL_CHUNK):
+        block = X[lo:lo + gausspoly._EVAL_CHUNK]
+        D = np.array([dmix.evaluate_many(block) for dmix in dmixes])
+        dphi_max = max(dphi_max, float(np.max(np.abs(D.T @ C))))
+    dphi_max /= abs(c)
     return {
         "phi_at_0": abs(phi0) / abs(c),
         "normalization_c": abs(c),

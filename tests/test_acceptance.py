@@ -176,6 +176,12 @@ def test_criterion_09_nonexistence_witness():
     assert abs(res["phi_at_0"] - 1.0) <= 1e-10
     assert res["node_doubling_drop"] >= 100.0
     assert res["runtime_s"] < 120.0
+    # the full mode's second signature, (1,2,2), gated like (1,1,2)
+    (e122,) = res["entries"]
+    assert e122["passed"]
+    assert e122["relative_residual"] <= 1e-8
+    assert abs(e122["phi_at_0"] - 1.0) <= 1e-10
+    assert abs(e122["integral_psi"] - 7.930726308504409) <= 1e-12 * 7.930726308504409
 
 
 def test_criterion_10_counterexample_identity():

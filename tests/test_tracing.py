@@ -43,10 +43,13 @@ def test_tracer_wraps_a_witness_pass_and_restores_the_library():
         assert witness.nonsolvability_report(w)["normalization_c"] > 0
         phi = witness.phi_eta(G, ETA0)
         built = tracer.counts["gausspoly.constructions"]
-        mix = witness.d_eta_average(G, phi, ETA0, 16)
-        assert len(mix.terms) == 16
+        mix = witness.d_eta_average(G, phi, ETA0, 16)   # phi is even: 8 images
+        assert len(mix.terms) == 8
         assert tracer.counts["gausspoly.constructions"] == built
-        assert len((mix + mix.map_terms(lambda t: t.scaled(2.0))).terms) == 32
+        assert len((mix + mix.map_terms(lambda t: t.scaled(2.0))).terms) == 16
+        # certification applies A_eta + B_eta as one operator and calls neither
+        # a_eta_apply nor b_eta_apply: call one so witness.ab_apply is exercised
+        assert len(witness.a_eta_apply(G, mix, ETA0).terms) == 8
     finally:
         tracer.uninstall()
     assert tracer.counts["witness.d_eta_average.calls"] >= 2

@@ -6,12 +6,14 @@ import pytest
 
 from pseudoht.clifford import Signature, p_form
 from pseudoht.errors import BumpOutsideK, DimensionMismatch, NonTimelikeEta
-from pseudoht.gausspoly import GaussPoly
+from pseudoht.gausspoly import GaussMixture, GaussPoly, apply_operator
 from pseudoht.group import GroupStructure
 from pseudoht.witness import (
     WitnessConfig,
     a_eta_apply,
+    a_eta_op,
     b_eta_apply,
+    b_eta_op,
     ball_margin,
     build_witness,
     bump_value,
@@ -138,6 +140,56 @@ class TestDEtaAverage:
         res = a_eta_apply(g11, mix, ETA0)
         assert np.max(np.abs(res.evaluate_many(grid4))) <= 1e-9
 
+    @staticmethod
+    def _full_period_sum(G, phi, eta, nodes, U):
+        """(q_eta / N) sum_k phi(E_k u) over all N nodes, E_k from exp_flow."""
+        period = G.flow_period(eta)
+        E = G.exp_flow(eta, np.arange(nodes) * period / nodes)
+        return period / nodes * sum(phi.evaluate_many(U @ Ek.T) for Ek in E)
+
+    def test_even_node_count_folds_even_phi(self, g11, grid4):
+        """Node k + N/2 repeats node k's image of an even phi: N/2 images."""
+        phi = GaussMixture([phi_eta(g11, ETA0),
+                            GaussPoly(4, np.diag([1.0, 1.5, 0.8, 1.2]),
+                                      {(2, 0, 0, 0): 0.4, (1, 1, 0, 0): -0.3,
+                                       (0, 0, 0, 0): 1.0})])
+        for nodes in (16, 32):
+            mix = d_eta_average(g11, phi, ETA0, nodes)
+            assert len(mix.terms) == nodes // 2 * len(phi.terms)
+            want = self._full_period_sum(g11, phi, ETA0, nodes, grid4)
+            assert np.max(np.abs(mix.evaluate_many(grid4) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", ["odd_nodes", "shifted", "linear", "frequency"])
+    def test_no_fold_without_both_symmetries(self, g11, grid4, case):
+        """Odd N, or a phi that is not even, builds every node's image."""
+        quad = np.diag([1.0, 1.5, 0.8, 1.2])
+        phi, nodes = {
+            "odd_nodes": (phi_eta(g11, ETA0), 17),
+            "shifted": (GaussPoly.gaussian(quad, shift=np.array([0.3, 0.0, -0.2, 0.0])), 16),
+            "linear": (GaussPoly(4, quad, {(0, 0, 1, 0): 0.5, (0, 0, 0, 0): 1.0}), 16),
+            "frequency": (GaussPoly(4, quad, {(0, 0, 0, 0): 1.0},
+                                    freq=np.array([0.0, 0.4, 0.0, 0.0])), 16),
+        }[case]
+        mix = d_eta_average(g11, phi, ETA0, nodes)
+        assert len(mix.terms) == nodes
+        want = self._full_period_sum(g11, phi, ETA0, nodes, grid4)
+        assert np.max(np.abs(mix.evaluate_many(grid4) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_one_operator_for_a_plus_b(self, g11, grid4):
+        """G_eta = A_eta + B_eta applied as one operator, as certification does."""
+        generic = GaussMixture([
+            GaussPoly(4, np.diag([1.0, 1.5, 0.8, 1.2]), {(1, 0, 1, 0): 0.4, (0, 0, 0, 0): 1.0}),
+            GaussPoly(4, np.eye(4), {(0, 2, 0, 0): 0.7}, shift=np.array([0.3, 0.0, 0.0, -0.5]))])
+        # at 16 nodes the flow average is not yet in the kernel on this wide grid
+        mix = d_eta_average(g11, phi_eta(g11, ETA0), ETA0, 16)
+        for phi in (generic, mix):
+            one = apply_operator(phi, a_eta_op(g11, ETA0) + b_eta_op(g11, ETA0))
+            assert len(one.terms) == len(phi.terms)
+            want = (a_eta_apply(g11, phi, ETA0).evaluate_many(grid4)
+                    + b_eta_apply(g11, phi, ETA0).evaluate_many(grid4))
+            assert np.max(np.abs(want)) > 1e-4
+            assert np.max(np.abs(one.evaluate_many(grid4) - want)) <= 1e-12
+
     def test_positivity(self, g11, grid4):
         mix = d_eta_average(g11, phi_eta(g11, ETA0), ETA0, 16)
         vals = mix.evaluate_many(grid4)
@@ -234,6 +286,20 @@ class TestWitness:
         rep = nonsolvability_report(w)
         assert abs(rep["phi_at_0"] - 1.0) <= 1e-10
         assert rep["delta_phi_sup"] <= 1e-6
+
+    def test_report_streams_the_x_grid(self, g11, monkeypatch):
+        """Blocks of 100 x-points (7^4 = 2401 in all) give the one-block report."""
+        from pseudoht import gausspoly
+
+        cfg = WitnessConfig(Signature(1, 1, 2), ETA0, 0.5, flow_nodes=64,
+                            eta_grid=3, xi_grid=3)
+        whole = nonsolvability_report(build_witness(g11, cfg))
+        monkeypatch.setattr(gausspoly, "_EVAL_CHUNK", 100)
+        blocked = nonsolvability_report(build_witness(g11, cfg))
+        for key in ("phi_at_0", "normalization_c"):
+            assert abs(blocked[key] - whole[key]) <= 1e-12 * abs(whole[key]), key
+        assert whole["delta_phi_sup"] > 0
+        assert abs(blocked["delta_phi_sup"] - whole["delta_phi_sup"]) <= 1e-20
 
     def test_each_mixture_built_once(self, g11, monkeypatch):
         """Build, certify and report share the cached mixture of every eta node."""
