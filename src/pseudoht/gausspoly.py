@@ -621,28 +621,6 @@ def apply_operator(phi, op: list):
     return out.term(0) if isinstance(phi, GaussPoly) else GaussMixture([out])
 
 
-def compose(first: list, op: list) -> list:
-    """`first` o `op` as operator data, for a first-order `first` (unit multi-indices).
-
-    Leibniz: a d_i (b D^beta) = a (d_i b) D^beta + a b D^{beta + e_i}.
-    """
-    parts: dict = {}
-    for ea, ca, e in first:
-        i = e.index(1)
-        for eb, cb, beta in op:
-            raised = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            has = eb[:, i] > 0
-            db = (eb[has] - np.eye(len(e), dtype=int)[i], cb[has] * eb[has, i])
-            parts.setdefault(beta, []).append(_product((ea, ca), db))
-            parts.setdefault(raised, []).append(_product((ea, ca), (eb, cb)))
-    out = []
-    for alpha, polys in parts.items():
-        expo, coef = collect(*(np.concatenate(x) for x in zip(*polys)))
-        if len(coef):
-            out.append((expo, coef, alpha))
-    return out
-
-
 # ------------------------------------------------------------- node families
 
 # The oscillatory engine works in passes over (node, frequency) pairs whose
@@ -923,20 +901,22 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
 
     After the tau-congruence the form is diagonal, so at a (node, frequency)
     pair the integral factors over the axes: axis j is the 1-D complex
-    Gaussian with beta_j = a_j - 2 i tau_j w, mean mu_j = lin_j / beta_j,
-    lin_j = i b_j + 2 i tau_j w c_j, and variance sigma_j^2 = 1 / beta_j.
-    The prefactor prod_j sqrt(2 pi / beta_j) splits into its modulus, one log
-    of prod_j (a_j^2 + 4 w^2) (node-free, every factor >= a_j^2 > 0), and
-    its phase, -1/2 sum_j arg(beta_j) by arctan2 per axis (the angle of the
-    product would lose multiples of 2 pi).  The exponent of axis j,
-    lin_j^2 / (2 beta_j) + i b_j c_j + i tau_j w c_j^2, is formed as
-        (-b_j^2 - 4 tau_j w b_j c_j + 2 i tau_j w a_j c_j^2) / (2 beta_j) + i b_j c_j,
+    Gaussian with beta_j = a_j - 2 i tau_j w, variance sigma_j^2 = 1 / beta_j
+    and mean mu_j = lin_j sigma_j^2, lin_j = i b_j + 2 i tau_j w c_j.  Per
+    pass, r2_j = |beta_j|^2 = a_j^2 + 4 w^2 is formed once (every factor
+    >= a_j^2 > 0); sigma_j^2 = (a_j + 2 i tau_j w) / r2_j is written from its
+    real and imaginary parts into one (d, pass) array.  The prefactor
+    prod_j sqrt(2 pi / beta_j) splits into its modulus, one log of prod_j r2_j,
+    and its phase, -1/2 sum_j arg(beta_j) by arctan2 per axis (the angle of
+    the product would lose multiples of 2 pi).  The exponent of axis j,
+    lin_j^2 sigma_j^2 / 2 + i b_j c_j + i tau_j w c_j^2, is formed as
+        (-b_j^2 - 4 tau_j w b_j c_j + 2 i tau_j w a_j c_j^2) sigma_j^2 / 2 + i b_j c_j,
     in which the w^2 c_j^2 terms of the two parts have cancelled exactly, so
     it keeps its relative accuracy at large |w|.  An axis is live when some
     node of the family has a nonzero centre or frequency on it; on a dead
     axis the exponent and mu_j are exactly 0, so both are formed on live
-    axes only, its moments come from the sigma^2 recursion alone, and a
-    monomial odd on it (moment exactly 0) is dropped; a table keeps its 0s.
+    axes only; a monomial odd on it (moment exactly 0) is dropped (a table keeps
+    its 0s), and its moments are the even ones, (2h - 1)!! sigma_j^{2h} at 2h.
 
     A pass holds _OSC_BYTES // (16 (M_table + M + 2 d)) pairs: M_table the
     caller's monomial count in table mode (0 otherwise), M and d the formed
@@ -980,33 +960,40 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
         i = np.arange(lo, lo + wc.size) // nw
         # Re beta = a > 0 keeps arg(beta) in (-pi/2, pi/2), so the principal
         # roots multiply as exp(-1/2 sum log beta): the real part of the sum
-        # is one log of the product of the |beta|^2, the angles add per axis
+        # is one log of the product of the |beta|^2, the angles add per axis;
+        # the angles come first, so that r2 is not held across their temporaries
         ex = np.empty(wc.size, dtype=complex)
-        ex.real = -0.25 * np.log(np.prod(a2 + 4.0 * wc ** 2, axis=0))
         ex.imag = -0.5 * np.sum(np.arctan2(-2.0 * t * wc, a), axis=0)
+        r2 = a2 + 4.0 * wc ** 2                 # |beta_j|^2, (d, pass)
+        ex.real = -0.25 * np.log(np.prod(r2, axis=0))
         if axes or live.size:
-            beta = a - 2j * t * wc
+            sig2 = np.empty(r2.shape, dtype=complex)   # 1 / beta = conj(beta) / |beta|^2
+            sig2.real, sig2.imag = a / r2, 2.0 * t * wc / r2
         mu = {}
         if live.size:
-            tw, beta_l = t_live * wc, beta[live]
-            m = 1j * (freq.take(i, axis=1) + 2.0 * tw * shift.take(i, axis=1)) / beta_l
-            ex += np.sum((-b2.take(i, axis=1) - tw * cross.take(i, axis=1)) / (2.0 * beta_l)
+            tw, s2 = t_live * wc, sig2[live]
+            m = 1j * (freq.take(i, axis=1) + 2.0 * tw * shift.take(i, axis=1)) * s2
+            ex += np.sum((-b2.take(i, axis=1) - tw * cross.take(i, axis=1)) * (0.5 * s2)
                          + 1j * bc.take(i, axis=1), axis=0)
             mu = dict(zip(live.tolist(), m))
         pref = const * np.exp(ex)
-        # E[(mu + sigma N)^m] per axis, sigma^2 = 1/beta, by the recursion
-        # m_k = mu m_{k-1} + (k - 1) sigma^2 m_{k-2}, gathered per monomial
+        # E[(mu + sigma N)^m] per axis by m_k = mu m_{k-1} + (k - 1) sigma^2 m_{k-2};
+        # a dead axis (mu = 0) forms only m_{2h} = (2h - 1)!! sigma^{2h}, gathered by m // 2
         unit = table or conj_coef is not None
         mono = np.ones((len(expo), wc.size), dtype=complex) if unit else coef.T.take(i, axis=1)
         for j in axes:
-            sig2 = 1.0 / beta[j]
-            mom = np.empty((deg[j] + 1, wc.size), dtype=complex)
-            mom[0], mom[1] = 1.0, mu.get(j, 0.0)
-            for k in range(2, deg[j] + 1):
-                mom[k] = (k - 1) * sig2 * mom[k - 2]
-                if j in mu:
-                    mom[k] += mu[j] * mom[k - 1]
-            mono *= mom[expo[:, j]]
+            if j in mu:
+                mom = np.empty((deg[j] + 1, wc.size), dtype=complex)
+                mom[0], mom[1] = 1.0, mu[j]
+                for k in range(2, deg[j] + 1):
+                    mom[k] = mu[j] * mom[k - 1] + (k - 1) * sig2[j] * mom[k - 2]
+                mono *= mom[expo[:, j]]
+            else:
+                mom = np.empty((deg[j] // 2 + 1, wc.size), dtype=complex)
+                mom[0], mom[1] = 1.0, sig2[j]
+                for h in range(2, len(mom)):
+                    mom[h] = (2 * h - 1) * sig2[j] * mom[h - 1]
+                mono *= mom[expo[:, j] // 2]
         if table:
             tab = pref * mono if basis is None else basis @ (pref * mono)
             out[lo:lo + wc.size] = (tab * user_coef.T.take(i, axis=1)).T

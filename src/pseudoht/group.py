@@ -15,6 +15,7 @@ with L the flat ultra-hyperbolic operator in xi, so that F o Delta = G o F.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .clifford import AdmissibleModule, Signature, build_module, tau_matrix
 from .errors import DimensionMismatch, NonPositiveScale
-from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial, compose
+from .gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial
 
 
 @dataclass
@@ -107,19 +108,30 @@ class GroupStructure:
     # -- differential operators as data (see gausspoly.apply_operator) ----------
     @cached_property
     def delta_rs_op(self) -> list:
-        """Delta_{r,s} = sum_j tau_j X_j o X_j as operator data.
+        """Delta_{r,s} = sum_j tau_j X_j o X_j as operator data, one entry per derivative.
 
-        X_j = d/dx_j + sum_k (Omega_k^T x)_j d/dz_k, (Omega_k^T x)_j = sum_m (Omega_k)_{mj} x_m.
+        With a_kj = (Omega_k^T x)_j, X_j = d_j + sum_k a_kj d_{z_k} and d_j a_kj = (Omega_k)_jj:
+            X_j o X_j = d_j^2 + 2 sum_k a_kj d_j d_{z_k} + sum_k (Omega_k)_jj d_{z_k}
+                        + sum_{k,l} a_kj a_lj d_{z_k} d_{z_l}.
         """
         n2, d = 2 * self.sig.n, self.sig.total_dim
-        eye, one = np.eye(d, dtype=int), np.zeros((1, d), dtype=int)
-        op = []
+        parts = defaultdict(lambda: defaultdict(float))   # derivative -> {monomial: coef}
+
+        def e(*axes):   # the multi-index counting each listed axis
+            return tuple(np.bincount(np.array(axes, dtype=int), minlength=d).tolist())
+
         for j, t in enumerate(tau_signs(self.sig.n)):
-            X = [(one, np.ones(1), axis_monomial(d, j))]
-            X += [(eye[:n2][Ok[:, j] != 0], Ok[Ok[:, j] != 0, j], axis_monomial(d, n2 + k))
-                  for k, Ok in enumerate(self.omega_gen)]
-            op += [(e, t * c, alpha) for e, c, alpha in compose(X, X)]
-        return op
+            fields = [(n2 + k, Ok[:, j]) for k, Ok in enumerate(self.omega_gen)]
+            parts[e(j, j)][e()] += t
+            for zk, a in fields:
+                parts[e(zk)][e()] += t * a[j]
+                for m in np.flatnonzero(a):
+                    parts[e(j, zk)][e(m)] += 2 * t * a[m]
+                    for zl, b in fields:
+                        for p in np.flatnonzero(b):
+                            parts[e(zk, zl)][e(m, p)] += t * a[m] * b[p]
+        op = [(alpha, {m: c for m, c in terms.items() if c}) for alpha, terms in parts.items()]
+        return [(np.array(list(c)), np.array(list(c.values())), alpha) for alpha, c in op if c]
 
     @cached_property
     def g_rs_op(self) -> list:

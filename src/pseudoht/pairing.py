@@ -115,10 +115,11 @@ def _theta_envelope(terms, theta_axes) -> float:
     return r_max
 
 
-def _rho_nodes_for(r: float, base: int) -> int:
-    """rho-node count adapted to the feature scale r of the exact xi-integrals."""
-    npts = int(min(1024, max(base, 6.0 / max(r, 6.0 / 1024))))
-    return 1 << (npts - 1).bit_length()
+def _rho_nodes_for(r, base: int):
+    """rho-node count adapted to the feature scale r of the exact xi-integrals
+    (elementwise for an array of r): a power of two from base up to 1024."""
+    npts = np.minimum(1024, np.maximum(base, 6.0 / np.maximum(r, 6.0 / 1024))).astype(int)
+    return 1 << np.frexp(npts - 1)[1]     # frexp's exponent is the bit length
 
 
 def _rho_rule_for(n: int, npts: int):
@@ -184,11 +185,9 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
 
     # blocks of radial nodes that share a rho-rule, so their frequencies form
     # one array
-    counts: dict = {}
-    for j, r in enumerate(radial):
-        counts.setdefault(_rho_nodes_for(r, budget.rho_nodes), []).append(j)
-    groups = [(*_rho_rule_for(n, npts), np.array(js)[b]) for npts, js in counts.items()
-              for b in node_blocks(len(js), npts)]
+    counts = _rho_nodes_for(radial, budget.rho_nodes)
+    groups = [(*_rho_rule_for(n, npts), js[b]) for npts in dict.fromkeys(counts.tolist())
+              for js in [np.flatnonzero(counts == npts)] for b in node_blocks(len(js), npts)]
 
     total = 0.0 + 0.0j
     for term in fphi_terms:

@@ -142,7 +142,7 @@ class WitnessFunction:
     G: GroupStructure
     cfg: WitnessConfig
     margin: float = 0.0
-    _cache: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict)   # mixtures by (eta, nodes); "integral", "sup"
 
     def mixture_at(self, eta, flow_nodes: int | None = None) -> GaussMixture:
         """D_eta phi_eta with `flow_nodes` trapezoid nodes (default cfg.flow_nodes), built once."""
@@ -207,20 +207,20 @@ def _eta_ball_nodes(cfg: WitnessConfig):
 
 
 def witness_integral(w: WitnessFunction) -> float:
-    """integral psi d(xi, eta): xi-integrals exact, eta by tensor quadrature."""
-    pts, wt = _eta_ball_nodes(w.cfg)
-    total = 0.0
-    for eta, wk in zip(pts, wt):
-        om = w.omega(eta)
-        if om == 0.0:
-            continue
-        total += wk * om * w.mixture_at(eta).integral().real
-    return total
+    """integral psi d(xi, eta): xi-integrals exact, eta by tensor quadrature (once per witness)."""
+    if "integral" not in w._cache:
+        pts, wt = _eta_ball_nodes(w.cfg)
+        oms = [w.omega(eta) for eta in pts]
+        w._cache["integral"] = sum((wk * om * w.mixture_at(eta).integral().real
+                                    for eta, wk, om in zip(pts, wt, oms) if om != 0.0), 0.0)
+    return w._cache["integral"]
 
 
 def witness_sup(w: WitnessFunction) -> float:
-    """max psi = psi(0, eta0) (positive terms, bump peak at eta0)."""
-    return w.evaluate(np.zeros(2 * w.G.sig.n), w.cfg.eta0)
+    """max psi = psi(0, eta0) (positive terms, bump peak at eta0), once per witness."""
+    if "sup" not in w._cache:
+        w._cache["sup"] = w.evaluate(np.zeros(2 * w.G.sig.n), w.cfg.eta0)
+    return w._cache["sup"]
 
 
 def _xi_grid(w: WitnessFunction):

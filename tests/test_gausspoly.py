@@ -14,7 +14,6 @@ from pseudoht.gausspoly import (
     TermStack,
     apply_operator,
     batched_osc_integral,
-    compose,
 )
 from pseudoht.kernels import inv_p_power
 from osc_reference import osc_family_reference
@@ -300,18 +299,6 @@ class TestOperators:
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(apply_operator(phi, op).evaluate_many(U) - ref)) <= 1e-13
 
-    def test_compose_is_successive_application(self):
-        """(u1 d_0 + d_1) o (u0^2 d_1 + 1) applied at once or one after the other."""
-        X = [(np.array([[0, 1]]), np.array([1.0]), (1, 0)),
-             (np.array([[0, 0]]), np.array([1.0]), (0, 1))]
-        Y = [(np.array([[2, 0]]), np.array([1.0]), (0, 1)),
-             (np.array([[0, 0]]), np.array([1.0]), (0, 0))]
-        U = rand_points(np.random.default_rng(21), 30, 2)
-        ref = apply_operator(apply_operator(self.PHI, Y), X).evaluate_many(U)
-        got = apply_operator(self.PHI, compose(X, Y)).evaluate_many(U)
-        assert np.max(np.abs(ref)) > 0.1
-        assert np.max(np.abs(got - ref)) <= 1e-12
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_operator(self.PHI, [(np.zeros((1, 3), dtype=int), np.ones(1), (1, 0, 0))])
@@ -527,24 +514,26 @@ DIAG4 = np.diag([0.7, 1.3, 0.9, 2.1])
 
 
 def _engine_family(rng, form, nodes, shift_axes=(), freq_axes=(), deg=4) -> TermStack:
-    """`nodes` terms on R^4 with one form, every monomial of degree <= deg
-    (random complex coefficients, the constant one largest), node-dependent
-    centres on shift_axes and frequencies on freq_axes, zero elsewhere."""
-    expo = gausspoly._graded(4, deg).expo
+    """`nodes` terms on R^d (d the size of form) with one form, every monomial
+    of degree <= deg (random complex coefficients, the constant one largest),
+    node-dependent centres on shift_axes and frequencies on freq_axes, zero
+    elsewhere."""
+    dim = len(form)
+    expo = gausspoly._graded(dim, deg).expo
     coef = (rng.normal(size=(nodes, len(expo))) + 1j * rng.normal(size=(nodes, len(expo)))) * 0.3
     coef[:, 0] += 2.0
-    shift, freq = np.zeros((nodes, 4)), np.zeros((nodes, 4))
+    shift, freq = np.zeros((nodes, dim)), np.zeros((nodes, dim))
     shift[:, list(shift_axes)] = rng.uniform(0.2, 0.8, size=(nodes, len(shift_axes)))
     freq[:, list(freq_axes)] = rng.uniform(-1.0, 1.0, size=(nodes, len(freq_axes)))
     return TermStack(form, expo, coef, shift, freq)
 
 
-def _matches_reference(fam, w, table):
+def _matches_reference(fam, w, table, tau=TAU4):
     """The engine against the per-axis oracle: 1e-13 relative on every value
     above 1e-8 of the largest (most nonzero values), 1e-13 of the largest
     below it; a monomial odd on a dead axis is an exact zero on both sides."""
-    got = batched_osc_integral(fam, w, TAU4, table=table)
-    want = osc_family_reference(fam, w, TAU4, table=table)
+    got = batched_osc_integral(fam, w, tau, table=table)
+    want = osc_family_reference(fam, w, tau, table=table)
     assert got.shape == want.shape == w.shape + ((fam.coef.shape[1],) if table else ())
     _close_to_reference(got, want)
 
@@ -601,6 +590,39 @@ class TestOscEngine:
         width = fam.coef.shape[1] if table else 0
         monkeypatch.setattr(gausspoly, "_OSC_BYTES", 7 * 16 * (width + len(fam.expo) + 8))
         _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(5, 3)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    @pytest.mark.parametrize("signs", ["plus", "minus", "alternating"])
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_odd_dimensions_and_sign_patterns(self, dim, signs, table):
+        """tau all +1, all -1 or alternating on R^3 and R^5: axis 0 carries
+        centres, axis 1 frequencies, the others are dead."""
+        rng = np.random.default_rng(50 + dim)
+        tau = {"plus": np.ones(dim), "minus": -np.ones(dim),
+               "alternating": (-1.0) ** np.arange(dim)}[signs]
+        form = np.diag(rng.uniform(0.5, 2.0, size=dim))
+        fam = _engine_family(rng, form, 3, shift_axes=(0,), freq_axes=(1,), deg=3)
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(3, 20)), table, tau)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_dead_axes_up_to_degree_six(self, table):
+        """Every axis dead, monomials of degree <= 6: the even moments
+        (2h - 1)!! sigma^{2h} up to h = 3, the odd ones exact zeros."""
+        rng = np.random.default_rng(56)
+        fam = _engine_family(rng, DIAG4, 3, deg=6)
+        fam.coef[:, 1:] *= 0.1
+        _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(3, 20)), table)
+
+    @pytest.mark.parametrize("table", [False, True])
+    def test_live_and_dead_axes_in_one_family(self, table):
+        """R^5, alternating tau: centres on axis 1, frequencies on axes 1 and 3,
+        axes 0, 2 and 4 dead, monomials of degree <= 6 across both kinds."""
+        rng = np.random.default_rng(57)
+        tau = (-1.0) ** np.arange(5)
+        form = np.diag([0.8, 1.4, 0.6, 1.1, 1.7])
+        fam = _engine_family(rng, form, 3, shift_axes=(1,), freq_axes=(1, 3), deg=6)
+        fam.coef[:, 1:] *= 0.1
+        _matches_reference(fam, rng.uniform(-4.0, 4.0, size=(3, 15)), table, tau)
 
     @pytest.mark.parametrize("table", [False, True])
     def test_large_frequencies_stay_finite(self, table):

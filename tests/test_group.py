@@ -199,6 +199,48 @@ class TestDeltaOperator:
         assert np.max(np.abs(lhs.evaluate_many(X) - want)) <= 1e-12
 
 
+    @staticmethod
+    def _field_op(G, j) -> list:
+        """X_j = d/dx_j + sum_k (Omega_k^T x)_j d/dz_k as operator data."""
+        n2, d = 2 * G.sig.n, G.sig.total_dim
+        eye = np.eye(d, dtype=int)
+        op = [(np.zeros((1, d), dtype=int), np.ones(1), tuple(eye[j]))]
+        for k, Ok in enumerate(G.omega_gen):
+            ms = np.flatnonzero(Ok[:, j])
+            op.append((eye[ms], Ok[ms, j], tuple(eye[n2 + k])))
+        return op
+
+    @pytest.mark.parametrize("sig", CATALOG_SIGNATURES, ids=str)
+    def test_closed_form_is_the_sum_of_squared_fields(self, sig):
+        """apply_delta_rs(phi) = sum_j tau_j X_j(X_j phi), each X_j applied as data."""
+        G = GroupStructure.from_signature(sig)
+        d = sig.total_dim
+        rng = np.random.default_rng(19)
+        L = 0.3 * rng.normal(size=(d, d))
+        expo = np.vstack([np.zeros(d, dtype=int), np.eye(d, dtype=int)[:3],
+                          2 * np.eye(d, dtype=int)[[0, d - 1]]])
+        phi = GaussPoly(d, L @ L.T + 0.5 * np.eye(d), shift=0.5 * rng.normal(size=d),
+                        freq=0.3 * rng.normal(size=d), expo=expo,
+                        coef=rng.normal(size=len(expo)) + 1j * rng.normal(size=len(expo)))
+        U = 0.7 * rng.normal(size=(40, d)) + phi.shift
+        want = sum(t * apply_operator(apply_operator(phi, X), X).evaluate_many(U)
+                   for t, X in zip(tau_signs(sig.n),
+                                   (self._field_op(G, j) for j in range(2 * sig.n))))
+        got = G.apply_delta_rs(phi).evaluate_many(U)
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("sig", CATALOG_SIGNATURES, ids=str)
+    def test_one_entry_per_derivative(self, sig):
+        """No derivative multi-index repeats, nor a monomial within an entry."""
+        op = GroupStructure.from_signature(sig).delta_rs_op
+        alphas = [alpha for *_, alpha in op]
+        assert len(set(alphas)) == len(alphas)
+        for expo, coef, _ in op:
+            assert len(np.unique(expo, axis=0)) == len(expo) == len(coef)
+            assert np.all(coef != 0)
+
+
 class TestGOperator:
     @pytest.mark.parametrize("sig", [Signature(0, 1, 1), Signature(0, 2, 2),
                                      Signature(1, 1, 2)], ids=str)

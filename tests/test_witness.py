@@ -324,6 +324,35 @@ class TestWitness:
         certify_kernel_residual(w, flow_nodes=8)
         assert len(calls) == 2 * inside
 
+    def test_integral_and_sup_computed_once(self, g11, monkeypatch):
+        """Certify and report share one witness integral: GaussMixture.integral
+        runs once per eta node inside the bump, and every use of the value
+        is bit-identical to a fresh witness's."""
+        from pseudoht import witness
+
+        calls = []
+        integral = GaussMixture.integral
+
+        def counted(self):
+            calls.append(1)
+            return integral(self)
+
+        cfg = WitnessConfig(Signature(1, 1, 2), ETA0, 0.5, flow_nodes=16,
+                            eta_grid=3, xi_grid=3)
+        fresh = build_witness(g11, cfg)
+        want, want_sup = witness_integral(fresh), witness_sup(fresh)
+        monkeypatch.setattr(GaussMixture, "integral", counted)
+        w = build_witness(g11, cfg)
+        cert = certify_kernel_residual(w)
+        rep = nonsolvability_report(w)
+        cert8 = certify_kernel_residual(w, flow_nodes=8)
+        inside = sum(w.omega(eta) > 0 for eta in witness._eta_ball_nodes(cfg)[0])
+        assert inside > 0
+        assert len(calls) == inside
+        assert cert["integral_psi"] == cert8["integral_psi"] == witness_integral(w) == want
+        assert cert["psi_sup"] == cert8["psi_sup"] == witness_sup(w) == want_sup
+        assert rep["normalization_c"] == cert["finv_psi_at_0"]
+
 
 class TestPinnedWitness:
     """Witness numbers recorded before the flow mixtures became term stacks.
