@@ -3,8 +3,9 @@
 Subcommands: catalog, validate, kernel (eval | cone), specfun (table), pair,
 verify-fs, verify-cone, verify-nonexistence, report.  Every command writes
 machine-readable JSON (and CSV for the tabulation commands) with all node
-budgets and tolerances echoed; floats are printed with 17 significant digits
-so reruns byte-reproduce the artifacts.
+budgets and tolerances echoed.  Reruns byte-reproduce the artifacts (JSON floats
+in Python's shortest round-trip repr, CSV floats with 17 significant digits)
+apart from the wall times that report and verify-cone keep under "telemetry".
 
 Exit codes: 0 success / all checks passed, 1 usage error (bad input, an
 unreadable file), 2 numerical check failed its tolerance, 3 internal fault
@@ -27,26 +28,17 @@ EXIT_CHECK_FAILED = 2
 EXIT_INTERNAL = 3
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return float(f"{x:.17g}")
+def _json_default(x):
+    """Complex values as {"im", "re"}, numpy scalars as Python ones."""
     if isinstance(x, complex):
-        return {"re": float(f"{x.real:.17g}"), "im": float(f"{x.imag:.17g}")}
-    if isinstance(x, dict):
-        return {k: _fmt(v) for k, v in sorted(x.items())}
-    if isinstance(x, (list, tuple)):
-        return [_fmt(v) for v in x]
-    if isinstance(x, (np.floating,)):
-        return _fmt(float(x))
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    return x
+        return {"re": x.real, "im": x.imag}
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def write_json(obj, path):
-    text = json.dumps(_fmt(obj), indent=1, sort_keys=True)
+    text = json.dumps(obj, indent=1, sort_keys=True, default=_json_default)
     if path in (None, "-"):
         print(text)
     else:
@@ -176,17 +168,13 @@ def cmd_verify_fs(args) -> int:
     """Delta-reproduction pair_K(Delta phi) = phi(0) for the requested (n, s)."""
     from .clifford import Signature
     from .gausspoly import GaussPoly
-    from .group import GroupStructure
     from .kernels import KernelSelector
-    from .pairing import pair_k
+    from .verification import delta_reproduction
 
     sig = Signature(0, args.s, args.n)
-    G = GroupStructure.from_signature(sig)
-    d = sig.total_dim
-    phi = GaussPoly.iso_gaussian(d)
     sel = KernelSelector.heaviside() if args.s == 1 else KernelSelector.constant(1.0)
-    res = pair_k(args.n, args.s, G.apply_delta_rs(phi), sel)
-    rel = abs(res.value - 1.0)
+    res, rel = delta_reproduction(sig, GaussPoly.iso_gaussian(sig.total_dim), sel,
+                                  with_error=True)
     ok = rel <= args.tol
     write_json({"n": args.n, "s": args.s, "value": res.value,
                 "phi_at_0": 1.0, "relative_error": rel, "tol": args.tol,
@@ -197,32 +185,23 @@ def cmd_verify_fs(args) -> int:
 
 def cmd_verify_cone(args) -> int:
     """Support/cone checks: vanishing region of the iterated-integral form and
-    the off-cone smooth-kernel pairing against the Fourier-side value."""
-    from .verification import cone_checks
+    the off-cone smooth-kernel pairing against the Fourier-side value; the
+    wall time goes under "telemetry"."""
+    from .verification import cone_checks, timed
 
-    out = cone_checks()
-    write_json(out, args.output)
+    out, runtime = timed(cone_checks)
+    write_json({**out, "telemetry": {"runtime_s": runtime}}, args.output)
     return EXIT_OK if out["passed"] else EXIT_CHECK_FAILED
 
 
 def cmd_verify_nonexistence(args) -> int:
-    from .clifford import Signature
-    from .group import GroupStructure
-    from .witness import WitnessConfig, build_witness, certify_kernel_residual, \
-        nonsolvability_report
+    from .verification import witness_numbers
 
     sig = _parse_sig(args.sig)
-    if sig.r < 1:
-        print("nonexistence verification needs r > 0", file=sys.stderr)
-        return EXIT_USAGE
-    G = GroupStructure.from_signature(sig)
-    eta0 = np.array([float(x) for x in args.eta0.split(",")])
-    cfg = WitnessConfig(sig, eta0, args.delta, flow_nodes=args.flow_nodes)
-    w = build_witness(G, cfg)
-    cert = certify_kernel_residual(w)
-    rep = nonsolvability_report(w)
+    eta0 = [float(x) for x in args.eta0.split(",")]
+    _, cert, rep, _ = witness_numbers(sig, eta0, args.delta, flow_nodes=args.flow_nodes)
     ok = cert["relative_residual"] <= args.tol
-    write_json({"sig": [sig.r, sig.s, sig.n], "eta0": list(eta0),
+    write_json({"sig": [sig.r, sig.s, sig.n], "eta0": eta0,
                 "delta": args.delta, "tol": args.tol,
                 "residual": cert["residual_sup"],
                 "relative_residual": cert["relative_residual"],

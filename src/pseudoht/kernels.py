@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveScale, OnConeRegion, PolePosition, ThetaZero, UnsupportedN
+from .errors import (DimensionMismatch, NonPositiveScale, OnConeRegion, PolePosition, ThetaZero,
+                     UnsupportedN)
 from .gausspoly import (
     GaussMixture,
     GaussPoly,
@@ -158,16 +158,26 @@ def kernel_q(n: int, s: int, xi, theta) -> complex:
     return kernel_q_lm(n, s, xi, theta, KernelSelector.constant(1.0))
 
 
-def _q_arguments(xi, theta, sel: KernelSelector) -> tuple:
-    """(r, lam, mu, v): |theta|, the selector at theta / r and v = P(xi) / r."""
+def _point(n: int, s: int, xi, theta) -> tuple:
+    """(P(xi), theta) for a point (xi, theta) of R^{2n} x R^s."""
     from .clifford import p_form
 
+    xi = np.asarray(xi, float)
     theta = np.atleast_1d(np.asarray(theta, float))
+    if xi.shape != (2 * n,) or theta.shape != (s,):
+        raise DimensionMismatch(f"the kernel at (n, s) = ({n}, {s}) needs a point of "
+                                f"R^{2 * n} x R^{s}, got lengths {xi.size} and {theta.size}")
+    return p_form(xi), theta
+
+
+def _q_arguments(n: int, s: int, xi, theta, sel: KernelSelector) -> tuple:
+    """(r, lam, mu, P, v): |theta|, the selector at theta / r, P(xi) and v = P / r."""
+    P, theta = _point(n, s, xi, theta)
     r = float(np.linalg.norm(theta))
     if r == 0.0:
         raise ThetaZero("kernel requires theta != 0")
     lam, mu = sel.lam_mu(theta / r)
-    return r, lam, mu, p_form(np.asarray(xi, float)) / r
+    return r, lam, mu, P, P / r
 
 
 def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
@@ -176,7 +186,7 @@ def kernel_q_lm(n: int, s: int, xi, theta, sel: KernelSelector) -> complex:
     The mu-part integrates e^{-iv rho}, whose integral is conj(I(v)) (the
     weight is real), so one rho-integral serves both parts.
     """
-    r, lam, mu, v = _q_arguments(xi, theta, sel)
+    r, lam, mu, _, v = _q_arguments(n, s, xi, theta, sel)
     i_v = converged(*osc_weight_integral(n, v), "the rho-integral of q at v = %g", v)
     return kernel_prefactor(n, s) / r * (lam * i_v - mu * i_v.conjugate())
 
@@ -185,7 +195,7 @@ def kernel_q_lm_bessel(n: int, s: int, xi, theta, sel: KernelSelector) -> comple
     """Same kernel through the Bessel/Struve closed form (c2 = 0 family)."""
     from .specfun import jh_combo
 
-    r, lam, mu, v = _q_arguments(xi, theta, sel)
+    r, lam, mu, _, v = _q_arguments(n, s, xi, theta, sel)
     if v == 0.0:
         # fall back to the rho-integral value (the closed form has a 0/0)
         return kernel_q_lm(n, s, xi, theta, sel)
@@ -208,14 +218,7 @@ def gbar_residual(n: int, s: int, xi, theta) -> complex:
     (all v-derivatives taken under the rho-integral); the fundamental-solution
     identity says the result equals (2 pi)^{-(n + s/2)} everywhere.
     """
-    from .clifford import p_form
-
-    theta = np.atleast_1d(np.asarray(theta, float))
-    r = float(np.linalg.norm(theta))
-    if r == 0.0:
-        raise ThetaZero("theta must be nonzero")
-    P = p_form(np.asarray(xi, float))
-    v = P / r
+    r, _, _, P, v = _q_arguments(n, s, xi, theta, KernelSelector.constant(1.0))
     pref = kernel_prefactor(n, s) / r
 
     def eval_with(npts: int) -> complex:
@@ -246,25 +249,17 @@ def qj_table(n: int, s: int):
 
     Returns (powers, coeffs, index): the sum is
         sum_t coeffs[t] * lam^{powers[t]} * u^{-((s+1)/2 + index[t])},
-    u = lam^2 + |z|^2.  Rational bookkeeping, scaled by c_s at the end.
+    u = lam^2 + |z|^2.  The monomial lam^a w^j stands for lam^a u^{-p}, p =
+    (s+1)/2 + j, on the graded basis, so d/dlam is d/dlam - 2 p lam w; every
+    coefficient is an integer, exact in floats, scaled by c_s at the end.
     """
-    terms = {(1, 0): Fraction(1)}  # lam^1 u^{-(s+1)/2 - 0}
+    b = _graded(2, 2 * n)
+    p = np.r_[(s + 1) / 2.0 + b.expo[:, 1], 0.0]
+    v = b.dense(np.array([[1, 0]]), np.array([1.0]))
     for _ in range(n - 1):
-        new: dict = {}
-        for (a, j), c in terms.items():
-            if a > 0:
-                key = (a - 1, j)
-                new[key] = new.get(key, Fraction(0)) + c * a
-            p = Fraction(s + 1, 2) + j
-            key = (a + 1, j + 1)
-            new[key] = new.get(key, Fraction(0)) - 2 * p * c
-        terms = new
-    sign = (-1) ** (n - 1)
-    powers = np.array([a for (a, _) in terms], dtype=np.int64)
-    index = np.array([j for (_, j) in terms], dtype=np.int64)
-    coeffs = np.array([complex(sign * float(c)) for c in terms.values()])
-    coeffs = coeffs * fourier_decay_constant(s)
-    return powers, coeffs, index
+        v = b.partial(v, 0) - 2 * b.times(p * v, (1, 1))
+    expo, coef = b.sparse(v)
+    return expo[:, 0], (-1) ** (n - 1) * coef * fourier_decay_constant(s), expo[:, 1]
 
 
 def smooth_kernel_offcone(n: int, s: int, x, z) -> complex:
@@ -277,11 +272,7 @@ def smooth_kernel_offcone(n: int, s: int, x, z) -> complex:
     the whole ray exactly when |P| > 4|z| (coth > 1), which is the validity
     region enforced here.
     """
-    from .clifford import p_form
-
-    x = np.asarray(x, float)
-    z = np.atleast_1d(np.asarray(z, float))
-    P = p_form(x)
+    P, z = _point(n, s, x, z)
     z2 = float(z @ z)
     if abs(P) <= 4.0 * math.sqrt(z2):
         raise OnConeRegion("smooth kernel representation requires |P(x)| > 4 |z|")

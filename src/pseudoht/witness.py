@@ -308,6 +308,5 @@ def nonsolvability_report(w: WitnessFunction) -> dict:
         "phi_at_0": abs(phi0) / abs(c),
         "normalization_c": abs(c),
         "delta_phi_sup": dphi_max,
-        "mueller_seminorm_product": 0.0 if dphi_max < 1e-12 else dphi_max,
         "note": "constant sequence psi_j = phi; ||L^T psi_j|| bounded by delta_phi_sup",
     }

@@ -12,6 +12,7 @@ Each has an xfail test documenting the obstruction plus a passing run at the
 minimal admissible module (0, 2, 2).
 """
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -40,11 +41,12 @@ def _record(num, res):
 
 
 def test_criterion_01_algebra_suite():
+    t0 = time.perf_counter()
     res = _record(1, verification.check_algebra_suite())
+    assert time.perf_counter() - t0 < 10.0  # spec budget is 1 s of arithmetic; allow io slack
     assert res["passed"]
     assert res["max_algebra_residual"] <= 1e-12
     assert res["max_eigenvalue_residual"] <= 1e-10
-    assert res["runtime_s"] < 10.0  # spec budget is 1 s of arithmetic; allow io slack
 
 
 def test_criterion_02_gbar_constancy():
@@ -97,9 +99,10 @@ CHECK5_PINS = {
 
 
 def test_criterion_05_representation_crosscheck():
+    t0 = time.perf_counter()
     res = _record(5, verification.check_representation_crosscheck())
+    assert time.perf_counter() - t0 < 900.0
     assert res["passed"]
-    assert res["runtime_s"] < 900.0
     # every cross-check compares values well above zero
     for e in res["entries"]:
         if "k" in e:
@@ -169,13 +172,14 @@ def test_criterion_08_special_functions():
 
 
 def test_criterion_09_nonexistence_witness():
+    t0 = time.perf_counter()
     res = _record(9, verification.check_nonexistence_witness())
+    assert time.perf_counter() - t0 < 120.0
     assert res["passed"]
     assert res["relative_residual"] <= 1e-8
     assert res["integral_psi"] > 0
     assert abs(res["phi_at_0"] - 1.0) <= 1e-10
     assert res["node_doubling_drop"] >= 100.0
-    assert res["runtime_s"] < 120.0
     # the full mode's second signature, (1,2,2), gated like (1,1,2)
     (e122,) = res["entries"]
     assert e122["passed"]

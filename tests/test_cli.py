@@ -145,10 +145,20 @@ class TestVerify:
 
     @pytest.mark.slow
     def test_report_quick(self, tmp_path):
-        code, out = run_cli(["report", "--quick"], tmp_path, "report.json")
-        data = json.load(open(out))
-        assert len(data["checks"]) == 10
-        assert code == (0 if data["all_passed"] else 2)
+        """Two runs write byte-identical checks; the wall times sit apart, one
+        per check."""
+        runs = []
+        for name in ("a.json", "b.json"):
+            code, out = run_cli(["report", "--quick"], tmp_path, name)
+            data = json.load(open(out))
+            assert code == (0 if data["all_passed"] else 2)
+            runs.append(data)
+        a, b = runs
+        assert len(a["checks"]) == 10
+        assert json.dumps(a["checks"], sort_keys=True) == json.dumps(b["checks"], sort_keys=True)
+        assert a["telemetry"].keys() == a["checks"].keys()
+        assert all(list(t) == ["runtime_s"] and t["runtime_s"] >= 0
+                   for t in a["telemetry"].values())
 
     def test_byte_reproducible_json(self, tmp_path):
         _, a = run_cli(["verify-nonexistence", "--flow-nodes", "16"], tmp_path, "a.json")

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from pseudoht.clifford import p_form
 from pseudoht import kernels
 from pseudoht.errors import (
+    DimensionMismatch,
     NonPositiveScale,
     NotConverged,
     OnConeRegion,
@@ -36,6 +37,7 @@ from pseudoht.quadrature import half_disc_rule
 from pseudoht.specfun import osc_weight_integral
 from inv_p_reference import inv_p_power_per_node
 from p_lambda_reference import laguerre_region, p_i0_power_laguerre
+from qj_reference import qj_fractions
 from radial_l1 import radial_l1_norm
 
 
@@ -74,6 +76,22 @@ class TestKernelQ:
     def test_theta_zero_raises(self):
         with pytest.raises(ThetaZero):
             kernel_q(2, 1, np.zeros(4), [0.0])
+
+    @pytest.mark.parametrize("fn", [
+        lambda xi, th: kernel_q_lm(2, 1, xi, th, KernelSelector.constant(0.3)),
+        lambda xi, th: kernel_q_lm_bessel(2, 1, xi, th, KernelSelector.constant(0.3)),
+        lambda xi, th: gbar_residual(2, 1, xi, th),
+        lambda xi, th: smooth_kernel_offcone(2, 1, xi, th),
+    ], ids=["kernel_q_lm", "kernel_q_lm_bessel", "gbar_residual", "smooth_kernel_offcone"])
+    @pytest.mark.parametrize("xi, theta", [
+        (np.ones(6), [0.5, 0.3]), (np.ones(3), [0.1]),
+        (np.array([3.0, 0.0, 0.0, 0.0]), [0.1, 0.2]),
+    ], ids=["both", "xi", "theta"])
+    def test_point_outside_r2n_x_rs_raises(self, fn, xi, theta):
+        """At (n, s) = (2, 1) the point must lie in R^4 x R^1: a point of
+        another length is an error, not a number."""
+        with pytest.raises(DimensionMismatch):
+            fn(xi, theta)
 
     def test_null_cone_value_n2(self):
         # P(xi) = 0: rho-integral is 1, value i (2 pi)^{-(2+s/2)} / |theta|
@@ -224,6 +242,17 @@ class TestOffconeKernel:
     @pytest.mark.parametrize("ns", [(1, 1), (1, 2), (2, 1), (3, 1), (2, 2)])
     def test_degree_bookkeeping(self, ns):
         assert qj_degree_bound_holds(*ns)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("s", range(1, 4))
+    def test_qj_table_matches_fraction_recursion(self, n, s):
+        """Entry for entry and bit for bit: the graded-basis coefficients are
+        integers, exact in floats."""
+        powers, coeffs, index = qj_table(n, s)
+        cs = fourier_decay_constant(s)
+        got = {(int(a), int(j)): c for a, c, j in zip(powers, coeffs, index)}
+        assert got == {k: complex((-1) ** (n - 1) * float(c)) * cs
+                       for k, c in qj_fractions(n, s).items()}
 
     def test_qj_n2_explicit(self):
         # -d/dlam [c_s lam u^{-(s+1)/2}] = -c_s u^{-p} + (s+1) c_s lam^2 u^{-p-1}
