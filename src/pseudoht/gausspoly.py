@@ -625,7 +625,8 @@ def apply_operator(phi, op: list):
 
 # The oscillatory engine works in passes over (node, frequency) pairs whose
 # complex temporaries take about _OSC_BYTES: a pass holds
-# _OSC_BYTES // (16 (M_table + M + 2 d)) pairs (see `_osc_family`), so a
+# _OSC_BYTES // (16 (M_table + M + 2 d)) pairs (see `_osc_family`; a plain
+# family with no live axis sizes its tiles from the same budget, `_osc_dead`), so a
 # one-monomial table pass covers a few thousand pairs and a wide polynomial
 # pass several hundred; `node_blocks` splits the nodes of a weighted sum so
 # that each engine call returns at most _OSC_BLOCK values.
@@ -902,8 +903,15 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     After the tau-congruence the form is diagonal, so at a (node, frequency)
     pair the integral factors over the axes: axis j is the 1-D complex
     Gaussian with beta_j = a_j - 2 i tau_j w, variance sigma_j^2 = 1 / beta_j
-    and mean mu_j = lin_j sigma_j^2, lin_j = i b_j + 2 i tau_j w c_j.  Per
-    pass, r2_j = |beta_j|^2 = a_j^2 + 4 w^2 is formed once (every factor
+    and mean mu_j = lin_j sigma_j^2, lin_j = i b_j + 2 i tau_j w c_j.  An
+    axis is live when some node of the family has a nonzero centre or
+    frequency on it; on a dead axis the exponent and mu_j are exactly 0, and
+    a monomial odd on it (moment exactly 0) is dropped (a table keeps its
+    0s).  A plain family with no live axis then depends on w alone and takes
+    the algebraic route `_osc_dead`; the rest of this docstring is the route
+    of tables and of families with a live axis.
+
+    Per pass, r2_j = |beta_j|^2 = a_j^2 + 4 w^2 is formed once (every factor
     >= a_j^2 > 0); sigma_j^2 = (a_j + 2 i tau_j w) / r2_j is written from its
     real and imaginary parts into one (d, pass) array.  The prefactor
     prod_j sqrt(2 pi / beta_j) splits into its modulus, one log of prod_j r2_j,
@@ -912,11 +920,9 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     lin_j^2 sigma_j^2 / 2 + i b_j c_j + i tau_j w c_j^2, is formed as
         (-b_j^2 - 4 tau_j w b_j c_j + 2 i tau_j w a_j c_j^2) sigma_j^2 / 2 + i b_j c_j,
     in which the w^2 c_j^2 terms of the two parts have cancelled exactly, so
-    it keeps its relative accuracy at large |w|.  An axis is live when some
-    node of the family has a nonzero centre or frequency on it; on a dead
-    axis the exponent and mu_j are exactly 0, so both are formed on live
-    axes only; a monomial odd on it (moment exactly 0) is dropped (a table keeps
-    its 0s), and its moments are the even ones, (2h - 1)!! sigma_j^{2h} at 2h.
+    it keeps its relative accuracy at large |w|.  The exponent and mu_j are
+    formed on live axes only, and a dead axis's moments are the even ones,
+    (2h - 1)!! sigma_j^{2h} at 2h.
 
     A pass holds _OSC_BYTES // (16 (M_table + M + 2 d)) pairs: M_table the
     caller's monomial count in table mode (0 otherwise), M and d the formed
@@ -942,6 +948,8 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
         conj_coef = (conj_coef if basis is None else conj_coef @ basis)[:, kept].conj()
     if table and not isinstance(kept, slice):   # dropped monomials map to 0 columns
         basis = (np.eye(len(fam.expo)) if basis is None else basis)[:, kept]
+    if not (table or live.size):
+        return _osc_dead(np.diagonal(fam.form), tau, expo, coef, conj_coef, w)
     deg = expo.max(axis=0, initial=0).tolist()
     axes = [j for j in range(d) if deg[j]]
     # per-axis arrays are laid out (axis, pair); node data is gathered per pass
@@ -1003,3 +1011,110 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
             out[lo:lo + wc.size] = pref * np.sum(coef.T.take(i, axis=1) * mono, axis=0) \
                 + np.conj(pref * np.sum(conj_coef.T.take(i, axis=1) * mono, axis=0))
     return out.reshape(w.shape + out.shape[1:])
+
+
+# (2h - 1)!! for h up to 32, the exponents `_rank` handles
+_DOUBLE_FACTORIAL = np.array([math.prod(range(1, 2 * h, 2)) for h in range(33)], dtype=float)
+
+
+@lru_cache(maxsize=64)
+def _even_plan(key: bytes, shape: tuple):
+    """How `_osc_dead` builds the products s^h for the monomials 2 h of an
+    exponent array (given by its bytes and shape), every row even.
+
+    Returns the axes with a power, the first-degree slots and their axes,
+    the later steps (slots, parent slots, axis) of one gather and one
+    product each, a degree at a time over the kept monomials and every
+    divisor on their chains to 1 (the graded order's `down` on the first
+    axis with a power), and the map E (M, K + 1): row m holds
+    prod_j (2 h_j - 1)!! in the column of its product, column 0 being the
+    unit monomial, so coef @ E are the coefficients over the products.
+    """
+    h = np.frombuffer(key, dtype=np.int64).reshape(shape) // 2
+    axes = np.flatnonzero(h.max(axis=0, initial=0))
+    hp = h[:, axes]
+    deg = _degree(hp)
+    b = _graded(len(axes), deg)
+    first = np.argmax(b.expo > 0, axis=1) if axes.size else np.zeros(b.n, dtype=int)
+    level = b.expo.sum(axis=1)
+    need = np.zeros(b.n, dtype=bool)
+    need[_rank(hp)] = need[0] = True
+    for k in range(deg, 1, -1):
+        pos = np.flatnonzero(need & (level == k))
+        need[b.down[first[pos], pos]] = True
+    slot = np.cumsum(need) - 1            # column 0 is the unit monomial, the tile has slots 1..
+    lead = np.flatnonzero(need & (level == 1))
+    steps = [(slot[pos] - 1, slot[b.down[first[pos], pos]] - 1, first[pos])
+             for k in range(2, deg + 1) for pos in [np.flatnonzero(need & (level == k))]]
+    E = np.zeros((len(h), slot[-1] + 1), dtype=complex)
+    E[np.arange(len(h)), slot[_rank(hp)]] = np.prod(_DOUBLE_FACTORIAL[h], axis=1)
+    return axes, slot[lead] - 1, first[lead], steps, E
+
+
+def _osc_dead(a: np.ndarray, tau: np.ndarray, expo: np.ndarray, coef: np.ndarray,
+              conj_coef: np.ndarray | None, w: np.ndarray) -> np.ndarray:
+    """The plain engine on a diagonal family with no live axis (`_osc_family`
+    after the congruence, with the monomials odd on some axis dropped and
+    conj_coef mapped and conjugated).
+
+    Every factor depends on w alone.  The prefactor pairs the p-th tau = +1
+    axis with the p-th tau = -1 axis: beta_+ beta_- = (a_+ a_- + 4 w^2)
+    + 2 i (a_+ - a_-) w = X + i Y has X > 0, so its principal root is
+    q + i Y / (2 q), q = sqrt((|X + i Y| + X) / 2), with no cancellation; as
+    both arguments lie in (-pi/2, pi/2), these roots multiply to
+    prod_j sqrt(beta_j).  An unpaired axis takes the same root of its own
+    beta_j = a_j - 2 i tau_j w.  Monomial 2 h integrates to
+    prod_j (2 h_j - 1)!! s_j^{h_j}, s_j = sigma_j^2 = (a_j + 2 i tau_j w) / (a_j^2 + 4 w^2):
+    the double factorials fold into the coefficients once per call, s_j is
+    formed on the axes with a power only, and the products s^h are built a
+    degree at a time (`_even_plan`).  A pass is a tile of whole nodes by a
+    chunk of frequencies whose (K, rows, cols) product array takes about
+    _OSC_BYTES; each node's coefficients broadcast along its row, and the
+    sum over monomials is one matrix product per coefficient block.
+    """
+    axes, lead, lead_axis, steps, E = _even_plan(expo.astype(np.int64).tobytes(), expo.shape)
+    blocks = [c @ E for c in ([coef] if conj_coef is None else [coef, conj_coef])]
+    K = E.shape[1] - 1
+    pos, neg = np.flatnonzero(tau > 0), np.flatnonzero(tau < 0)
+    npair = min(len(pos), len(neg))
+    lone = np.concatenate([pos[npair:], neg[npair:]])
+    ap, am = a[pos[:npair]], a[neg[:npair]]
+    # the factors X + i Y of the prefactor, X = x0 + x1 4 w^2 and Y = y1 w:
+    # one per (+, -) pair of axes, then one per unpaired axis
+    x0 = np.concatenate([ap * am, a[lone]])[:, None, None]
+    x1 = np.concatenate([np.ones(npair), np.zeros(lone.size)])[:, None, None]
+    y1 = np.concatenate([2.0 * (ap - am), -2.0 * tau[lone]])[:, None, None]
+    sa, st = a[axes, None, None], 2.0 * tau[axes, None, None]
+    const = (2 * np.pi) ** (len(a) / 2)
+    nodes, nw = w.shape
+    size = max(1, _OSC_BYTES // (16 * (K + len(axes) + len(x0) + 2)))
+    chunks = max(1, -(-nw // size))
+    cols = max(1, -(-nw // chunks))                  # equal chunks of at most size
+    rows = max(1, size // cols)
+    out = np.empty(w.shape, dtype=complex)
+    for r0 in range(0, nodes, rows):
+        for c0 in range(0, nw, cols):
+            wc = w[r0:r0 + rows, c0:c0 + cols]
+            w4 = 4.0 * wc * wc
+            X, Y = x0 + x1 * w4, y1 * wc
+            q = np.sqrt(0.5 * (np.sqrt(X * X + Y * Y) + X))
+            z = np.empty(X.shape, dtype=complex)
+            z.real, z.imag = q, Y / (2.0 * q)
+            pref = const / np.prod(z, axis=0)
+            vals = [c[r0:r0 + rows, :1] for c in blocks]
+            if K:
+                r2 = sa * sa + w4
+                s = np.empty(r2.shape, dtype=complex)
+                s.real, s.imag = sa / r2, st * wc / r2
+                tile = np.empty((K,) + wc.shape, dtype=complex)
+                tile[lead] = s[lead_axis]
+                for at, parent, j in steps:
+                    tile[at] = tile[parent] * s[j]
+                tile = tile.transpose(1, 0, 2)
+                vals = [v + np.matmul(c[r0:r0 + rows, None, 1:], tile)[:, 0]
+                        for v, c in zip(vals, blocks)]
+            val = pref * vals[0]
+            if len(vals) > 1:
+                val += np.conj(pref * vals[1])
+            out[r0:r0 + rows, c0:c0 + cols] = val
+    return out

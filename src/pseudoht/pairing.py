@@ -155,8 +155,9 @@ def _merge_centers(fam: TermStack, rows: np.ndarray, weights: np.ndarray, js: np
 
 
 def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
-                  budget: PairBudget) -> complex:
-    """The (radial x sphere) center quadrature of K^{lam,mu} against F phi.
+                  budget: PairBudget) -> tuple:
+    """The (radial x sphere) center quadrature of K^{lam,mu} against F phi,
+    and the distinct rho-node counts it used (`_rho_nodes_for`, ascending).
 
     Restricted at the center r om, a term's xi-Gaussian depends on om only
     through its coefficients unless its theta-block is coupled to xi, so the
@@ -202,19 +203,34 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
             vals = batched_osc_integral(merged, rho[None, :] / radial[mj][:, None], tau,
                                         conj_coef=conj if conj.any() else None)
             total += np.sum(node_w[mj] * (vals @ wq))
-    return total
+    return total, sorted(set(counts.tolist()))
 
 
 def pair_k(n: int, s: int, phi, sel: KernelSelector | None = None,
            budget: PairBudget | None = None, with_error: bool = True) -> PairingResult:
-    """K^{lam,mu}(phi) = integral q^{lam,mu}(xi, theta) [F phi](xi, theta)."""
+    """K^{lam,mu}(phi) = integral q^{lam,mu}(xi, theta) [F phi](xi, theta).
+
+    node_budget echoes the requested budget and adds rho_nodes_used: the
+    distinct rho-node counts each evaluation used, the base budget first
+    (then the doubled one when with_error).  A radial node r takes
+    max(rho_nodes, 6 / r) nodes, rounded up to a power of two and capped at
+    1024, so a request above 1024 shows there as 1024.
+    """
     _check_dim(phi, 2 * n + s)
     sel = sel or KernelSelector.constant(1.0)
     budget = budget or PairBudget()
     fphi = phi.fourier()
     terms = as_terms(fphi)
-    return _estimated(lambda b: _pair_k_value(n, s, terms, sel, b), budget,
-                      budget.doubled(), with_error)
+    used = []
+
+    def value_with(b: PairBudget) -> complex:
+        value, counts = _pair_k_value(n, s, terms, sel, b)
+        used.append(counts)
+        return value
+
+    res = _estimated(value_with, budget, budget.doubled(), with_error)
+    res.node_budget["rho_nodes_used"] = used
+    return res
 
 
 # --------------------------------------------------------- iterated integral

@@ -3,7 +3,12 @@
 `osc_family_reference` computes what `gausspoly._osc_family` computes, in one
 pass over all (node, frequency) pairs and with every per-axis term formed on
 every axis: the prefactor's modulus as sum_j 1/2 log(a_j^2 + 4 w^2), not one
-log of the product, and lin_j, mu_j also where a centre and a frequency are 0.
+log of the product, its phase by arctan2 per axis, lin_j, mu_j also where a
+centre and a frequency are 0, and every moment by the full recursion.  For a
+plain family with no live axis the engine takes another route
+(`gausspoly._osc_dead`: a product of paired principal roots for the
+prefactor, the even moments with their double factorials folded into the
+coefficients), so there the oracle shares none of its arithmetic.
 """
 import numpy as np
 

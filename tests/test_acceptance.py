@@ -11,6 +11,7 @@ exhaustively in test_clifford), so those instances cannot be run as stated.
 Each has an xfail test documenting the obstruction plus a passing run at the
 minimal admissible module (0, 2, 2).
 """
+import json
 import math
 import time
 
@@ -22,6 +23,7 @@ from pseudoht.clifford import Signature, build_module
 from pseudoht.errors import UnknownSignature
 from pseudoht.specfun import bessel_j, bessel_y, struve_h
 from pseudoht import verification
+import acceptance_values
 
 mpmath.mp.dps = 40
 
@@ -192,6 +194,36 @@ def test_criterion_10_counterexample_identity():
     res = _record(10, verification.check_counterexample_identity())
     assert res["passed"]
     assert res["relative_error"] <= 1e-3
+
+
+def test_quick_battery_keeps_its_recorded_values():
+    """`pseudoht report --quick` against `acceptance_quick.json`, each value
+    at its declared scale (`acceptance_values`)."""
+    recorded = json.loads(acceptance_values.RECORDED.read_text())
+    assert acceptance_values.moved(recorded, acceptance_values.quick_checks()) == []
+
+
+def test_recorded_values_rule():
+    """A complex value moves by at most 1e-12 of its modulus, a real one by
+    1e-12 of itself, a rounding-level one by a thousandth of its gate; a
+    verdict or the tree's shape must not change at all."""
+    old = {"c": {"tol": 1e-3, "passed": True, "value": [1.0, 1e-14], "psi": 2.0,
+                 "relative_error": 4e-15, "entries": [{"tol": 1e-2, "relative_error": 1e-11}]}}
+
+    def with_(**change):
+        new = json.loads(json.dumps(old))
+        new["c"].update(change)
+        return acceptance_values.moved(old, new)
+
+    assert acceptance_values.moved(old, json.loads(json.dumps(old))) == []
+    assert with_(value=[1.0, 5e-13]) == []               # the imaginary part is rounding
+    assert len(with_(value=[1.0 + 2e-12, 1e-14])) == 1
+    assert with_(psi=2.0 + 1e-12) == [] and len(with_(psi=2.0 + 1e-11)) == 1
+    assert with_(relative_error=9e-7) == [] and len(with_(relative_error=2e-6)) == 1
+    assert with_(entries=[{"tol": 1e-2, "relative_error": 9e-6}]) == []
+    assert len(with_(entries=[{"tol": 1e-2, "relative_error": 2e-5}])) == 1
+    assert len(with_(passed=False)) == 1 and len(with_(entries=[])) == 1
+    assert len(with_(extra=1.0)) == 1
 
 
 def test_zz_summary():

@@ -743,6 +743,114 @@ class TestDeadAxes:
         _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(3, 20)), table)
 
 
+
+class TestNoLiveAxis:
+    """Plain families with no centre or frequency on any axis take the
+    engine's algebraic route (`gausspoly._osc_dead`): a paired-root
+    prefactor and the even moments with their double factorials folded into
+    the coefficients.  Every value is checked against the oracle at 1e-13 of
+    the largest reference value at its w, so the decay at |w| = 1e4 is
+    resolved too."""
+
+    # (dimension, tau): balanced as at every catalog signature, then axes
+    # left unpaired
+    TAUS = {"d2": np.array([1.0, -1.0]), "d4": TAU4,
+            "d6": np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]),
+            "d3_plus": np.ones(3), "d5_alternating": (-1.0) ** np.arange(5)}
+    W = np.array([0.0, 1e-8, -1e-8, 1e4, -1e4, 0.3, -1.7, 4.9])
+
+    @staticmethod
+    def _family(rng, tau, coupled, nodes=3):
+        """Every axis dead; powers 4 and 6 on axis 0, a mixed even monomial and
+        monomials odd on some axis (dropped on a diagonal form)."""
+        dim = len(tau)
+        rows = [np.zeros(dim, dtype=int)]
+        for j, k in ((0, 2), (0, 4), (0, 6), (dim - 1, 2), (0, 3)):
+            rows.append(np.eye(dim, dtype=int)[j] * k)
+        rows.append(2 * (np.eye(dim, dtype=int)[0] + np.eye(dim, dtype=int)[-1]))
+        rows.append(np.eye(dim, dtype=int)[0] + np.eye(dim, dtype=int)[-1])
+        expo = np.array(rows)
+        coef = (rng.normal(size=(nodes, len(expo))) + 1j * rng.normal(size=(nodes, len(expo)))) * 0.3
+        coef[:, 0] += 2.0
+        if coupled:
+            L = rng.normal(size=(dim, dim)) * 0.4
+            form = L @ L.T + np.eye(dim)
+        else:
+            form = np.diag(rng.uniform(0.5, 2.0, size=dim))
+        return TermStack(form, expo, coef, np.zeros((nodes, dim)), np.zeros((nodes, dim)))
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=0)
+        assert np.all(scale > 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj_coef"])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["diagonal", "coupled"])
+    @pytest.mark.parametrize("taus", list(TAUS))
+    def test_against_the_oracle(self, taus, coupled, conj):
+        tau = self.TAUS[taus]
+        if coupled:   # the congruence orders its columns positives-first
+            tau = np.sort(tau)[::-1]
+        rng = np.random.default_rng(60 + len(tau) + 10 * coupled)
+        fam = self._family(rng, tau, coupled)
+        assert coupled == bool(np.count_nonzero(fam.form - np.diag(np.diagonal(fam.form))))
+        w = np.stack([self.W, self.W[::-1], 0.5 * self.W])
+        want = osc_family_reference(fam, w, tau)
+        if conj:
+            other = (rng.normal(size=fam.coef.shape) + 1j * rng.normal(size=fam.coef.shape)) * 0.3
+            other[:, 0] += 1.0 - 2.0j
+            want = want + osc_family_reference(
+                TermStack(fam.form, fam.expo, other, fam.shift, fam.freq), -w, tau)
+        got = batched_osc_integral(fam, w, tau, conj_coef=other if conj else None)
+        self._close(got, want)
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj_coef"])
+    def test_tiles_split_nodes_and_frequencies(self, conj, monkeypatch):
+        """Passes of a few pairs: several nodes per tile (3 frequencies), and
+        a row in chunks (16 frequencies)."""
+        rng = np.random.default_rng(66)
+        fam = self._family(rng, TAU4, False, nodes=5)
+        other = fam.coef[::-1].copy() if conj else None
+        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 16 * 7 * 16)
+        for nw in (3, 16):
+            w = rng.uniform(-5.0, 5.0, size=(5, nw))
+            want = osc_family_reference(fam, w, TAU4)
+            if conj:
+                want = want + osc_family_reference(
+                    TermStack(fam.form, fam.expo, other, fam.shift, fam.freq), -w, TAU4)
+            self._close(batched_osc_integral(fam, w, TAU4, conj_coef=other), want)
+
+    def test_no_frequencies(self):
+        """An empty frequency array gives an empty result, as on the live route."""
+        fam = self._family(np.random.default_rng(69), TAU4, False)
+        assert batched_osc_integral(fam, np.zeros((3, 0)), TAU4).shape == (3, 0)
+        assert batched_osc_integral(fam.term(0), np.array([]), TAU4).shape == (0,)
+
+    def test_no_constant_monomial(self):
+        """Even monomials only, none of them constant: x_0^2, x_0^4 and
+        x_1^2 x_3^2 (whose divisor x_1^2 is not in the family)."""
+        rng = np.random.default_rng(68)
+        expo = np.array([[2, 0, 0, 0], [4, 0, 0, 0], [0, 2, 0, 2]])
+        coef = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        fam = TermStack(DIAG4, expo, coef, np.zeros((3, 4)), np.zeros((3, 4)))
+        w = np.stack([self.W] * 3)
+        self._close(batched_osc_integral(fam, w, TAU4), osc_family_reference(fam, w, TAU4))
+
+    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj_coef"])
+    def test_every_monomial_odd_is_exactly_zero(self, conj):
+        """All monomials odd on axis 0 of a diagonal family: none is kept."""
+        rng = np.random.default_rng(67)
+        expo = np.array([[1, 0, 0, 0], [3, 0, 0, 0], [1, 2, 0, 0], [1, 0, 1, 1]])
+        coef = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        fam = TermStack(DIAG4, expo, coef, np.zeros((3, 4)), np.zeros((3, 4)))
+        w = np.stack([self.W] * 3)
+        got = batched_osc_integral(fam, w, TAU4, conj_coef=coef.conj() if conj else None)
+        assert got.shape == w.shape and np.all(got == 0)
+        assert np.all(osc_family_reference(fam, w, TAU4) == 0)
+
+
 # ------------------------------------------------- term stacks (per-term forms)
 
 NOT_SYMMETRIC = np.array([[1.0, 0.2], [0.0, 1.0]])

@@ -1,4 +1,6 @@
 """Pairing representation tests: delta-reproduction, equivalence, parity."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,18 @@ class TestRhoRule:
         assert rho.shape == w.shape == (npts,)
         assert np.max(np.abs(rho - ref_rho)) <= 2 * np.finfo(float).eps
         assert np.sum(np.abs(w - ref_w)) <= 1e-12 * np.sum(ref_w)
+
+    def test_node_budget_reports_the_counts_used(self, g022):
+        """rho_nodes above the cap of 1024 shows as 1024; with_error adds the
+        doubled budget's counts, each a power of two."""
+        dphi = g022.apply_delta_rs(GaussPoly.iso_gaussian(6))
+        sel = KernelSelector.constant(1.0)
+        res = pair_k(2, 2, dphi, sel, replace(SMALL, rho_nodes=2048), with_error=False)
+        assert res.node_budget["rho_nodes"] == 2048
+        assert res.node_budget["rho_nodes_used"] == [[1024]]
+        base, doubled = pair_k(2, 2, dphi, sel, SMALL).node_budget["rho_nodes_used"]
+        assert base[0] == 64 and doubled[0] == 128 and base[-1] == doubled[-1] == 1024
+        assert all(c & (c - 1) == 0 for c in base + doubled)
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_other_n_keep_the_jacobi_rule(self, n):
