@@ -623,13 +623,12 @@ def apply_operator(phi, op: list):
 
 # ------------------------------------------------------------- node families
 
-# The oscillatory engine works in passes over (node, frequency) pairs whose
-# complex temporaries take about _OSC_BYTES: a pass holds
-# _OSC_BYTES // (16 (M_table + M + 2 d)) pairs (see `_osc_family`; a plain
-# family with no live axis sizes its tiles from the same budget, `_osc_dead`), so a
-# one-monomial table pass covers a few thousand pairs and a wide polynomial
-# pass several hundred; `node_blocks` splits the nodes of a weighted sum so
-# that each engine call returns at most _OSC_BLOCK values.
+# The oscillatory engine works in passes over tiles of (node, frequency)
+# pairs whose complex temporaries take about _OSC_BYTES (`_tile`, sized in
+# `_osc_family`), so a one-monomial table pass covers a couple of thousand
+# pairs and a wide polynomial pass several hundred; `node_blocks` splits the
+# nodes of a weighted sum so that each engine call returns at most
+# _OSC_BLOCK values.
 _OSC_BYTES = 16384 * 16
 _OSC_BLOCK = 8192
 
@@ -822,10 +821,11 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
     P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  For a GaussPoly or
     GaussMixture, w may have any shape and the terms add; for a node family
     (from `GaussPoly.restrict`) w has shape (N, Nw), row i for node i.
-    Diagonal quadratic forms use a vectorized per-axis closed form; general
-    forms are reduced to that case once per family by a tau-congruence S
-    (S^T A S = |Lambda| diagonal and S^T tau S = tau), which leaves P
-    invariant up to coordinate ordering.
+    On a diagonal quadratic form the integral is a closed form that
+    factors over the axes (`_osc_family`); general forms are reduced to
+    that case once per family by a tau-congruence S (S^T A S = |Lambda|
+    diagonal and S^T tau S = tau), which leaves P invariant up to
+    coordinate ordering.
 
     With table=True, phi is one term or one node family and the result gains
     a last axis over its monomials, in the order of its `expo`: entry k is
@@ -896,121 +896,159 @@ def _tau_diagonalize(fam: TermStack, tau: np.ndarray):
                        np.linalg.solve(S, fam.shift.T).T, fam.freq @ S), T * det
 
 
+def _tile(shape: tuple, slots: int) -> tuple:
+    """(rows, cols) of the engine's passes over a (nodes, Nw) frequency array:
+    tiles of whole nodes by a chunk of frequencies, of at most
+    _OSC_BYTES // (16 slots) pairs, where a pair holds `slots` complex
+    temporaries at once; a longer row splits into equal chunks."""
+    size = max(1, _OSC_BYTES // (16 * slots))
+    cols = max(1, -(-shape[1] // max(1, -(-shape[1] // size))))
+    return max(1, size // cols), cols
+
+
 def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
                 table: bool = False, conj_coef: np.ndarray | None = None) -> np.ndarray:
     """The engine on a family; with `table`, the (N, Nw, M) per-monomial table.
 
     After the tau-congruence the form is diagonal, so at a (node, frequency)
     pair the integral factors over the axes: axis j is the 1-D complex
-    Gaussian with beta_j = a_j - 2 i tau_j w, variance sigma_j^2 = 1 / beta_j
-    and mean mu_j = lin_j sigma_j^2, lin_j = i b_j + 2 i tau_j w c_j.  An
-    axis is live when some node of the family has a nonzero centre or
-    frequency on it; on a dead axis the exponent and mu_j are exactly 0, and
-    a monomial odd on it (moment exactly 0) is dropped (a table keeps its
-    0s).  A plain family with no live axis then depends on w alone and takes
-    the algebraic route `_osc_dead`; the rest of this docstring is the route
-    of tables and of families with a live axis.
+    Gaussian with beta_j = a_j - 2 i tau_j w, variance
+    s_j = sigma_j^2 = (a_j + 2 i tau_j w) / (a_j^2 + 4 w^2) and mean
+    mu_j = i (b_j + 2 tau_j w c_j) s_j.  An axis is live when some node of
+    the family has a nonzero centre or frequency on it.  On a dead axis the
+    exponent and mu_j are exactly 0, a monomial odd on it (moment exactly 0)
+    is dropped (a table keeps its 0s), and monomial 2 h has the moment
+    (2 h - 1)!! s^h.
 
-    Per pass, r2_j = |beta_j|^2 = a_j^2 + 4 w^2 is formed once (every factor
-    >= a_j^2 > 0); sigma_j^2 = (a_j + 2 i tau_j w) / r2_j is written from its
-    real and imaginary parts into one (d, pass) array.  The prefactor
-    prod_j sqrt(2 pi / beta_j) splits into its modulus, one log of prod_j r2_j,
-    and its phase, -1/2 sum_j arg(beta_j) by arctan2 per axis (the angle of
-    the product would lose multiples of 2 pi).  The exponent of axis j,
-    lin_j^2 sigma_j^2 / 2 + i b_j c_j + i tau_j w c_j^2, is formed as
-        (-b_j^2 - 4 tau_j w b_j c_j + 2 i tau_j w a_j c_j^2) sigma_j^2 / 2 + i b_j c_j,
+    Prefactor.  prod_j sqrt(2 pi / beta_j) pairs the p-th tau = +1 axis with
+    the p-th tau = -1 axis: beta_+ beta_- = (a_+ a_- + 4 w^2)
+    + 2 i (a_+ - a_-) w = X + i Y has X > 0, so its principal root is
+    q + i Y / (2 q), q = sqrt((|X + i Y| + X) / 2), with no cancellation; as
+    both arguments lie in (-pi/2, pi/2), these roots multiply to
+    prod_j sqrt(beta_j).  An unpaired axis takes the same root of its own
+    beta_j.  The live axes multiply it by exp of their exponent
+    lin_j^2 s_j / 2 + i b_j c_j + i tau_j w c_j^2, formed as
+        (-b_j^2 - 4 tau_j w b_j c_j + 2 i tau_j w a_j c_j^2) s_j / 2 + i b_j c_j,
     in which the w^2 c_j^2 terms of the two parts have cancelled exactly, so
-    it keeps its relative accuracy at large |w|.  The exponent and mu_j are
-    formed on live axes only, and a dead axis's moments are the even ones,
-    (2h - 1)!! sigma_j^{2h} at 2h.
+    it keeps its relative accuracy at large |w|.
 
-    A pass holds _OSC_BYTES // (16 (M_table + M + 2 d)) pairs: M_table the
-    caller's monomial count in table mode (0 otherwise), M and d the formed
-    monomial count and dimension of the diagonal family.  Both modes build
-    the same per-pass moment products mono and prefactor pref.  The plain
-    mode folds the coefficients into mono and sums over monomials (with
-    conj_coef, mapped as coef is, it contracts a unit mono with both blocks,
-    U_m(-w; b) = conj U_m(w; -b)); the table mode keeps unit coefficients,
-    maps the columns back through the basis map of the tau-congruence and
-    then multiplies by the caller's coefficients.
+    Moments.  The double factorials fold into the coefficients once per call
+    and the products s^h of the dead part of every kept monomial are built a
+    degree at a time (`_even_plan`); s_j is formed on the axes with a power
+    and on the live axes only.  When a monomial has a live part, the
+    recursion m_k = mu m_{k-1} + (k - 1) s m_{k-2} multiplies in its live
+    moments.
+
+    A pass is a tile of whole nodes by a chunk of frequencies whose
+    temporaries take about _OSC_BYTES; node data broadcast along its row.
+    When the kept monomials map one to one onto the dead products (plain
+    mode or conj_coef, no live axis), the folded coefficients contract with
+    the products directly, one matrix product per coefficient block.
+    Otherwise a per-monomial tile is gathered from the products: the plain
+    mode contracts it with the coefficients (with conj_coef, mapped as coef
+    is, both blocks, U_m(-w; b) = conj U_m(w; -b)), and the table mode maps
+    it back through the basis map of the tau-congruence and then multiplies
+    by the caller's coefficients.
     """
     user_coef, basis = fam.coef, None
     A = fam.form
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
-    d, a, t = fam.dim, np.diagonal(fam.form)[:, None], tau[:, None]
-    live = np.any(fam.shift != 0, axis=0) | np.any(fam.freq != 0, axis=0)
-    odd = fam.expo[:, ~live] % 2
+    a = np.diagonal(fam.form)
+    dead = np.all(fam.shift == 0, axis=0) & np.all(fam.freq == 0, axis=0)
+    odd = fam.expo[:, dead] % 2
     kept = ~odd.any(axis=1) if odd.any() else slice(None)   # a slice keeps views
-    live = np.flatnonzero(live)
-    expo, coef = fam.expo[kept], fam.coef[:, kept]
+    live = np.flatnonzero(~dead)
+    expo = fam.expo[kept]
+    blocks = [fam.coef[:, kept]]
     if conj_coef is not None:
-        conj_coef = (conj_coef if basis is None else conj_coef @ basis)[:, kept].conj()
-    if table and not isinstance(kept, slice):   # dropped monomials map to 0 columns
-        basis = (np.eye(len(fam.expo)) if basis is None else basis)[:, kept]
-    if not (table or live.size):
-        return _osc_dead(np.diagonal(fam.form), tau, expo, coef, conj_coef, w)
-    deg = expo.max(axis=0, initial=0).tolist()
-    axes = [j for j in range(d) if deg[j]]
-    # per-axis arrays are laid out (axis, pair); node data is gathered per pass
-    # with `take`, which keeps the gathers C-ordered (a fancy index on the
-    # last axis returns them F-ordered, and the products then run strided)
-    shift, freq, t_live = fam.shift[:, live].T, fam.freq[:, live].T, t[live]
-    b2, bc = freq ** 2, freq * shift
-    cross = 4.0 * bc - 2j * a[live] * shift ** 2
-    a2, const = a ** 2, (2 * np.pi) ** (d / 2)
-    wf, nw = w.ravel(), w.shape[1]
+        blocks.append((conj_coef if basis is None else conj_coef @ basis)[:, kept].conj())
+    axes, lead, lead_axis, steps, col, E = _even_plan(
+        (expo * dead).astype(np.int64, copy=False).tobytes(), expo.shape)
+    K = E.shape[1] - 1
+    # a per-monomial tile: a table keeps every column, and with a live axis
+    # several monomials share one dead product
+    gather = table or live.size > 0
+    if table:
+        back = (np.eye(len(fam.expo)) if basis is None else basis)[:, kept] \
+            * E[np.arange(len(col)), col]
+    else:
+        blocks = [c * E[np.arange(len(col)), col] if gather else c @ E for c in blocks]
+    # the live axes with a power, each with its recursion depth
+    rec = [(p, j, int(expo[:, j].max())) for p, j in enumerate(live) if expo[:, j].any()]
+    if live.size:   # node data on the live axes, laid out (axis, node, 1)
+        b, c = fam.freq[:, live].T[:, :, None], fam.shift[:, live].T[:, :, None]
+        cross = 4.0 * b * c - 2j * a[live, None, None] * c ** 2
+        tl = tau[live, None, None]
+        sax = np.concatenate([axes, live])      # s_j on these axes, the live ones last
+    else:
+        sax = axes
+    pos, neg = np.flatnonzero(tau > 0), np.flatnonzero(tau < 0)
+    npair = min(len(pos), len(neg))
+    lone = np.concatenate([pos[npair:], neg[npair:]])
+    ap, am = a[pos[:npair]], a[neg[:npair]]
+    # the factors X + i Y of the prefactor, X = x0 + x1 4 w^2 and Y = y1 w:
+    # one per (+, -) pair of axes, then one per unpaired axis
+    x0 = np.concatenate([ap * am, a[lone]])[:, None, None]
+    x1 = np.concatenate([np.ones(npair), np.zeros(lone.size)])[:, None, None]
+    y1 = np.concatenate([2.0 * (ap - am), -2.0 * tau[lone]])[:, None, None]
+    sa, st = a[sax, None, None], 2.0 * tau[sax, None, None]
+    const = (2 * np.pi) ** (len(a) / 2)
+    nodes, nw = w.shape
     width = user_coef.shape[1] if table else 0
-    size = max(1, _OSC_BYTES // (16 * (width + len(expo) + 2 * d)))
-    out = np.empty((w.size, width) if table else w.size, dtype=complex)
-    for lo in range(0, w.size, size):
-        wc = wf[lo:lo + size]
-        i = np.arange(lo, lo + wc.size) // nw
-        # Re beta = a > 0 keeps arg(beta) in (-pi/2, pi/2), so the principal
-        # roots multiply as exp(-1/2 sum log beta): the real part of the sum
-        # is one log of the product of the |beta|^2, the angles add per axis;
-        # the angles come first, so that r2 is not held across their temporaries
-        ex = np.empty(wc.size, dtype=complex)
-        ex.imag = -0.5 * np.sum(np.arctan2(-2.0 * t * wc, a), axis=0)
-        r2 = a2 + 4.0 * wc ** 2                 # |beta_j|^2, (d, pass)
-        ex.real = -0.25 * np.log(np.prod(r2, axis=0))
-        if axes or live.size:
-            sig2 = np.empty(r2.shape, dtype=complex)   # 1 / beta = conj(beta) / |beta|^2
-            sig2.real, sig2.imag = a / r2, 2.0 * t * wc / r2
-        mu = {}
-        if live.size:
-            tw, s2 = t_live * wc, sig2[live]
-            m = 1j * (freq.take(i, axis=1) + 2.0 * tw * shift.take(i, axis=1)) * s2
-            ex += np.sum((-b2.take(i, axis=1) - tw * cross.take(i, axis=1)) * (0.5 * s2)
-                         + 1j * bc.take(i, axis=1), axis=0)
-            mu = dict(zip(live.tolist(), m))
-        pref = const * np.exp(ex)
-        # E[(mu + sigma N)^m] per axis by m_k = mu m_{k-1} + (k - 1) sigma^2 m_{k-2};
-        # a dead axis (mu = 0) forms only m_{2h} = (2h - 1)!! sigma^{2h}, gathered by m // 2
-        unit = table or conj_coef is not None
-        mono = np.ones((len(expo), wc.size), dtype=complex) if unit else coef.T.take(i, axis=1)
-        for j in axes:
-            if j in mu:
-                mom = np.empty((deg[j] + 1, wc.size), dtype=complex)
-                mom[0], mom[1] = 1.0, mu[j]
-                for k in range(2, deg[j] + 1):
-                    mom[k] = mu[j] * mom[k - 1] + (k - 1) * sig2[j] * mom[k - 2]
-                mono *= mom[expo[:, j]]
+    slots = K + len(sax) + len(x0) + 2
+    if gather:
+        slots += 1 + len(expo) + width + sum(k + 1 for *_, k in rec)
+    rows, cols = _tile(w.shape, slots)
+    out = np.empty(w.shape + ((width,) if table else ()), dtype=complex)
+    for r0 in range(0, nodes, rows):
+        rs = slice(r0, r0 + rows)
+        for c0 in range(0, nw, cols):
+            wc = w[rs, c0:c0 + cols]
+            w4 = 4.0 * wc * wc
+            X, Y = x0 + x1 * w4, y1 * wc
+            q = np.sqrt(0.5 * (np.sqrt(X * X + Y * Y) + X))
+            z = np.empty(X.shape, dtype=complex)
+            z.real, z.imag = q, Y / (2.0 * q)
+            pref = const / np.prod(z, axis=0)
+            if len(sax):
+                r2 = sa * sa + w4
+                s = np.empty(r2.shape, dtype=complex)
+                s.real, s.imag = sa / r2, st * wc / r2
+            if live.size:
+                sl, tw = s[len(axes):], tl * wc
+                bt, ct = b[:, rs], c[:, rs]
+                pref = pref * np.exp(np.sum((-bt * bt - tw * cross[:, rs]) * (0.5 * sl)
+                                            + 1j * bt * ct, axis=0))
+                mu = 1j * (bt + 2.0 * tw * ct) * sl
+            tile = np.empty((K + gather,) + (wc.shape if K else (1, 1)), dtype=complex)
+            if K:
+                tile[lead] = s[lead_axis]
+                for at, parent, j in steps:
+                    tile[at] = tile[parent] * s[j]
+            if gather:
+                tile[K] = 1.0
+                mono = tile[col]
+                for p, j, k in rec:
+                    mom = np.empty((k + 1,) + wc.shape, dtype=complex)
+                    mom[0], mom[1] = 1.0, mu[p]
+                    for h in range(2, k + 1):
+                        mom[h] = mu[p] * mom[h - 1] + (h - 1) * sl[p] * mom[h - 2]
+                    mono = mono * mom[expo[:, j]]
+            if table:
+                tab = (back @ (pref * mono).reshape(len(col), wc.size)).reshape((width,) + wc.shape)
+                out[rs, c0:c0 + cols] = (tab * user_coef[rs].T[:, :, None]).transpose(1, 2, 0)
+                continue
+            if gather:
+                vals = [np.matmul(cb[rs, None], mono.transpose(1, 0, 2))[:, 0] for cb in blocks]
             else:
-                mom = np.empty((deg[j] // 2 + 1, wc.size), dtype=complex)
-                mom[0], mom[1] = 1.0, sig2[j]
-                for h in range(2, len(mom)):
-                    mom[h] = (2 * h - 1) * sig2[j] * mom[h - 1]
-                mono *= mom[expo[:, j] // 2]
-        if table:
-            tab = pref * mono if basis is None else basis @ (pref * mono)
-            out[lo:lo + wc.size] = (tab * user_coef.T.take(i, axis=1)).T
-        elif conj_coef is None:
-            out[lo:lo + wc.size] = pref * np.sum(mono, axis=0)
-        else:
-            out[lo:lo + wc.size] = pref * np.sum(coef.T.take(i, axis=1) * mono, axis=0) \
-                + np.conj(pref * np.sum(conj_coef.T.take(i, axis=1) * mono, axis=0))
-    return out.reshape(w.shape + out.shape[1:])
+                vals = [cb[rs, K:] + np.matmul(cb[rs, None, :K], tile.transpose(1, 0, 2))[:, 0]
+                        if K else cb[rs, K:] for cb in blocks]
+            val = pref * vals[0]
+            if len(vals) > 1:
+                val += np.conj(pref * vals[1])
+            out[rs, c0:c0 + cols] = val
+    return out
 
 
 # (2h - 1)!! for h up to 32, the exponents `_rank` handles
@@ -1019,16 +1057,18 @@ _DOUBLE_FACTORIAL = np.array([math.prod(range(1, 2 * h, 2)) for h in range(33)],
 
 @lru_cache(maxsize=64)
 def _even_plan(key: bytes, shape: tuple):
-    """How `_osc_dead` builds the products s^h for the monomials 2 h of an
-    exponent array (given by its bytes and shape), every row even.
+    """How `_osc_family` builds the products s^h for the monomials 2 h of an
+    exponent array (given by its bytes and shape), every row even; rows may
+    repeat.
 
     Returns the axes with a power, the first-degree slots and their axes,
     the later steps (slots, parent slots, axis) of one gather and one
-    product each, a degree at a time over the kept monomials and every
-    divisor on their chains to 1 (the graded order's `down` on the first
-    axis with a power), and the map E (M, K + 1): row m holds
-    prod_j (2 h_j - 1)!! in the column of its product, column 0 being the
-    unit monomial, so coef @ E are the coefficients over the products.
+    product each, a degree at a time over the rows and every divisor on
+    their chains to 1 (the graded order's `down` on the first axis with a
+    power), the slot of each row, and the map E (M, K + 1): row m holds
+    prod_j (2 h_j - 1)!! in the column of its slot.  The products take
+    slots 0..K-1 and the unit monomial slot K, so coef @ E are the
+    coefficients over the products and the unit.
     """
     h = np.frombuffer(key, dtype=np.int64).reshape(shape) // 2
     axes = np.flatnonzero(h.max(axis=0, initial=0))
@@ -1042,79 +1082,13 @@ def _even_plan(key: bytes, shape: tuple):
     for k in range(deg, 1, -1):
         pos = np.flatnonzero(need & (level == k))
         need[b.down[first[pos], pos]] = True
-    slot = np.cumsum(need) - 1            # column 0 is the unit monomial, the tile has slots 1..
+    K = np.count_nonzero(need) - 1
+    slot = np.cumsum(need) - 2
+    slot[0] = K                           # the unit monomial, after the products
     lead = np.flatnonzero(need & (level == 1))
-    steps = [(slot[pos] - 1, slot[b.down[first[pos], pos]] - 1, first[pos])
+    steps = [(slot[pos], slot[b.down[first[pos], pos]], first[pos])
              for k in range(2, deg + 1) for pos in [np.flatnonzero(need & (level == k))]]
-    E = np.zeros((len(h), slot[-1] + 1), dtype=complex)
-    E[np.arange(len(h)), slot[_rank(hp)]] = np.prod(_DOUBLE_FACTORIAL[h], axis=1)
-    return axes, slot[lead] - 1, first[lead], steps, E
-
-
-def _osc_dead(a: np.ndarray, tau: np.ndarray, expo: np.ndarray, coef: np.ndarray,
-              conj_coef: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-    """The plain engine on a diagonal family with no live axis (`_osc_family`
-    after the congruence, with the monomials odd on some axis dropped and
-    conj_coef mapped and conjugated).
-
-    Every factor depends on w alone.  The prefactor pairs the p-th tau = +1
-    axis with the p-th tau = -1 axis: beta_+ beta_- = (a_+ a_- + 4 w^2)
-    + 2 i (a_+ - a_-) w = X + i Y has X > 0, so its principal root is
-    q + i Y / (2 q), q = sqrt((|X + i Y| + X) / 2), with no cancellation; as
-    both arguments lie in (-pi/2, pi/2), these roots multiply to
-    prod_j sqrt(beta_j).  An unpaired axis takes the same root of its own
-    beta_j = a_j - 2 i tau_j w.  Monomial 2 h integrates to
-    prod_j (2 h_j - 1)!! s_j^{h_j}, s_j = sigma_j^2 = (a_j + 2 i tau_j w) / (a_j^2 + 4 w^2):
-    the double factorials fold into the coefficients once per call, s_j is
-    formed on the axes with a power only, and the products s^h are built a
-    degree at a time (`_even_plan`).  A pass is a tile of whole nodes by a
-    chunk of frequencies whose (K, rows, cols) product array takes about
-    _OSC_BYTES; each node's coefficients broadcast along its row, and the
-    sum over monomials is one matrix product per coefficient block.
-    """
-    axes, lead, lead_axis, steps, E = _even_plan(expo.astype(np.int64).tobytes(), expo.shape)
-    blocks = [c @ E for c in ([coef] if conj_coef is None else [coef, conj_coef])]
-    K = E.shape[1] - 1
-    pos, neg = np.flatnonzero(tau > 0), np.flatnonzero(tau < 0)
-    npair = min(len(pos), len(neg))
-    lone = np.concatenate([pos[npair:], neg[npair:]])
-    ap, am = a[pos[:npair]], a[neg[:npair]]
-    # the factors X + i Y of the prefactor, X = x0 + x1 4 w^2 and Y = y1 w:
-    # one per (+, -) pair of axes, then one per unpaired axis
-    x0 = np.concatenate([ap * am, a[lone]])[:, None, None]
-    x1 = np.concatenate([np.ones(npair), np.zeros(lone.size)])[:, None, None]
-    y1 = np.concatenate([2.0 * (ap - am), -2.0 * tau[lone]])[:, None, None]
-    sa, st = a[axes, None, None], 2.0 * tau[axes, None, None]
-    const = (2 * np.pi) ** (len(a) / 2)
-    nodes, nw = w.shape
-    size = max(1, _OSC_BYTES // (16 * (K + len(axes) + len(x0) + 2)))
-    chunks = max(1, -(-nw // size))
-    cols = max(1, -(-nw // chunks))                  # equal chunks of at most size
-    rows = max(1, size // cols)
-    out = np.empty(w.shape, dtype=complex)
-    for r0 in range(0, nodes, rows):
-        for c0 in range(0, nw, cols):
-            wc = w[r0:r0 + rows, c0:c0 + cols]
-            w4 = 4.0 * wc * wc
-            X, Y = x0 + x1 * w4, y1 * wc
-            q = np.sqrt(0.5 * (np.sqrt(X * X + Y * Y) + X))
-            z = np.empty(X.shape, dtype=complex)
-            z.real, z.imag = q, Y / (2.0 * q)
-            pref = const / np.prod(z, axis=0)
-            vals = [c[r0:r0 + rows, :1] for c in blocks]
-            if K:
-                r2 = sa * sa + w4
-                s = np.empty(r2.shape, dtype=complex)
-                s.real, s.imag = sa / r2, st * wc / r2
-                tile = np.empty((K,) + wc.shape, dtype=complex)
-                tile[lead] = s[lead_axis]
-                for at, parent, j in steps:
-                    tile[at] = tile[parent] * s[j]
-                tile = tile.transpose(1, 0, 2)
-                vals = [v + np.matmul(c[r0:r0 + rows, None, 1:], tile)[:, 0]
-                        for v, c in zip(vals, blocks)]
-            val = pref * vals[0]
-            if len(vals) > 1:
-                val += np.conj(pref * vals[1])
-            out[r0:r0 + rows, c0:c0 + cols] = val
-    return out
+    col = slot[_rank(hp)]
+    E = np.zeros((len(h), K + 1), dtype=complex)
+    E[np.arange(len(h)), col] = np.prod(_DOUBLE_FACTORIAL[h], axis=1)
+    return axes, slot[lead], first[lead], steps, col, E

@@ -89,13 +89,14 @@ class PairingResult:
 def _estimated(value_with, budget: PairBudget, doubled: PairBudget,
                with_error: bool) -> PairingResult:
     """value_with(budget); with_error, the value at the doubled budget, with
-    the difference of the two as est_error."""
+    the difference of the two as est_error.  node_budget is the budget the
+    returned value was computed at."""
     val = value_with(budget)
     err = 0.0
     if with_error:
         val2 = value_with(doubled)
         err = abs(val2 - val)
-        val = val2
+        val, budget = val2, doubled
     return PairingResult(val, err, budget.as_dict())
 
 
@@ -210,11 +211,12 @@ def pair_k(n: int, s: int, phi, sel: KernelSelector | None = None,
            budget: PairBudget | None = None, with_error: bool = True) -> PairingResult:
     """K^{lam,mu}(phi) = integral q^{lam,mu}(xi, theta) [F phi](xi, theta).
 
-    node_budget echoes the requested budget and adds rho_nodes_used: the
-    distinct rho-node counts each evaluation used, the base budget first
-    (then the doubled one when with_error).  A radial node r takes
-    max(rho_nodes, 6 / r) nodes, rounded up to a power of two and capped at
-    1024, so a request above 1024 shows there as 1024.
+    node_budget is the budget the value was computed at (the doubled one
+    when with_error) and adds rho_nodes_used: the distinct rho-node counts
+    each evaluation used, the base budget first (then the doubled one when
+    with_error).  A radial node r takes max(rho_nodes, 6 / r) nodes, rounded
+    up to a power of two and capped at 1024, so a request above 1024 shows
+    there as 1024.
     """
     _check_dim(phi, 2 * n + s)
     sel = sel or KernelSelector.constant(1.0)

@@ -1,8 +1,9 @@
-"""The quick acceptance battery's recorded values, and the rule a new run
-must keep against them.
+"""The acceptance battery's recorded values, and the rule a new run must
+keep against them.
 
-`acceptance_quick.json` holds the `checks` block of `pseudoht report --quick`.
-Every value carries a declared scale:
+`acceptance_quick.json` holds the `checks` block of `pseudoht report --quick`,
+`acceptance_full.json` that of the full `pseudoht report`.  Every value
+carries a declared scale:
 
 - a real value may move by 1e-12 of |old|, and a complex value (an [re, im]
   pair under one of COMPLEX_KEYS) by 1e-12 of its old modulus;
@@ -16,8 +17,9 @@ Booleans, strings, integers and the shape of the tree must match exactly.
 
     PYTHONPATH=src python tests/acceptance_values.py            # print what moved
     PYTHONPATH=src python tests/acceptance_values.py --record   # rewrite the file
+    PYTHONPATH=src python tests/acceptance_values.py --full     # the full battery
 
-Re-recording the file changes a check.
+Re-recording a file changes a check.
 """
 import json
 import math
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 RECORDED = Path(__file__).resolve().parent / "acceptance_quick.json"
+RECORDED_FULL = RECORDED.with_name("acceptance_full.json")
 
 REL = 1e-12
 ROUNDING_SHARE = 1e-3
@@ -97,19 +100,25 @@ def moved(old, new) -> list:
     return out
 
 
-def quick_checks() -> dict:
-    """The checks block of `pseudoht report --quick`, as the CLI writes it."""
+def battery_checks(quick: bool = True) -> dict:
+    """The checks block of `pseudoht report` (`--quick` by default), as the
+    CLI writes it."""
     from pseudoht.cli import _json_default
     from pseudoht.verification import full_report
 
-    return json.loads(json.dumps(full_report(quick=True)["checks"], default=_json_default))
+    return json.loads(json.dumps(full_report(quick=quick)["checks"], default=_json_default))
 
 
 if __name__ == "__main__":
-    checks = quick_checks()
-    if sys.argv[1:] == ["--record"]:
-        RECORDED.write_text(json.dumps(checks, indent=1, sort_keys=True) + "\n")
+    args = sys.argv[1:]
+    if not set(args) <= {"--full", "--record"}:
+        sys.exit(f"usage: {sys.argv[0]} [--full] [--record]")
+    full = "--full" in args
+    path = RECORDED_FULL if full else RECORDED
+    checks = battery_checks(quick=not full)
+    if "--record" in args:
+        path.write_text(json.dumps(checks, indent=1, sort_keys=True) + "\n")
     else:
-        messages = moved(json.loads(RECORDED.read_text()), checks)
+        messages = moved(json.loads(path.read_text()), checks)
         print("\n".join(messages) if messages else "no value moved")
         sys.exit(1 if messages else 0)

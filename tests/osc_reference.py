@@ -2,13 +2,14 @@
 
 `osc_family_reference` computes what `gausspoly._osc_family` computes, in one
 pass over all (node, frequency) pairs and with every per-axis term formed on
-every axis: the prefactor's modulus as sum_j 1/2 log(a_j^2 + 4 w^2), not one
-log of the product, its phase by arctan2 per axis, lin_j, mu_j also where a
-centre and a frequency are 0, and every moment by the full recursion.  For a
-plain family with no live axis the engine takes another route
-(`gausspoly._osc_dead`: a product of paired principal roots for the
-prefactor, the even moments with their double factorials folded into the
-coefficients), so there the oracle shares none of its arithmetic.
+every axis: the prefactor's modulus as sum_j 1/2 log(a_j^2 + 4 w^2), its
+phase by arctan2 per axis, the exponent lin_j^2 / (2 beta_j) from its two
+parts, lin_j and mu_j also where a centre and a frequency are 0, and every
+moment by the full recursion.  The engine takes the prefactor as a product
+of paired principal roots with no transcendental, the exponent with its
+large parts cancelled analytically, and the even moments of the dead axes
+with their double factorials folded into the coefficients, so on no family
+does the oracle share its prefactor or moment arithmetic.
 """
 import numpy as np
 

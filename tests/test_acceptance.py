@@ -200,7 +200,14 @@ def test_quick_battery_keeps_its_recorded_values():
     """`pseudoht report --quick` against `acceptance_quick.json`, each value
     at its declared scale (`acceptance_values`)."""
     recorded = json.loads(acceptance_values.RECORDED.read_text())
-    assert acceptance_values.moved(recorded, acceptance_values.quick_checks()) == []
+    assert acceptance_values.moved(recorded, acceptance_values.battery_checks()) == []
+
+
+def test_full_battery_keeps_its_recorded_values():
+    """`pseudoht report` (full mode) against `acceptance_full.json`, under the
+    same rule."""
+    recorded = json.loads(acceptance_values.RECORDED_FULL.read_text())
+    assert acceptance_values.moved(recorded, acceptance_values.battery_checks(quick=False)) == []
 
 
 def test_recorded_values_rule():

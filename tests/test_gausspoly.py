@@ -538,6 +538,19 @@ def _matches_reference(fam, w, table, tau=TAU4):
     _close_to_reference(got, want)
 
 
+def _spy_tiles(monkeypatch) -> list:
+    """Record (shape, slots, rows, cols) of every engine pass sizing."""
+    seen, tile = [], gausspoly._tile
+
+    def spy(shape, slots):
+        rows, cols = tile(shape, slots)
+        seen.append((shape, slots, rows, cols))
+        return rows, cols
+
+    monkeypatch.setattr(gausspoly, "_tile", spy)
+    return seen
+
+
 def _close_to_reference(got, want):
     assert np.all(np.isfinite(got))
     assert np.all(got[want == 0] == 0)
@@ -572,24 +585,33 @@ class TestOscEngine:
 
     @pytest.mark.parametrize("table", [False, True])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_pass_boundaries(self, table, offset):
-        """w.size at the pass size +-1, one node per pair and one node for all."""
+    def test_pass_boundaries(self, table, offset, monkeypatch):
+        """w.size at the pass size +-1, one node per pair (a tile of whole
+        nodes) and one node for all (a row in equal chunks): one pass up to
+        the size, two past it."""
         rng = np.random.default_rng(43)
         fam = _engine_family(rng, DIAG4, 1, shift_axes=(0,), freq_axes=(2,), deg=2)
-        width = fam.coef.shape[1] if table else 0
-        count = gausspoly._OSC_BYTES // (16 * (width + len(fam.expo) + 2 * fam.dim)) + offset
+        tiles = _spy_tiles(monkeypatch)
+        batched_osc_integral(fam, np.ones((1, 1)), TAU4, table=table)
+        count = gausspoly._OSC_BYTES // (16 * tiles[0][1]) + offset
         many = _engine_family(rng, DIAG4, count, shift_axes=(0,), freq_axes=(2,), deg=2)
         _matches_reference(many, rng.uniform(-5.0, 5.0, size=(count, 1)), table)
         _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(1, count)), table)
+        (_, _, rows, _), (_, _, _, cols) = tiles[1:]
+        passes = 2 if offset > 0 else 1
+        assert -(-count // rows) == -(-count // cols) == passes
 
     @pytest.mark.parametrize("table", [False, True])
     def test_single_pair_and_passes_inside_a_row(self, table, monkeypatch):
+        """One (node, frequency) pair; then passes of two pairs, so each row
+        of three frequencies takes two."""
         rng = np.random.default_rng(44)
         fam = _engine_family(rng, DIAG4, 5, shift_axes=(1,), freq_axes=(0, 3), deg=3)
+        tiles = _spy_tiles(monkeypatch)
         _matches_reference(fam[:1], np.array([[1.7]]), table)
-        width = fam.coef.shape[1] if table else 0
-        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 7 * 16 * (width + len(fam.expo) + 8))
+        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 2 * 16 * tiles[0][1])
         _matches_reference(fam, rng.uniform(-5.0, 5.0, size=(5, 3)), table)
+        assert tiles[-1][2:] == (1, 2)
 
     @pytest.mark.parametrize("table", [False, True])
     @pytest.mark.parametrize("signs", ["plus", "minus", "alternating"])
@@ -626,7 +648,8 @@ class TestOscEngine:
 
     @pytest.mark.parametrize("table", [False, True])
     def test_large_frequencies_stay_finite(self, table):
-        """|w| up to 1e8: the modulus is one log of prod_j (a_j^2 + 4 w^2)."""
+        """|w| up to 1e8: the prefactor divides by the paired roots, each
+        about 2 |w|, and multiplies by exp of the live exponent."""
         rng = np.random.default_rng(45)
         fam = _engine_family(rng, DIAG4, 2, freq_axes=(0, 2), deg=2)
         fam.coef[:, 1:] *= 0.1           # no cancellation: each value is near pref c_0
@@ -745,12 +768,14 @@ class TestDeadAxes:
 
 
 class TestNoLiveAxis:
-    """Plain families with no centre or frequency on any axis take the
-    engine's algebraic route (`gausspoly._osc_dead`): a paired-root
-    prefactor and the even moments with their double factorials folded into
-    the coefficients.  Every value is checked against the oracle at 1e-13 of
-    the largest reference value at its w, so the decay at |w| = 1e4 is
-    resolved too."""
+    """Families with no centre or frequency on any axis: every factor
+    depends on w alone, every kept monomial is even and has its own product
+    s^h, so in plain mode and with conj_coef the engine contracts the
+    coefficients, double factorials folded in, with the products directly.
+    Every value is checked against the oracle at 1e-13 of the largest
+    reference value at its w, so the decay at |w| = 1e4 is resolved too.
+    The tiling test also runs the per-monomial contraction: table mode, and
+    a coupled family with live axes."""
 
     # (dimension, tau): balanced as at every catalog signature, then axes
     # left unpaired
@@ -806,21 +831,37 @@ class TestNoLiveAxis:
         got = batched_osc_integral(fam, w, tau, conj_coef=other if conj else None)
         self._close(got, want)
 
-    @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj_coef"])
-    def test_tiles_split_nodes_and_frequencies(self, conj, monkeypatch):
-        """Passes of a few pairs: several nodes per tile (3 frequencies), and
-        a row in chunks (16 frequencies)."""
+    @pytest.mark.parametrize("mode, live", [
+        ("plain", False), ("conj_coef", False), ("table", False),
+        ("plain", True), ("conj_coef", True), ("table", True)],
+        ids=["plain", "conj_coef", "table", "live_coupled-plain", "live_coupled-conj_coef",
+             "live_coupled-table"])
+    def test_tiles_split_nodes_and_frequencies(self, mode, live, monkeypatch):
+        """Passes of seven pairs: two nodes per tile (3 frequencies), and a
+        row in three chunks (16 frequencies)."""
         rng = np.random.default_rng(66)
-        fam = self._family(rng, TAU4, False, nodes=5)
-        other = fam.coef[::-1].copy() if conj else None
-        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 16 * 7 * 16)
-        for nw in (3, 16):
+        if live:
+            fam = _engine_family(rng, _coupled_form(rng), 5, shift_axes=(0, 3), freq_axes=(1,),
+                                 deg=3)
+        else:
+            fam = self._family(rng, TAU4, False, nodes=5)
+        other = fam.coef[::-1].copy() if mode == "conj_coef" else None
+        table = mode == "table"
+        tiles = _spy_tiles(monkeypatch)
+        batched_osc_integral(fam, np.ones((5, 1)), TAU4, table=table, conj_coef=other)
+        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 7 * 16 * tiles[0][1])
+        for nw, tile in ((3, (2, 3)), (16, (1, 6))):
             w = rng.uniform(-5.0, 5.0, size=(5, nw))
-            want = osc_family_reference(fam, w, TAU4)
-            if conj:
+            want = osc_family_reference(fam, w, TAU4, table=table)
+            if other is not None:
                 want = want + osc_family_reference(
-                    TermStack(fam.form, fam.expo, other, fam.shift, fam.freq), -w, TAU4)
-            self._close(batched_osc_integral(fam, w, TAU4, conj_coef=other), want)
+                    TermStack(fam.form, fam.expo, other, fam.shift, -fam.freq), -w, TAU4)
+            got = batched_osc_integral(fam, w, TAU4, table=table, conj_coef=other)
+            assert tiles[-1][2:] == tile
+            if table:
+                _close_to_reference(got, want)
+            else:
+                self._close(got, want)
 
     def test_no_frequencies(self):
         """An empty frequency array gives an empty result, as on the live route."""

@@ -151,6 +151,21 @@ class TestRhoRule:
         assert base[0] == 64 and doubled[0] == 128 and base[-1] == doubled[-1] == 1024
         assert all(c & (c - 1) == 0 for c in base + doubled)
 
+    def test_node_budget_is_the_budget_of_the_value(self):
+        """with_error returns the doubled budget's value, and node_budget names
+        that budget: pair_k doubles its rho, radial and sphere counts; the
+        second form doubles t_order and r_order only."""
+        res = pair_k(1, 2, GaussPoly.iso_gaussian(4), budget=SMALL)
+        assert res.node_budget["rho_nodes"] == 2 * SMALL.rho_nodes
+        assert res.node_budget["radial_order"] == 2 * SMALL.radial_order
+        assert res.node_budget["sphere_pts"] == 2 * SMALL.sphere_pts
+        assert res.node_budget["rho_nodes_used"][0][0] == SMALL.rho_nodes
+        assert pair_k(1, 2, GaussPoly.iso_gaussian(4), budget=SMALL,
+                      with_error=False).node_budget["rho_nodes"] == SMALL.rho_nodes
+        budget = pair_second_form(2, 1, GaussPoly.iso_gaussian(5), SMALL).node_budget
+        assert budget["t_order"] == 2 * SMALL.t_order and budget["r_order"] == 2 * SMALL.r_order
+        assert budget["sphere_pts"] == SMALL.sphere_pts
+
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_other_n_keep_the_jacobi_rule(self, n):
         rho, w = pairing._rho_rule_for(n, 1024)
