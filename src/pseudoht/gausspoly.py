@@ -6,16 +6,18 @@ A term has the form
 
 with A real symmetric positive definite, center c and frequency b real, an
 integer exponent array expo of shape (M, dim) and complex coefficients.  The
-one representation is the term stack (`TermStack`): N terms with forms
-(N, dim, dim), centres and frequencies (N, dim), one shared expo and coef of
-shape (N, M).  A GaussPoly is the one-term case, a GaussMixture (a finite
-sum) holds one stack, and the restrictions of one term at N nodes form a
-stack whose terms share one form.  Every operation runs on a whole stack at
+one representation of a finite sum of terms is `GaussMixture`: N terms with
+forms (N, dim, dim), centres and frequencies (N, dim), one shared expo and
+coef of shape (N, M).  A GaussPoly is one term (its `stack` is the one-term
+mixture), and the restrictions of one term at N nodes form a mixture whose
+terms share one form, a node family.  Every operation runs on all terms at
 once, and the class is closed under differentiation, multiplication by
 coordinates, precomposition with invertible real affine maps and the
-Fourier transform.  Forms are validated where they enter: the GaussPoly
-constructor and JSON input check each form, and an operation that derives
-new forms checks the whole stack in one call.  A {monomial: coef} dict is
+Fourier transform.  A mixture's values (evaluate, integral,
+integrate_against) are the sums over its terms; the oscillatory engine
+gives one value per term.  Forms are validated where they enter: the
+GaussPoly constructor and JSON input check each form, and an operation that
+derives new forms checks all terms in one call.  A {monomial: coef} dict is
 an input format only.
 
 Inside an operation a polynomial is a dense coefficient array over the graded
@@ -28,9 +30,9 @@ Fourier convention (fixed once for the whole package):
 
 so that F o F = reflection and [F^{-1} psi](0) = (2 pi)^{-d/2} integral psi.
 
-The oscillatory engine `batched_osc_integral` integrates stacks against
-exp(i w P_tau(u)) in closed form for the kernel pairings, and
-`integrate_against` integrates a term against exp(-1/2 u^T W u + eta.u) for
+The oscillatory engine `batched_osc_integral` integrates each term of a node
+family against exp(i w P_tau(u)) in closed form for the kernel pairings, and
+`integrate_against` integrates terms against exp(-1/2 u^T W u + eta.u) for
 complex symmetric W with positive-definite Re(A + W) (principal branch of
 det^{-1/2}); every integral, plain or against W, is that one batched routine,
 with the moments of the polynomial part from one recursion over the graded
@@ -222,8 +224,8 @@ def _moments(S: np.ndarray, mu: np.ndarray, deg: int) -> np.ndarray:
     fills one degree at a time, raising each monomial from its parent
     a = expo - e_j on its first nonzero axis j, as gathers on `down`; rows
     over the terms keep each gather contiguous.  The engine's per-axis
-    recursion (`_osc_family`) needs a diagonal form; here a complex W couples
-    the axes, so the recursion runs over the whole basis.
+    recursion (`batched_osc_integral`) needs a diagonal form; here a complex
+    W couples the axes, so the recursion runs over the whole basis.
     """
     d = mu.shape[1]
     b = _graded(d, deg)
@@ -333,9 +335,10 @@ class GaussPoly:
                          expo=expo, coef=coef)
 
     @property
-    def stack(self) -> "TermStack":
-        """This term as a one-term stack."""
-        return TermStack(self.quad, self.expo, self.coef[None], self.shift[None], self.freq[None])
+    def stack(self) -> "GaussMixture":
+        """This term as a one-term mixture."""
+        return GaussMixture._of(self.quad, self.expo, self.coef[None], self.shift[None],
+                                self.freq[None])
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -354,7 +357,7 @@ class GaussPoly:
         return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
 
     def evaluate_many(self, U: np.ndarray) -> np.ndarray:
-        return _evaluate_terms(self.stack, U)
+        return self.stack.evaluate_many(U)
 
     # -- algebra ------------------------------------------------------------
     def scaled(self, c) -> "GaussPoly":
@@ -406,7 +409,7 @@ class GaussPoly:
         return self.stack.inverse_fourier().term(0)
 
     def partial_fourier(self, axes) -> "GaussPoly":
-        """Fourier transform in the listed axes only (see `TermStack.fourier`).
+        """Fourier transform in the listed axes only (see `GaussMixture.fourier`).
 
         Requires the quadratic form to be block diagonal between `axes` and
         the remaining coordinates (true for all product test functions used
@@ -421,8 +424,9 @@ class GaussPoly:
         """phi with the listed coordinates frozen at numeric values.
 
         `values` of shape (f,) gives one GaussPoly; an (N, f) array gives the
-        N restrictions at once as a node family (a shared-form TermStack), which
-        `batched_osc_integral` and `kernels.inv_p_power` accept.
+        N restrictions at once as a node family (a GaussMixture whose terms
+        share one form), which `batched_osc_integral` and `kernels.inv_p_power`
+        take.
 
         Works for a general quadratic form: the cross terms contribute a real
         linear exponential absorbed by recentering the kept Gaussian.
@@ -433,12 +437,12 @@ class GaussPoly:
 
     # -- integrals ----------------------------------------------------------
     def integral(self) -> complex:
-        """integral phi(u) du, exact (see `TermStack.integrate_against`)."""
-        return complex(self.stack.integrate_against()[0])
+        """integral phi(u) du, exact (see `GaussMixture.integrate_against`)."""
+        return complex(self.stack._integrals()[0])
 
     def integrate_against(self, W=None, eta=None) -> complex:
-        """integral phi(u) exp(-1/2 u^T W u + eta.u) du (see `TermStack.integrate_against`)."""
-        return complex(self.stack.integrate_against(W, eta)[0])
+        """integral phi(u) exp(-1/2 u^T W u + eta.u) du (see `GaussMixture.integrate_against`)."""
+        return complex(self.stack._integrals(W, eta)[0])
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -467,188 +471,45 @@ class GaussPoly:
         return cls.from_json_dict(json.loads(text))
 
 
-class GaussMixture:
-    """Finite sum of terms over a common dimension, held as one TermStack.
-
-    Built from GaussPoly terms, mixtures and stacks; `terms` is the stack,
-    which reads as a sequence of GaussPoly terms, each built when it is read.
-    """
-
-    def __init__(self, terms):
-        stacks = [t.stack for t in terms]
-        if not stacks:
-            raise DimensionMismatch("mixture needs at least one term")
-        if len({s.dim for s in stacks}) != 1:
-            raise DimensionMismatch("mixture terms must share dim")
-        self.stack = _concat(stacks)
-
-    @property
-    def terms(self) -> "TermStack":
-        return self.stack
-
-    @property
-    def dim(self) -> int:
-        return self.stack.dim
-
-    def evaluate(self, u) -> complex:
-        return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
-
-    def evaluate_many(self, U) -> np.ndarray:
-        return _evaluate_terms(self.stack, U)
-
-    def map_terms(self, f) -> "GaussMixture":
-        """f applied to each term (a GaussPoly) on its own."""
-        return GaussMixture([f(t) for t in self.terms])
-
-    def scaled(self, c) -> "GaussMixture":
-        return GaussMixture([self.stack.scaled(c)])
-
-    def __add__(self, other):
-        return GaussMixture([self, other])
-
-    def differentiate(self, axis) -> "GaussMixture":
-        return apply_operator(self, _d_op(self.dim, axis))
-
-    def fourier(self) -> "GaussMixture":
-        return GaussMixture([self.stack.fourier()])
-
-    def inverse_fourier(self) -> "GaussMixture":
-        return GaussMixture([self.stack.inverse_fourier()])
-
-    def precompose_affine(self, M, v) -> "GaussMixture":
-        return GaussMixture([self.stack.precompose_affine(M, v)])
-
-    def integral(self) -> complex:
-        return complex(self.stack.integrate_against().sum())
-
-    def integrate_against(self, W=None, eta=None) -> complex:
-        return complex(self.stack.integrate_against(W, eta).sum())
-
-
-def as_terms(phi) -> list:
-    """phi as a list of GaussPoly terms (accepts GaussPoly or GaussMixture)."""
-    return list(phi.terms) if isinstance(phi, GaussMixture) else [phi]
-
-
-# ---------------------------------------------------------- pointwise values
-
 # Pointwise evaluation holds at most about _EVAL_CHUNK (point, term) pairs at
 # once: the points go in chunks of _EVAL_CHUNK, the terms of each centre in
 # blocks of _EVAL_CHUNK // (points in the chunk).
 _EVAL_CHUNK = 8192
 
 
-def _evaluate_terms(stack: "TermStack", U) -> np.ndarray:
-    """The sum of the terms of a stack at each row u of U (P, dim), as one
-    blocked contraction.
-
-    The terms are grouped by centre c (with -0.0 read as 0.0).  Per group and
-    chunk of points, W = U - c gives the quadratic features W_i W_j (i <= j)
-    and the basis of the group's monomials.  Per block of terms, one product
-    of the forms' entries with the features gives every exponent
-    -1/2 W^T A W, and one product of the (N, M) coefficient matrix with the
-    basis every polynomial.  Both products and the exponential are real (the
-    real and imaginary coefficients are separate rows); the phase e^{i U.b}
-    is applied only to a block with a nonzero frequency.
-    """
-    U = np.asarray(U, float)
-    if U.ndim != 2 or U.shape[1] != stack.dim:
-        raise DimensionMismatch("points have wrong dimension")
-    iu, ju = np.triu_indices(stack.dim)
-    weight = np.where(iu == ju, -0.5, -1.0)
-    shift = stack.shift + 0.0
-    _, first, group = np.unique(shift, axis=0, return_index=True, return_inverse=True)
-    prepared = []
-    for g in np.argsort(first):   # the centres in order of first appearance
-        rows = np.flatnonzero(group.ravel() == g)
-        cols = np.flatnonzero(stack.coef[rows].any(axis=0))
-        c = stack.coef[np.ix_(rows, cols)]
-        prepared.append((shift[rows[0]], stack.expo[cols],
-                         np.stack([c.real, c.imag], axis=1),   # (N, 2, M)
-                         stack.quad[rows][:, iu, ju] * weight, stack.freq[rows]))
-    out = np.zeros((2, len(U)))  # real and imaginary parts
-    for lo in range(0, len(U), _EVAL_CHUNK):
-        Uc = U[lo:lo + _EVAL_CHUNK]
-        acc = out[:, lo:lo + len(Uc)]
-        step = max(1, _EVAL_CHUNK // len(Uc))
-        for shift, expo, parts, quad, freq in prepared:
-            W = (Uc - shift).T
-            feats = W[iu] * W[ju]
-            basis = np.ones((len(expo), len(Uc)))
-            for j in np.flatnonzero(expo.any(axis=0)):
-                powers = np.ones((expo[:, j].max() + 1, len(Uc)))
-                for k in range(1, len(powers)):
-                    powers[k] = powers[k - 1] * W[j]
-                basis *= powers[expo[:, j]]
-            for b in range(0, len(parts), step):
-                blk = slice(b, b + step)
-                ex = np.exp(quad[blk] @ feats)
-                p = parts[blk]
-                vals = (p.reshape(2 * len(p), -1) @ basis).reshape(len(p), 2, -1)
-                if freq[blk].any():
-                    z = np.sum((vals[:, 0] + 1j * vals[:, 1]) * ex
-                               * np.exp(1j * (freq[blk] @ Uc.T)), axis=0)
-                    acc += [z.real, z.imag]
-                else:
-                    acc += np.sum(vals * ex[:, None], axis=0)
-    return out[0] + 1j * out[1]
-
-
-# ---------------------------------------------------- differential operators
-
-def apply_operator(phi, op: list):
-    """sum_i c_i(u) D^{alpha_i} phi, exact, for op = [(expo_i, coef_i, alpha_i), ...].
-
-    c_i is the polynomial (expo_i, coef_i) in absolute coordinates u, alpha_i
-    a derivative multi-index.  Each term of phi gives one term: every
-    distinct derivative is one table entry over all terms, and each c_i is
-    re-expanded in the centred variables u - shift of all terms at once.
-    """
-    if any(len(alpha) != phi.dim for *_, alpha in op):
-        raise DimensionMismatch(f"operator does not act on functions over R^{phi.dim}")
-    raise_deg = max((_degree(e) + sum(alpha) for e, _, alpha in op), default=0)
-    s = phi.stack
-    b = _graded(s.dim, _degree(s.expo) + raise_deg)
-    table = {(0,) * s.dim: b.dense(s.expo, s.coef)}
-    step = _derivative(b, s.quad, s.freq)
-    acc = np.zeros((len(s), b.n + 1), dtype=complex)
-    for expo, coef, alpha in op:
-        if s.shift.any():
-            expo, coef = _shift(expo, np.broadcast_to(coef, (len(s), len(coef))), s.shift)
-        d = _table(table, alpha, step)
-        acc += sum(c[..., None] * b.times(d, tuple(e)) for e, c in zip(expo.tolist(), coef.T))
-    out = TermStack(s.quad, *b.sparse(acc), s.shift, s.freq)
-    return out.term(0) if isinstance(phi, GaussPoly) else GaussMixture([out])
-
-
-# ------------------------------------------------------------- node families
-
-# The oscillatory engine works in passes over tiles of (node, frequency)
-# pairs whose complex temporaries take about _OSC_BYTES (`_tile`, sized in
-# `_osc_family`), so a one-monomial table pass covers a couple of thousand
-# pairs and a wide polynomial pass several hundred; `node_blocks` splits the
-# nodes of a weighted sum so that each engine call returns at most
-# _OSC_BLOCK values.
-_OSC_BYTES = 16384 * 16
-_OSC_BLOCK = 8192
-
-
-class TermStack(Sequence):
-    """N terms over one list of monomials (see the module docstring).
+class GaussMixture(Sequence):
+    """A finite sum of N terms over one list of monomials (see the module docstring).
 
     Term i has form quad[i], centre shift[i], frequency freq[i] and
-    polynomial sum_m coef[i, m] (u - shift[i])^expo[m].  A node family (the
-    restrictions of one term, which the oscillatory engine takes) holds its
-    one form as a broadcast view (`form`).  The constructor checks nothing.
-    An integer index builds that term as a GaussPoly; an index array or a
-    slice gives a sub-stack.
+    polynomial sum_m coef[i, m] (u - shift[i])^expo[m].  `GaussMixture(terms)`
+    takes GaussPoly terms and mixtures over one dim and holds their terms
+    over the union of their monomials; `_of` wraps the arrays unchecked.  A
+    node family (the restrictions of one term) holds its one form as a
+    broadcast view (`form`).  An integer index builds that term as a
+    GaussPoly; an index array or a slice gives the mixture of those terms.
+    evaluate, integral and integrate_against sum the terms, while the
+    oscillatory engine gives one value per term.
     """
 
     __slots__ = ("quad", "expo", "coef", "shift", "freq")
 
-    def __init__(self, quad, expo, coef, shift, freq):
-        self.quad = np.broadcast_to(quad, (len(coef),) + np.shape(quad)[-2:])
-        self.expo, self.coef, self.shift, self.freq = expo, coef, shift, freq
+    def __init__(self, terms):
+        parts = [t.stack for t in terms]
+        if not parts:
+            raise DimensionMismatch("mixture needs at least one term")
+        if len({s.dim for s in parts}) != 1:
+            raise DimensionMismatch("mixture terms must share dim")
+        self.quad, self.expo, self.coef, self.shift, self.freq = _concat(parts)
+
+    @classmethod
+    def _of(cls, quad, expo, coef, shift, freq) -> "GaussMixture":
+        """The mixture of these arrays, unchecked: quad holds one form per
+        term (N, d, d), or one form (d, d) that all terms share as a
+        broadcast view."""
+        out = cls.__new__(cls)
+        out.quad = np.broadcast_to(quad, (len(coef),) + np.shape(quad)[-2:])
+        out.expo, out.coef, out.shift, out.freq = expo, coef, shift, freq
+        return out
 
     @property
     def dim(self) -> int:
@@ -663,23 +524,98 @@ class TermStack(Sequence):
         return self.quad[0] if len(self) == 1 or self.quad.strides[0] == 0 else None
 
     @property
-    def stack(self) -> "TermStack":
+    def stack(self) -> "GaussMixture":
+        """The mixture itself, as `GaussPoly.stack` is the one-term mixture."""
         return self
+
+    terms = stack
 
     def __getitem__(self, idx):
         if isinstance(idx, (int, np.integer)):
             return self.term(idx)
         quad = self.quad[idx] if self.form is None else self.form
-        return TermStack(quad, self.expo, self.coef[idx], self.shift[idx], self.freq[idx])
+        return GaussMixture._of(quad, self.expo, self.coef[idx], self.shift[idx], self.freq[idx])
 
     def term(self, i: int) -> GaussPoly:
         return GaussPoly(self.dim, self.quad[i], shift=self.shift[i], freq=self.freq[i],
                          expo=self.expo, coef=self.coef[i])
 
-    def scaled(self, c) -> "TermStack":
-        return TermStack(self.quad, self.expo, self.coef * c, self.shift, self.freq)
+    # -- pointwise ----------------------------------------------------------
+    def evaluate(self, u) -> complex:
+        return complex(self.evaluate_many(np.asarray(u, float)[None, :])[0])
 
-    def precompose_affine(self, M, v) -> "TermStack":
+    def evaluate_many(self, U) -> np.ndarray:
+        """The sum of the terms at each row u of U (P, dim), as one blocked
+        contraction.
+
+        The terms are grouped by centre c (with -0.0 read as 0.0).  Per group
+        and chunk of points, W = U - c gives the quadratic features W_i W_j
+        (i <= j) and the basis of the group's monomials.  Per block of terms,
+        one product of the forms' entries with the features gives every
+        exponent -1/2 W^T A W, and one product of the (N, M) coefficient
+        matrix with the basis every polynomial.  Both products and the
+        exponential are real (the real and imaginary coefficients are
+        separate rows); the phase e^{i U.b} is applied only to a block with a
+        nonzero frequency.
+        """
+        U = np.asarray(U, float)
+        if U.ndim != 2 or U.shape[1] != self.dim:
+            raise DimensionMismatch("points have wrong dimension")
+        iu, ju = np.triu_indices(self.dim)
+        weight = np.where(iu == ju, -0.5, -1.0)
+        shift = self.shift + 0.0
+        _, first, group = np.unique(shift, axis=0, return_index=True, return_inverse=True)
+        prepared = []
+        for g in np.argsort(first):   # the centres in order of first appearance
+            rows = np.flatnonzero(group.ravel() == g)
+            cols = np.flatnonzero(self.coef[rows].any(axis=0))
+            c = self.coef[np.ix_(rows, cols)]
+            prepared.append((shift[rows[0]], self.expo[cols],
+                             np.stack([c.real, c.imag], axis=1),   # (N, 2, M)
+                             self.quad[rows][:, iu, ju] * weight, self.freq[rows]))
+        out = np.zeros((2, len(U)))  # real and imaginary parts
+        for lo in range(0, len(U), _EVAL_CHUNK):
+            Uc = U[lo:lo + _EVAL_CHUNK]
+            acc = out[:, lo:lo + len(Uc)]
+            step = max(1, _EVAL_CHUNK // len(Uc))
+            for shift, expo, parts, quad, freq in prepared:
+                W = (Uc - shift).T
+                feats = W[iu] * W[ju]
+                basis = np.ones((len(expo), len(Uc)))
+                for j in np.flatnonzero(expo.any(axis=0)):
+                    powers = np.ones((expo[:, j].max() + 1, len(Uc)))
+                    for k in range(1, len(powers)):
+                        powers[k] = powers[k - 1] * W[j]
+                    basis *= powers[expo[:, j]]
+                for b in range(0, len(parts), step):
+                    blk = slice(b, b + step)
+                    ex = np.exp(quad[blk] @ feats)
+                    p = parts[blk]
+                    vals = (p.reshape(2 * len(p), -1) @ basis).reshape(len(p), 2, -1)
+                    if freq[blk].any():
+                        z = np.sum((vals[:, 0] + 1j * vals[:, 1]) * ex
+                                   * np.exp(1j * (freq[blk] @ Uc.T)), axis=0)
+                        acc += [z.real, z.imag]
+                    else:
+                        acc += np.sum(vals * ex[:, None], axis=0)
+        return out[0] + 1j * out[1]
+
+    # -- algebra ------------------------------------------------------------
+    def map_terms(self, f) -> "GaussMixture":
+        """f applied to each term (a GaussPoly) on its own."""
+        return GaussMixture([f(t) for t in self])
+
+    def scaled(self, c) -> "GaussMixture":
+        """Every term times c: a number, or one per term (N, 1)."""
+        return GaussMixture._of(self.quad, self.expo, self.coef * c, self.shift, self.freq)
+
+    def __add__(self, other):
+        return GaussMixture([self, other])
+
+    def differentiate(self, axis) -> "GaussMixture":
+        return apply_operator(self, _d_op(self.dim, axis))
+
+    def precompose_affine(self, M, v) -> "GaussMixture":
         """Each term at M u + v, for one invertible real M (d, d) and v (d,)
         or for one per term, M (N, d, d) and v (N, d)."""
         M, v = np.asarray(M, float), np.asarray(v, float)
@@ -688,12 +624,13 @@ class TermStack(Sequence):
         expo, T = _linear_subst(self.expo, M)
         phase = np.exp(1j * np.sum(self.freq * v, axis=-1))
         Mt = np.swapaxes(M, -1, -2)
-        return TermStack(_as_spd(Mt @ self.quad @ M, 3), expo,
-                         _contract(self.coef, T) * phase[:, None],
-                         np.linalg.solve(M, (self.shift - v)[..., None])[..., 0],
-                         (Mt @ self.freq[..., None])[..., 0])
+        return GaussMixture._of(_as_spd(Mt @ self.quad @ M, 3), expo,
+                                _contract(self.coef, T) * phase[:, None],
+                                np.linalg.solve(M, (self.shift - v)[..., None])[..., 0],
+                                (Mt @ self.freq[..., None])[..., 0])
 
-    def fourier(self, t: np.ndarray | None = None, sign: int = 1) -> "TermStack":
+    # -- Fourier ------------------------------------------------------------
+    def fourier(self, t: np.ndarray | None = None, sign: int = 1) -> "GaussMixture":
         """F (sign 1) or F^{-1} (sign -1) of every term in the axes of the mask t
         (default all); each form must be symmetric (one batched check before the
         inversion, which symmetrises) and block diagonal between t and the rest.
@@ -723,19 +660,29 @@ class TermStack(Sequence):
                 for a, k in zip((self.expo * t).tolist(), map(tuple, (self.expo * ~t).tolist()))]
         expo, T = b.sparse(np.array(rows).reshape(len(self.expo), len(quad), b.n + 1))
         phase = det_inv_sqrt(At) * np.exp(1j * np.sum(self.freq[:, t] * self.shift[:, t], axis=1))
-        return TermStack(quad, expo, _contract(self.coef, T.transpose(1, 0, 2)) * phase[:, None],
-                         np.where(t, sign * self.freq, self.shift),
-                         np.where(t, -sign * self.shift, self.freq))
+        return GaussMixture._of(quad, expo,
+                                _contract(self.coef, T.transpose(1, 0, 2)) * phase[:, None],
+                                np.where(t, sign * self.freq, self.shift),
+                                np.where(t, -sign * self.shift, self.freq))
 
-    def inverse_fourier(self) -> "TermStack":
+    def inverse_fourier(self) -> "GaussMixture":
         """F^{-1} of every term."""
         return self.fourier(sign=-1)
 
-    def integrate_against(self, W=None, eta=None) -> np.ndarray:
-        """integral phi_i(u) exp(-1/2 u^T W u + eta.u) du for each term i, for W
-        (d, d) complex symmetric with Re(A_i + W) positive definite and eta
-        (d,) complex (default 0: the plain integrals); only the symmetric part
-        of W enters.
+    # -- integrals ----------------------------------------------------------
+    def integral(self) -> complex:
+        """integral of the sum, exact (see `integrate_against`)."""
+        return self.integrate_against()
+
+    def integrate_against(self, W=None, eta=None) -> complex:
+        """The sum over the terms i of integral phi_i(u) exp(-1/2 u^T W u + eta.u) du,
+        for W (d, d) complex symmetric with Re(A_i + W) positive definite and
+        eta (d,) complex (default 0: the plain integral); only the symmetric
+        part of W enters (`_integrals`)."""
+        return complex(self._integrals(W, eta).sum())
+
+    def _integrals(self, W=None, eta=None) -> np.ndarray:
+        """The integral of each term against exp(-1/2 u^T W u + eta.u).
 
         With u = w + c, M = A + W, lin = i b + eta - W c and
         k = (i b + eta).c - 1/2 c^T W c, a term integrates to
@@ -766,31 +713,68 @@ class TermStack(Sequence):
         return pref * np.exp(0.5 * np.sum(lin * mu, axis=1) + k) * poly
 
 
-def as_families(phi) -> list:
-    """phi as a list of node families whose values add (one per term unless
-    phi is a TermStack)."""
-    if isinstance(phi, TermStack):
-        return [phi]
-    return [phi.stack[i:i + 1] for i in range(len(phi.stack))]
-
-
-def _concat(stacks: list) -> TermStack:
-    """The terms of all stacks as one stack, over the union of their monomials."""
-    if len(stacks) == 1:
-        return stacks[0]
-    expo = np.concatenate([s.expo for s in stacks])
+def _concat(parts: list) -> tuple:
+    """(quad, expo, coef, shift, freq) of the terms of all mixtures, over the
+    union of their monomials."""
+    if len(parts) == 1:
+        s = parts[0]
+        return s.quad, s.expo, s.coef, s.shift, s.freq
+    expo = np.concatenate([s.expo for s in parts])
     _, first, col = np.unique(_rank(expo), return_index=True, return_inverse=True)
-    coef = np.zeros((sum(map(len, stacks)), len(first)), dtype=complex)
+    coef = np.zeros((sum(map(len, parts)), len(first)), dtype=complex)
     lo = m = 0
-    for s in stacks:
+    for s in parts:
         np.add.at(coef[lo:lo + len(s)].T, col[m:m + len(s.expo)], s.coef.T)
         lo, m = lo + len(s), m + len(s.expo)
-    return TermStack(np.concatenate([s.quad for s in stacks]), expo[first], coef,
-                     np.concatenate([s.shift for s in stacks]),
-                     np.concatenate([s.freq for s in stacks]))
+    return (np.concatenate([s.quad for s in parts]), expo[first], coef,
+            np.concatenate([s.shift for s in parts]), np.concatenate([s.freq for s in parts]))
 
 
-def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> TermStack:
+def as_terms(phi) -> list:
+    """phi as a list of GaussPoly terms (accepts GaussPoly or GaussMixture)."""
+    return list(phi.terms) if isinstance(phi, GaussMixture) else [phi]
+
+
+# ---------------------------------------------------- differential operators
+
+def apply_operator(phi, op: list):
+    """sum_i c_i(u) D^{alpha_i} phi, exact, for op = [(expo_i, coef_i, alpha_i), ...].
+
+    c_i is the polynomial (expo_i, coef_i) in absolute coordinates u, alpha_i
+    a derivative multi-index.  Each term of phi gives one term: every
+    distinct derivative is one table entry over all terms, and each c_i is
+    re-expanded in the centred variables u - shift of all terms at once.
+    """
+    if any(len(alpha) != phi.dim for *_, alpha in op):
+        raise DimensionMismatch(f"operator does not act on functions over R^{phi.dim}")
+    raise_deg = max((_degree(e) + sum(alpha) for e, _, alpha in op), default=0)
+    s = phi.stack
+    b = _graded(s.dim, _degree(s.expo) + raise_deg)
+    table = {(0,) * s.dim: b.dense(s.expo, s.coef)}
+    step = _derivative(b, s.quad, s.freq)
+    acc = np.zeros((len(s), b.n + 1), dtype=complex)
+    for expo, coef, alpha in op:
+        if s.shift.any():
+            expo, coef = _shift(expo, np.broadcast_to(coef, (len(s), len(coef))), s.shift)
+        d = _table(table, alpha, step)
+        acc += sum(c[..., None] * b.times(d, tuple(e)) for e, c in zip(expo.tolist(), coef.T))
+    out = GaussMixture._of(s.quad, *b.sparse(acc), s.shift, s.freq)
+    return out.term(0) if isinstance(phi, GaussPoly) else out
+
+
+# ------------------------------------------------------------- node families
+
+# The oscillatory engine works in passes over tiles of (node, frequency)
+# pairs whose complex temporaries take about _OSC_BYTES (`_tile`, sized in
+# `batched_osc_integral`), so a one-monomial table pass covers a couple of
+# thousand pairs and a wide polynomial pass several hundred; `node_blocks`
+# splits the nodes of a weighted sum so that each engine call returns at most
+# _OSC_BLOCK values.
+_OSC_BYTES = 16384 * 16
+_OSC_BLOCK = 8192
+
+
+def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> GaussMixture:
     """term with the `fixed` coordinates frozen at each row of values (N, f)."""
     keep = [j for j in range(term.dim) if j not in fixed]
     A = term.quad
@@ -809,41 +793,10 @@ def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> TermSt
         coef = coef * np.vander(q[:, i], e.max(initial=0) + 1, increasing=True)[:, e]
     expo, coef = _shift(term.expo[:, keep], coef, -delta)
     freq = np.broadcast_to(term.freq[keep], delta.shape)
-    return TermStack(Akk, expo, coef * const[:, None], term.shift[keep] - delta, freq)
+    return GaussMixture._of(Akk, expo, coef * const[:, None], term.shift[keep] - delta, freq)
 
 
 # ------------------------------------------------------- oscillatory engine
-
-def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = False,
-                         conj_coef: np.ndarray | None = None) -> np.ndarray:
-    """integral phi(u) exp(i w P_tau(u)) du for an array of w values.
-
-    P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  For a GaussPoly or
-    GaussMixture, w may have any shape and the terms add; for a node family
-    (from `GaussPoly.restrict`) w has shape (N, Nw), row i for node i.
-    On a diagonal quadratic form the integral is a closed form that
-    factors over the axes (`_osc_family`); general forms are reduced to
-    that case once per family by a tau-congruence S (S^T A S = |Lambda|
-    diagonal and S^T tau S = tau), which leaves P invariant up to
-    coordinate ordering.
-
-    With table=True, phi is one term or one node family and the result gains
-    a last axis over its monomials, in the order of its `expo`: entry k is
-    the integral of monomial k times its coefficient, so the sum over that
-    axis is the plain value.  conj_coef (N, M) (node family, plain mode) is a
-    block at -w with negated frequencies: U_m(-w; b, c) = conj U_m(w; -b, c)
-    for monomial m, so row i is sum coef U_m + conj(sum conj(conj_coef) U_m).
-    """
-    w = np.asarray(w, float)
-    if isinstance(phi, TermStack):
-        return _osc_family(phi, w, tau, table, conj_coef)
-    fams = as_families(phi)
-    if table:
-        if len(fams) != 1:
-            raise ValueError("a moment table needs a single term")
-        return _osc_family(fams[0], w.reshape(1, -1), tau, True).reshape(w.shape + (-1,))
-    return sum(_osc_family(f, w.reshape(1, -1), tau) for f in fams).reshape(w.shape)
-
 
 def node_blocks(count: int, nw: int) -> list:
     """Slices covering range(count), each of at most _OSC_BLOCK // nw nodes.
@@ -868,7 +821,7 @@ def equal_rows(key: np.ndarray):
     return order, starts
 
 
-def _tau_diagonalize(fam: TermStack, tau: np.ndarray):
+def _tau_diagonalize(fam: GaussMixture, tau: np.ndarray):
     """Precompose with S such that the quadratic form becomes diagonal while
     sum tau_j u_j^2 keeps its shape: S = A^{-1/2} Q |L|^{1/2} with
     A^{1/2} tau A^{1/2} = Q L Q^T, columns ordered positives-first.
@@ -892,8 +845,8 @@ def _tau_diagonalize(fam: TermStack, tau: np.ndarray):
     # the congruence leaves only roundoff off-diagonal mass; drop it
     quad = np.diag(np.diagonal(S.T @ A @ S))
     det = abs(np.linalg.det(S))
-    return TermStack(quad, expo, (fam.coef @ T) * det,
-                       np.linalg.solve(S, fam.shift.T).T, fam.freq @ S), T * det
+    return GaussMixture._of(quad, expo, (fam.coef @ T) * det,
+                            np.linalg.solve(S, fam.shift.T).T, fam.freq @ S), T * det
 
 
 def _tile(shape: tuple, slots: int) -> tuple:
@@ -906,13 +859,30 @@ def _tile(shape: tuple, slots: int) -> tuple:
     return max(1, size // cols), cols
 
 
-def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
-                table: bool = False, conj_coef: np.ndarray | None = None) -> np.ndarray:
-    """The engine on a family; with `table`, the (N, Nw, M) per-monomial table.
+def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = False,
+                         conj_coef: np.ndarray | None = None) -> np.ndarray:
+    """integral phi_i(u) exp(i w[i, k] P_tau(u)) du for each term phi_i of a
+    family and each of its frequencies w[i, k]: w has shape (N, Nw), row i
+    for term i, and the result has the shape of w.
 
-    After the tau-congruence the form is diagonal, so at a (node, frequency)
-    pair the integral factors over the axes: axis j is the 1-D complex
-    Gaussian with beta_j = a_j - 2 i tau_j w, variance
+    phi is a GaussMixture whose terms share one form (`form`), such as a
+    node family from `GaussPoly.restrict`, or a GaussPoly, its one-term
+    family; terms with forms of their own raise DimensionMismatch.
+    P_tau(u) = sum tau_j u_j^2 with tau_j = +-1.  A coupled form is reduced
+    once per call by a tau-congruence S (S^T A S = |Lambda| diagonal and
+    S^T tau S = tau, `_tau_diagonalize`), which leaves P invariant up to
+    coordinate ordering.
+
+    With table=True the result gains a last axis over the family's
+    monomials, in the order of its `expo`: entry m is the integral of
+    monomial m alone, so the plain value of term i is that axis contracted
+    with coef[i].  conj_coef (N, M) (plain mode) is a block at -w with
+    negated frequencies: U_m(-w; b, c) = conj U_m(w; -b, c) for monomial m,
+    so row i is sum coef U_m + conj(sum conj(conj_coef) U_m).
+
+    On the diagonal form, at a (node, frequency) pair the integral factors
+    over the axes: axis j is the 1-D complex Gaussian with
+    beta_j = a_j - 2 i tau_j w, variance
     s_j = sigma_j^2 = (a_j + 2 i tau_j w) / (a_j^2 + 4 w^2) and mean
     mu_j = i (b_j + 2 tau_j w c_j) s_j.  An axis is live when some node of
     the family has a nonzero centre or frequency on it.  On a dead axis the
@@ -947,11 +917,16 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     Otherwise a per-monomial tile is gathered from the products: the plain
     mode contracts it with the coefficients (with conj_coef, mapped as coef
     is, both blocks, U_m(-w; b) = conj U_m(w; -b)), and the table mode maps
-    it back through the basis map of the tau-congruence and then multiplies
-    by the caller's coefficients.
+    it back through the basis map of the tau-congruence.
     """
-    user_coef, basis = fam.coef, None
+    fam, basis = phi.stack, None
     A = fam.form
+    if A is None:
+        raise DimensionMismatch("the engine needs terms that share one form")
+    w = np.asarray(w, float)
+    if w.ndim != 2 or len(w) != len(fam):
+        raise DimensionMismatch(f"w must have shape ({len(fam)}, Nw), one row per term")
+    width = len(fam.expo) if table else 0
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
     a = np.diagonal(fam.form)
@@ -995,7 +970,6 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     sa, st = a[sax, None, None], 2.0 * tau[sax, None, None]
     const = (2 * np.pi) ** (len(a) / 2)
     nodes, nw = w.shape
-    width = user_coef.shape[1] if table else 0
     slots = K + len(sax) + len(x0) + 2
     if gather:
         slots += 1 + len(expo) + width + sum(k + 1 for *_, k in rec)
@@ -1037,7 +1011,7 @@ def _osc_family(fam: TermStack, w: np.ndarray, tau: np.ndarray,
                     mono = mono * mom[expo[:, j]]
             if table:
                 tab = (back @ (pref * mono).reshape(len(col), wc.size)).reshape((width,) + wc.shape)
-                out[rs, c0:c0 + cols] = (tab * user_coef[rs].T[:, :, None]).transpose(1, 2, 0)
+                out[rs, c0:c0 + cols] = tab.transpose(1, 2, 0)
                 continue
             if gather:
                 vals = [np.matmul(cb[rs, None], mono.transpose(1, 0, 2))[:, 0] for cb in blocks]
@@ -1057,9 +1031,9 @@ _DOUBLE_FACTORIAL = np.array([math.prod(range(1, 2 * h, 2)) for h in range(33)],
 
 @lru_cache(maxsize=64)
 def _even_plan(key: bytes, shape: tuple):
-    """How `_osc_family` builds the products s^h for the monomials 2 h of an
-    exponent array (given by its bytes and shape), every row even; rows may
-    repeat.
+    """How `batched_osc_integral` builds the products s^h for the monomials
+    2 h of an exponent array (given by its bytes and shape), every row even;
+    rows may repeat.
 
     Returns the axes with a power, the first-degree slots and their axes,
     the later steps (slots, parent slots, axis) of one gather and one

@@ -27,15 +27,12 @@ import numpy as np
 from .errors import (DimensionMismatch, NonPositiveScale, OnConeRegion, PolePosition, ThetaZero,
                      UnsupportedN)
 from .gausspoly import (
-    GaussMixture,
     GaussPoly,
-    TermStack,
     _contract,
     _degree,
     _graded,
     _linear_subst,
     _product,
-    as_families,
     as_terms,
     batched_osc_integral,
     collect,
@@ -293,28 +290,31 @@ def smooth_kernel_offcone(n: int, s: int, x, z) -> complex:
 # ----------------------------------------------------------------- 1/P^{n-1}
 
 def inv_p_power(psi, n: int):
-    """lim_{eps->0} integral psi(x) / (P(x) - i eps)^{n-1} dx for n >= 2.
+    """lim_{eps->0} integral psi_i(x) / (P(x) - i eps)^{n-1} dx for n >= 2,
+    for each term psi_i of a family.
 
     Split at t = 1 of the Gamma-integral representation: the inner x-integrals
     are exact complex Gaussians for class members, so only two smooth 1-D
-    quadratures remain.  psi is a GaussPoly or GaussMixture (returns a
-    complex), or a node family from `GaussPoly.restrict` (returns one value
-    per node, each node refined to its own order).
+    quadratures remain.  psi is a GaussMixture whose terms share one form,
+    such as a node family from `GaussPoly.restrict` (returns one value per
+    term, each refined to its own order), or a GaussPoly (returns a complex);
+    terms with forms of their own raise DimensionMismatch.
 
-    The nodes of a family that share a (shift, frequency) row, as
-    `equal_rows` groups them, differ only in their coefficients: each such
-    row runs the engine once in table mode, with unit coefficients, and a
-    node's value is its coefficients against the weighted table.  The nodes
-    of a block-diagonal restriction all share one row.
+    The terms that share a (shift, frequency) row, as `equal_rows` groups
+    them, differ only in their coefficients: each such row runs the engine
+    once in table mode, and a term's value is its coefficients against the
+    weighted table.  The nodes of a block-diagonal restriction all share one
+    row.
     """
     if n < 2:
         raise UnsupportedN("1/P^{n-1} needs n >= 2")
-    parts = as_families(psi)
-    if parts[0].dim != 2 * n:
+    fam = psi.stack
+    if fam.dim != 2 * n:
         raise UnsupportedN(f"psi must live on R^{2 * n}")
+    if fam.form is None:   # else the rows of a table could carry another term's form
+        raise DimensionMismatch("inv_p_power needs terms that share one form")
     tau = np.array([1.0] * n + [-1.0] * n)
     pref = 1j ** (n - 1) / math.factorial(n - 2)
-    count = len(parts[0])
 
     def weighted(rows, w, weights):
         """The engine tables of rows at the frequencies w, contracted with weights."""
@@ -323,32 +323,26 @@ def inv_p_power(psi, n: int):
                 rows[b], np.broadcast_to(w, (len(rows[b]), w.size)), tau, True), weights)
             for b in node_blocks(len(rows), w.size)])
 
-    def on_nodes(fams, idx, w, weights):
-        out = np.zeros(idx.size, dtype=complex)
-        for f in fams:
-            sub = f[idx]
-            order, starts = equal_rows(np.column_stack([sub.shift, sub.freq]))
-            group = np.empty(idx.size, dtype=int)
-            group[order] = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, idx.size]))
-            first = order[starts]
-            rows = TermStack(sub.form, sub.expo, np.ones((first.size, len(sub.expo))),
-                             sub.shift[first], sub.freq[first])
-            out += np.sum(sub.coef * weighted(rows, w, weights)[group], axis=1)
-        return out
+    def on_nodes(f, idx, w, weights):
+        sub = f[idx]
+        order, starts = equal_rows(np.column_stack([sub.shift, sub.freq]))
+        group = np.empty(idx.size, dtype=int)
+        group[order] = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, idx.size]))
+        return np.sum(sub.coef * weighted(sub[order[starts]], w, weights)[group], axis=1)
 
     def i1(npts: int, idx) -> np.ndarray:
         t, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
-        return pref * on_nodes(parts, idx, -t, w * t ** (n - 2))
+        return pref * on_nodes(fam, idx, -t, w * t ** (n - 2))
 
-    finv = [f.inverse_fourier() for f in parts]
+    finv = fam.inverse_fourier()
 
     def i2(npts: int, idx) -> np.ndarray:
         u, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
         return pref / 2 ** n * on_nodes(finv, idx, u / 4.0, w)  # t = 1/u
 
-    out = sum(converged(*refine_many(half, 16, _INV_P_TOL, count)[:2], "1/P^%d", n - 1)
+    out = sum(converged(*refine_many(half, 16, _INV_P_TOL, len(fam))[:2], "1/P^%d", n - 1)
               for half in (i1, i2))
-    return complex(out[0]) if isinstance(psi, (GaussPoly, GaussMixture)) else out
+    return complex(out[0]) if isinstance(psi, GaussPoly) else out
 
 
 def _centred_iso_gaussian(t: GaussPoly) -> tuple:

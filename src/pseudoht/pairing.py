@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, OddN, UnsupportedN
 from .gausspoly import (
+    GaussMixture,
     GaussPoly,
-    TermStack,
     as_terms,
     batched_osc_integral,
     equal_rows,
@@ -136,7 +136,7 @@ def _center_nodes(radial: np.ndarray, sphere: np.ndarray) -> np.ndarray:
     return (sphere[:, None, :] * radial[None, :, None]).reshape(-1, sphere.shape[1])
 
 
-def _merge_centers(fam: TermStack, rows: np.ndarray, weights: np.ndarray, js: np.ndarray):
+def _merge_centers(fam: GaussMixture, rows: np.ndarray, weights: np.ndarray, js: np.ndarray):
     """The weighted rows of fam that share a radial node and a center, summed.
 
     weights (R, 2) is row i's weight in the lam-half or, frequency negated,
@@ -151,7 +151,7 @@ def _merge_centers(fam: TermStack, rows: np.ndarray, weights: np.ndarray, js: np
     weighted = fam.coef[rows[order], None, :] * weights[order, :, None]
     coef = np.add.reduceat(weighted, starts, axis=0)
     first = order[starts]
-    merged = TermStack(fam.form, fam.expo, coef[:, 0], fam.shift[rows[first]], freq[first])
+    merged = GaussMixture._of(fam.form, fam.expo, coef[:, 0], fam.shift[rows[first]], freq[first])
     return merged, coef[:, 1], js[first]
 
 
@@ -310,8 +310,6 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
             orders = 2 ** np.ceil(np.log2(orders)).astype(int)
             for order in np.unique(orders[keep]):
                 sel = keep & (orders == order)
-                if not np.any(sel):
-                    continue
                 if order <= 256:
                     xh, wh = hermite_rule(int(order))
                     th_nodes = xh * s
@@ -418,7 +416,7 @@ def _u_table(xunit: GaussPoly, pts: np.ndarray, n: int, tau: np.ndarray) -> np.n
     u1, wu1, _ = _dual_scale_rule(1.0, min(1.0, 1.0 / pts[-1]), _V_TAIL_ORDER)
     v = pts[-1] + np.concatenate([u1, 1.0 / u1])
     wv = np.concatenate([wu1, wu1 / u1 ** 2])[:, None] * v[:, None] ** k
-    tail = wv.T @ batched_osc_integral(xunit, -v, tau, table=True)
+    tail = wv.T @ batched_osc_integral(xunit, -v[None], tau, table=True)[0]
 
     # gap g holds subpanels end[g] - count[g] .. end[g] - 1; they are placed
     # per block, so no array over all subpanels is held
@@ -435,7 +433,8 @@ def _u_table(xunit: GaussPoly, pts: np.ndarray, n: int, tau: np.ndarray) -> np.n
         h = gaps[g] / count[g]
         v = (pts[g] + (i - end[g] + count[g]) * h)[:, None] + h[:, None] * x
         wv = (0.5 * h[:, None] * wx)[..., None] * v[..., None] ** k
-        sub = np.einsum("pqk,pqm->pkm", wv, batched_osc_integral(xunit, -v, tau, table=True))
+        table = batched_osc_integral(xunit, -v.reshape(1, -1), tau, table=True)
+        sub = np.einsum("pqk,pqm->pkm", wv, table.reshape(v.shape + (-1,)))
         starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
         sums[g[starts]] += np.add.reduceat(sub, starts, axis=0)
 

@@ -76,7 +76,7 @@ def phi_eta(G: GroupStructure, eta) -> GaussPoly:
 
 
 def _is_even(s) -> bool:
-    """Every term of the stack s is even: centred at 0, no frequency, and
+    """Every term of the mixture s is even: centred at 0, no frequency, and
     every monomial of even total degree."""
     return not (s.shift.any() or s.freq.any() or np.any(s.expo.sum(axis=1) % 2))
 
@@ -85,7 +85,7 @@ def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     """Trapezoid discretization of D_eta phi = int_0^{q_eta} phi(e^{t Om tau} .) dt.
 
     Each node contributes a real-SPD precomposition, and the flow images of
-    every term of phi are built as one stack (node-major); the trapezoid rule
+    every term of phi are built as one mixture (node-major); the trapezoid rule
     on the periodic analytic integrand converges spectrally in the node count.
     Half a period on flips the flow, e^{(t + q_eta/2) Om tau} = -e^{t Om tau},
     so for an even node count and an even phi (see `_is_even`) node k + N/2
@@ -103,7 +103,7 @@ def d_eta_average(G: GroupStructure, phi, eta, nodes: int = 64) -> GaussMixture:
     E = G.exp_flow(eta, np.arange(built) * period / nodes, side="right")
     images = s[np.tile(np.arange(len(s)), built)].precompose_affine(
         np.repeat(E, len(s), axis=0), np.zeros(2 * G.sig.n))
-    return GaussMixture([images.scaled(period / built)])
+    return images.scaled(period / built)
 
 
 # ------------------------------------------------------------------- witness

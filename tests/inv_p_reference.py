@@ -9,39 +9,37 @@ import math
 import numpy as np
 
 from pseudoht.errors import UnsupportedN
-from pseudoht.gausspoly import GaussMixture, GaussPoly, as_families, batched_osc_integral, node_blocks
+from pseudoht.gausspoly import GaussPoly, batched_osc_integral, node_blocks
 from pseudoht.kernels import _INV_P_TOL
 from pseudoht.quadrature import composite_legendre, refine_many
 
 
 def inv_p_power_per_node(psi, n: int):
-    """lim_{eps->0} integral psi(x) / (P(x) - i eps)^{n-1} dx, one engine row per node."""
+    """lim_{eps->0} integral psi_i(x) / (P(x) - i eps)^{n-1} dx, one engine row per node."""
     if n < 2:
         raise UnsupportedN("1/P^{n-1} needs n >= 2")
-    parts = as_families(psi)
-    if parts[0].dim != 2 * n:
+    fam = psi.stack
+    if fam.dim != 2 * n:
         raise UnsupportedN(f"psi must live on R^{2 * n}")
     tau = np.array([1.0] * n + [-1.0] * n)
     pref = 1j ** (n - 1) / math.factorial(n - 2)
-    count = len(parts[0])
 
-    def on_nodes(fams, idx, w, weights):
+    def on_nodes(f, idx, w, weights):
         freqs = np.broadcast_to(w, (idx.size, w.size))
-        return np.concatenate([
-            sum(batched_osc_integral(f[idx[b]], freqs[b], tau) for f in fams) @ weights
-            for b in node_blocks(idx.size, w.size)])
+        return np.concatenate([batched_osc_integral(f[idx[b]], freqs[b], tau) @ weights
+                               for b in node_blocks(idx.size, w.size)])
 
     def i1(npts: int, idx) -> np.ndarray:
         t, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
-        return pref * on_nodes(parts, idx, -t, w * t ** (n - 2))
+        return pref * on_nodes(fam, idx, -t, w * t ** (n - 2))
 
-    finv = [f.inverse_fourier() for f in parts]
+    finv = fam.inverse_fourier()
 
     def i2(npts: int, idx) -> np.ndarray:
         u, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)
         return pref / 2 ** n * on_nodes(finv, idx, u / 4.0, w)  # t = 1/u
 
-    v1, _, _ = refine_many(i1, 16, _INV_P_TOL, count)
-    v2, _, _ = refine_many(i2, 16, _INV_P_TOL, count)
+    v1, _, _ = refine_many(i1, 16, _INV_P_TOL, len(fam))
+    v2, _, _ = refine_many(i2, 16, _INV_P_TOL, len(fam))
     out = v1 + v2
-    return complex(out[0]) if isinstance(psi, (GaussPoly, GaussMixture)) else out
+    return complex(out[0]) if isinstance(psi, GaussPoly) else out

@@ -1,8 +1,8 @@
 """Test oracle for the oscillatory engine, computed axis by axis.
 
-`osc_family_reference` computes what `gausspoly._osc_family` computes, in one
-pass over all (node, frequency) pairs and with every per-axis term formed on
-every axis: the prefactor's modulus as sum_j 1/2 log(a_j^2 + 4 w^2), its
+`osc_family_reference` computes what `gausspoly.batched_osc_integral`
+computes, in one pass over all (node, frequency) pairs and with every
+per-axis term formed on every axis: the prefactor's modulus as sum_j 1/2 log(a_j^2 + 4 w^2), its
 phase by arctan2 per axis, the exponent lin_j^2 / (2 beta_j) from its two
 parts, lin_j and mu_j also where a centre and a frequency are 0, and every
 moment by the full recursion.  The engine takes the prefactor as a product
@@ -13,16 +13,16 @@ does the oracle share its prefactor or moment arithmetic.
 """
 import numpy as np
 
-from pseudoht.gausspoly import TermStack, _tau_diagonalize
+from pseudoht.gausspoly import GaussMixture, _tau_diagonalize
 
 
-def osc_family_reference(fam: TermStack, w: np.ndarray, tau: np.ndarray,
+def osc_family_reference(fam: GaussMixture, w: np.ndarray, tau: np.ndarray,
                          table: bool = False) -> np.ndarray:
     """integral phi_i(u) exp(i w[i, k] P_tau(u)) du for a node family and
-    w (N, Nw); with `table`, the (N, Nw, M) per-monomial table over the
-    caller's expo."""
+    w (N, Nw); with `table`, the (N, Nw, M) table of the integrals of each
+    monomial of the caller's expo alone."""
     w = np.asarray(w, float)
-    user_coef, basis = fam.coef, None
+    basis = None
     A = fam.form
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
@@ -55,4 +55,4 @@ def osc_family_reference(fam: TermStack, w: np.ndarray, tau: np.ndarray,
     tab = pref * mono
     if basis is not None:
         tab = basis @ tab
-    return (tab * user_coef.T[:, i]).T.reshape(w.shape + (-1,))
+    return tab.T.reshape(w.shape + (-1,))

@@ -12,7 +12,13 @@ import math
 
 import numpy as np
 
-from pseudoht.gausspoly import TermStack, as_terms, batched_osc_integral, equal_rows, node_blocks
+from pseudoht.gausspoly import (
+    GaussMixture,
+    as_terms,
+    batched_osc_integral,
+    equal_rows,
+    node_blocks,
+)
 from pseudoht.group import tau_signs
 from pseudoht.kernels import kernel_prefactor
 from pseudoht.pairing import (
@@ -26,13 +32,13 @@ from pseudoht.pairing import (
 from pseudoht.quadrature import composite_legendre, geometric_edges, hermite_rule, sphere_rule
 
 
-def _merge_one_sign(fam: TermStack, rows, weights, js):
+def _merge_one_sign(fam: GaussMixture, rows, weights, js):
     """The rows of fam that share a radial node, shift and frequency, weighted and summed."""
     order, starts = equal_rows(np.column_stack([js, fam.shift[rows], fam.freq[rows]]))
     coef = np.add.reduceat(fam.coef[rows[order]] * weights[order, None], starts, axis=0)
     first = order[starts]
     rows = rows[first]
-    return TermStack(fam.form, fam.expo, coef, fam.shift[rows], fam.freq[rows]), js[first]
+    return GaussMixture._of(fam.form, fam.expo, coef, fam.shift[rows], fam.freq[rows]), js[first]
 
 
 def pair_k_two_calls(n: int, s: int, phi, sel, budget: PairBudget | None = None) -> complex:

@@ -46,8 +46,8 @@ def second_form_reference(n: int, s: int, phi, budget: PairBudget | None = None,
             prof = wn * np.exp(-c[:, None] * rn ** 2 + 1j * gamma[:, None] * rn)
             W = np.einsum("kr,rj,kjm->rm", prof, rn[:, None] ** np.arange(P.shape[1]), P)
             for uu, wu in u_parts:
-                table = batched_osc_integral(xunit, -(uu[None, :] + rn[:, None] * ccoth),
-                                             tau, table=True)
-                Dval += wu @ np.einsum("rk,ruk->u", W, table)
+                v = uu[None, :] + rn[:, None] * ccoth
+                table = batched_osc_integral(xunit, -v.reshape(1, -1), tau, table=True)
+                Dval += wu @ np.einsum("rk,ruk->u", W, table.reshape(v.shape + (-1,)))
         total += w_t * jac * pref_D * Dval
     return pref_out * total

@@ -11,7 +11,6 @@ from pseudoht.errors import DimensionMismatch, NonSPDQuadraticForm, SingularAffi
 from pseudoht.gausspoly import (
     GaussMixture,
     GaussPoly,
-    TermStack,
     apply_operator,
     batched_osc_integral,
 )
@@ -248,7 +247,7 @@ class TestIntegrals:
         U = np.stack([X.ravel(), Y.ravel()], axis=1)
         vals = phi.evaluate_many(U) * np.exp(1j * w * (U[:, 0] ** 2 - U[:, 1] ** 2))
         num = np.sum(vals) * (xs[1] - xs[0]) ** 2
-        ana = batched_osc_integral(phi, np.array([w]), tau)[0]
+        ana = batched_osc_integral(phi, np.array([[w]]), tau)[0, 0]
         assert abs(ana - num) < 1e-6
 
     def test_batched_diag_matches_general(self):
@@ -256,7 +255,7 @@ class TestIntegrals:
                         shift=[0.5, 0.2], freq=[0.1, -0.4])
         tau = np.array([1.0, -1.0])
         ws = np.array([0.0, 0.3, -2.0, 11.0])
-        fast = batched_osc_integral(phi, ws, tau)
+        fast = batched_osc_integral(phi, ws[None], tau)[0]
         slow = np.array([phi.integrate_against(W=-2j * w * np.diag(tau)) for w in ws])
         assert np.max(np.abs(fast - slow)) < 1e-12
 
@@ -455,7 +454,7 @@ def test_family_single_node_is_row_of_batch(entries, coeffs, shift, freq, values
     for k in range(len(values)):
         single = phi.restrict([4, 5], values[k])
         assert isinstance(single, GaussPoly)
-        one = batched_osc_integral(single, np.array(w), tau)
+        one = batched_osc_integral(single, np.array(w)[None], tau)[0]
         assert np.max(np.abs(one - rows[k])) <= 1e-12 * max(1.0, np.max(np.abs(rows[k])))
         scalar = inv_p_power(single, 2)
         assert abs(scalar - inv[k]) <= 1e-12 * max(1.0, abs(inv[k]))
@@ -464,10 +463,11 @@ def test_family_single_node_is_row_of_batch(entries, coeffs, shift, freq, values
 @settings(max_examples=20, deadline=None)
 @given(**family_data, w=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
 def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, freq, values, w):
-    """Column k of the table mode is the integral of monomial k with its coefficient.
+    """Column k of the table mode is the integral of monomial k alone.
 
     The coupled form runs the tau-congruence, so the columns must be mapped
-    back from the diagonal basis; the row sums are the plain engine values.
+    back from the diagonal basis; the table contracted with each node's
+    coefficients gives the plain engine values.
     """
     phi = _family_phi(entries, coeffs, shift, freq)
     fam = phi.restrict([4, 5], np.array(values))
@@ -477,16 +477,16 @@ def test_engine_table_columns_are_monomial_integrals(entries, coeffs, shift, fre
     assert table.shape == ws.shape + (len(fam.expo),)
     plain = batched_osc_integral(fam, ws, tau)
     scale = max(1.0, np.max(np.abs(plain)))
-    assert np.max(np.abs(table.sum(axis=-1) - plain)) <= 1e-12 * scale
+    assert np.max(np.abs(np.einsum("iwm,im->iw", table, fam.coef) - plain)) <= 1e-12 * scale
     for i in range(len(values)):
         for k, e in enumerate(fam.expo):
             mono = GaussPoly(4, fam.form, shift=fam.shift[i], freq=fam.freq[i],
-                             expo=e[None], coef=fam.coef[i, [k]])
+                             expo=e[None], coef=[1.0])
             want = [mono.integrate_against(W=-2j * x * np.diag(tau)) for x in ws[i]]
             assert np.max(np.abs(table[i, :, k] - want)) <= 1e-9 * scale
     # a single term: the table columns follow the order of its expo
     term = fam.term(0)
-    one = batched_osc_integral(term, ws[0], tau, table=True)
+    one = batched_osc_integral(term, ws[:1], tau, table=True)[0]
     assert one.shape == (3, len(term.expo))
     col = {tuple(e): k for k, e in enumerate(fam.expo.tolist())}
     for j, mono in enumerate(term.expo.tolist()):
@@ -513,7 +513,7 @@ TAU4 = np.array([1.0, 1.0, -1.0, -1.0])
 DIAG4 = np.diag([0.7, 1.3, 0.9, 2.1])
 
 
-def _engine_family(rng, form, nodes, shift_axes=(), freq_axes=(), deg=4) -> TermStack:
+def _engine_family(rng, form, nodes, shift_axes=(), freq_axes=(), deg=4) -> GaussMixture:
     """`nodes` terms on R^d (d the size of form) with one form, every monomial
     of degree <= deg (random complex coefficients, the constant one largest),
     node-dependent centres on shift_axes and frequencies on freq_axes, zero
@@ -525,7 +525,7 @@ def _engine_family(rng, form, nodes, shift_axes=(), freq_axes=(), deg=4) -> Term
     shift, freq = np.zeros((nodes, dim)), np.zeros((nodes, dim))
     shift[:, list(shift_axes)] = rng.uniform(0.2, 0.8, size=(nodes, len(shift_axes)))
     freq[:, list(freq_axes)] = rng.uniform(-1.0, 1.0, size=(nodes, len(freq_axes)))
-    return TermStack(form, expo, coef, shift, freq)
+    return GaussMixture._of(form, expo, coef, shift, freq)
 
 
 def _matches_reference(fam, w, table, tau=TAU4):
@@ -677,7 +677,8 @@ class TestOscEngine:
         a = [0.7, 1.3, 0.9, 2.1]
         shift = np.array([[0.5, 0.0, -1.5, 0.25], [2.0, 0.0, 0.0, 0.75]])
         freq = np.array([[0.3, -0.8, 0.0, 1.1], [0.0, 0.6, 0.0, -0.4]])
-        fam = TermStack(np.diag(a), np.zeros((1, 4), dtype=int), np.ones((2, 1)), shift, freq)
+        fam = GaussMixture._of(np.diag(a), np.zeros((1, 4), dtype=int), np.ones((2, 1)), shift,
+                               freq)
         w = np.concatenate([np.logspace(0, 8, 9), -np.logspace(0, 8, 9)])
         got = batched_osc_integral(fam, np.stack([w, w]), TAU4)
         worst = 0.0
@@ -707,7 +708,7 @@ class TestConjCoef:
 
     @staticmethod
     def _two_calls(fam, conj, w):
-        mirrored = TermStack(fam.form, fam.expo, conj, fam.shift, -fam.freq)
+        mirrored = GaussMixture._of(fam.form, fam.expo, conj, fam.shift, -fam.freq)
         return osc_family_reference(fam, w, TAU4) + osc_family_reference(mirrored, -w, TAU4)
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["diagonal", "coupled"])
@@ -747,7 +748,7 @@ class TestDeadAxes:
         rng = np.random.default_rng(49)
         dead = _engine_family(rng, DIAG4, 3, freq_axes=(1,), deg=3)
         assert tuple(dead.expo[self.U0]) == (1, 0, 0, 0)
-        live = TermStack(DIAG4, dead.expo, dead.coef, dead.shift.copy(), dead.freq)
+        live = GaussMixture._of(DIAG4, dead.expo, dead.coef, dead.shift.copy(), dead.freq)
         live.shift[1, 0] = 0.6
         w = rng.uniform(-5.0, 5.0, size=(3, 20))
         for fam in (dead, live):
@@ -802,7 +803,7 @@ class TestNoLiveAxis:
             form = L @ L.T + np.eye(dim)
         else:
             form = np.diag(rng.uniform(0.5, 2.0, size=dim))
-        return TermStack(form, expo, coef, np.zeros((nodes, dim)), np.zeros((nodes, dim)))
+        return GaussMixture._of(form, expo, coef, np.zeros((nodes, dim)), np.zeros((nodes, dim)))
 
     @staticmethod
     def _close(got, want):
@@ -827,7 +828,7 @@ class TestNoLiveAxis:
             other = (rng.normal(size=fam.coef.shape) + 1j * rng.normal(size=fam.coef.shape)) * 0.3
             other[:, 0] += 1.0 - 2.0j
             want = want + osc_family_reference(
-                TermStack(fam.form, fam.expo, other, fam.shift, fam.freq), -w, tau)
+                GaussMixture._of(fam.form, fam.expo, other, fam.shift, fam.freq), -w, tau)
         got = batched_osc_integral(fam, w, tau, conj_coef=other if conj else None)
         self._close(got, want)
 
@@ -855,7 +856,7 @@ class TestNoLiveAxis:
             want = osc_family_reference(fam, w, TAU4, table=table)
             if other is not None:
                 want = want + osc_family_reference(
-                    TermStack(fam.form, fam.expo, other, fam.shift, -fam.freq), -w, TAU4)
+                    GaussMixture._of(fam.form, fam.expo, other, fam.shift, -fam.freq), -w, TAU4)
             got = batched_osc_integral(fam, w, TAU4, table=table, conj_coef=other)
             assert tiles[-1][2:] == tile
             if table:
@@ -867,7 +868,7 @@ class TestNoLiveAxis:
         """An empty frequency array gives an empty result, as on the live route."""
         fam = self._family(np.random.default_rng(69), TAU4, False)
         assert batched_osc_integral(fam, np.zeros((3, 0)), TAU4).shape == (3, 0)
-        assert batched_osc_integral(fam.term(0), np.array([]), TAU4).shape == (0,)
+        assert batched_osc_integral(fam.term(0), np.zeros((1, 0)), TAU4).shape == (1, 0)
 
     def test_no_constant_monomial(self):
         """Even monomials only, none of them constant: x_0^2, x_0^4 and
@@ -875,7 +876,7 @@ class TestNoLiveAxis:
         rng = np.random.default_rng(68)
         expo = np.array([[2, 0, 0, 0], [4, 0, 0, 0], [0, 2, 0, 2]])
         coef = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        fam = TermStack(DIAG4, expo, coef, np.zeros((3, 4)), np.zeros((3, 4)))
+        fam = GaussMixture._of(DIAG4, expo, coef, np.zeros((3, 4)), np.zeros((3, 4)))
         w = np.stack([self.W] * 3)
         self._close(batched_osc_integral(fam, w, TAU4), osc_family_reference(fam, w, TAU4))
 
@@ -885,7 +886,7 @@ class TestNoLiveAxis:
         rng = np.random.default_rng(67)
         expo = np.array([[1, 0, 0, 0], [3, 0, 0, 0], [1, 2, 0, 0], [1, 0, 1, 1]])
         coef = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-        fam = TermStack(DIAG4, expo, coef, np.zeros((3, 4)), np.zeros((3, 4)))
+        fam = GaussMixture._of(DIAG4, expo, coef, np.zeros((3, 4)), np.zeros((3, 4)))
         w = np.stack([self.W] * 3)
         got = batched_osc_integral(fam, w, TAU4, conj_coef=coef.conj() if conj else None)
         assert got.shape == w.shape and np.all(got == 0)
@@ -919,6 +920,8 @@ def _complex_weight(rng, dim=3):
 
 
 class TestTermStack:
+    """Mixtures whose terms have forms, centres and frequencies of their own."""
+
     @pytest.mark.parametrize("poly", [False, True], ids=["plain", "polynomial"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["plain_integral", "complex_W_eta"])
     def test_integrate_against_matches_wick(self, poly, weighted):
@@ -929,8 +932,8 @@ class TestTermStack:
         W, eta = _complex_weight(rng) if weighted else (None, None)
         want = np.array([wick_integrate_against(t, W, eta) for t in terms])
         mix = GaussMixture(terms)
-        assert np.count_nonzero(mix.stack.quad[0] - np.diag(np.diagonal(mix.stack.quad[0])))
-        got = mix.stack.integrate_against(W, eta)
+        assert np.count_nonzero(mix.quad[0] - np.diag(np.diagonal(mix.quad[0])))
+        got = mix._integrals(W, eta)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
         assert abs(mix.integrate_against(W, eta) - want.sum()) <= 1e-13 * np.abs(want).sum()
         if not weighted:
@@ -947,10 +950,10 @@ class TestTermStack:
             terms.append(GaussPoly(4, L @ L.T + 0.5 * np.eye(4), shift=rng.normal(size=4) * 0.5,
                                    freq=rng.normal(size=4), expo=expo,
                                    coef=rng.normal(size=6) + 1j * rng.normal(size=6)))
-        assert gausspoly._degree(GaussMixture(terms).stack.expo) == 8
+        assert gausspoly._degree(GaussMixture(terms).expo) == 8
         for W, eta in [(None, None), _complex_weight(rng, 4)]:
             want = np.array([wick_integrate_against(t, W, eta) for t in terms])
-            got = GaussMixture(terms).stack.integrate_against(W, eta)
+            got = GaussMixture(terms)._integrals(W, eta)
             assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_only_symmetric_part_of_w_enters(self):
@@ -959,7 +962,7 @@ class TestTermStack:
         W, eta = _complex_weight(rng)
         skew = rng.normal(size=(3, 3)) * (0.5 + 0.5j)
         want = np.array([wick_integrate_against(t, W, eta) for t in terms])
-        got = GaussMixture(terms).stack.integrate_against(W + skew - skew.T, eta)
+        got = GaussMixture(terms)._integrals(W + skew - skew.T, eta)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_det_inv_sqrt_branches(self):
@@ -990,7 +993,7 @@ class TestTermStack:
         terms = _stack_terms(rng)
         mix = GaussMixture(terms[:2] + [zero] + terms[2:])
         for args in [(None, None), (W, eta)]:
-            got = mix.stack.integrate_against(*args)
+            got = mix._integrals(*args)
             assert got[2] == 0
             assert np.all(got[[0, 1, 3, 4, 5]] != 0)
 
@@ -1014,7 +1017,7 @@ class TestTermStack:
         moves = rng.normal(size=(len(terms), 3))
         op = [(np.array([[2, 0, 0]]), np.array([1.0]), (0, 1, 0)),
               (np.array([[0, 0, 1], [0, 0, 0]]), np.array([2.0, -1j]), (1, 0, 1))]
-        moved = mix.stack.precompose_affine(maps, moves)
+        moved = mix.precompose_affine(maps, moves)
         inv = mix.inverse_fourier().terms
         applied = apply_operator(mix, op).terms
         assert len(inv) == len(applied) == len(terms)
@@ -1029,6 +1032,36 @@ class TestTermStack:
                 assert np.max(np.abs(got.evaluate_many(U) - want)) \
                     <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    def test_node_family_values_sum_its_terms(self):
+        """A node family is a mixture: evaluate and integral give the sum over
+        its terms (the engine's one row per term is
+        `test_family_single_node_is_row_of_batch`)."""
+        rng = np.random.default_rng(37)
+        phi = _family_phi(rng.uniform(-0.6, 0.6, size=36),
+                          rng.uniform(-1.0, 1.0, size=(len(FAMILY_MONOMIALS), 2)),
+                          rng.uniform(0.1, 0.8, size=6), rng.uniform(-1.0, -0.1, size=6))
+        fam = phi.restrict([4, 5], np.array([[0.2, -0.4], [0.5, 0.1], [-0.3, 0.6]]))
+        assert fam.stack is fam.terms is fam and len(fam) == 3
+        terms = list(fam)
+        assert all(isinstance(t, GaussPoly) for t in terms)
+        U = rand_points(rng, 10, 4, scale=1.0)
+        want = sum(t.evaluate_many(U) for t in terms)
+        assert np.max(np.abs(fam.evaluate_many(U) - want)) <= 1e-13 * np.max(np.abs(want))
+        want = sum(t.integral() for t in terms)
+        assert abs(fam.integral() - want) <= 1e-13 * abs(want)
+
+    def test_engine_rejects_terms_with_forms_of_their_own(self):
+        """The engine needs one form for all terms and one row of w per term."""
+        mix = GaussMixture([GaussPoly.iso_gaussian(4), GaussPoly.gaussian(np.diag([1, 2, 3, 4.0]))])
+        assert mix.form is None
+        for table in (False, True):
+            with pytest.raises(DimensionMismatch):
+                batched_osc_integral(mix, np.ones((2, 3)), TAU4, table=table)
+        one = GaussPoly.iso_gaussian(4)
+        for w in (np.ones(3), np.ones((2, 3))):
+            with pytest.raises(DimensionMismatch):
+                batched_osc_integral(one, w, TAU4)
+
     @pytest.mark.parametrize("bad", [NOT_SYMMETRIC, INDEFINITE])
     def test_public_input_checks_each_form(self, bad):
         with pytest.raises(NonSPDQuadraticForm):
@@ -1042,10 +1075,11 @@ class TestTermStack:
     def test_derived_stack_checks_every_member(self, bad):
         """One bad form among good ones fails the batched check of a derived stack."""
         good = np.array([[1.0, 0.3], [0.3, 2.0]])
-        stack = TermStack(np.stack([good, bad, good]), np.zeros((1, 2), dtype=int),
-                          np.ones((3, 1), dtype=complex), np.zeros((3, 2)), np.zeros((3, 2)))
+        stack = GaussMixture._of(np.stack([good, bad, good]), np.zeros((1, 2), dtype=int),
+                                 np.ones((3, 1), dtype=complex), np.zeros((3, 2)),
+                                 np.zeros((3, 2)))
         for derive in (lambda s: s.precompose_affine(np.eye(2), np.zeros(2)),
-                       TermStack.fourier, TermStack.inverse_fourier):
+                       GaussMixture.fourier, GaussMixture.inverse_fourier):
             with pytest.raises(NonSPDQuadraticForm):
                 derive(stack)
 

@@ -16,7 +16,7 @@ from pseudoht.errors import (
     ThetaZero,
     UnsupportedN,
 )
-from pseudoht.gausspoly import GaussPoly, apply_operator, axis_monomial, equal_rows
+from pseudoht.gausspoly import GaussMixture, GaussPoly, apply_operator, axis_monomial, equal_rows
 from pseudoht.kernels import (
     KernelSelector,
     PSGauss,
@@ -311,6 +311,14 @@ class TestInvP:
     def test_rejects_n1(self):
         with pytest.raises(UnsupportedN):
             inv_p_power(GaussPoly.iso_gaussian(2), 1)
+
+    def test_rejects_terms_with_forms_of_their_own(self):
+        """A mixture of two centred Gaussians with different forms: its terms
+        share one table row, so without the check the first term's form
+        would stand for both."""
+        mix = GaussMixture([GaussPoly.iso_gaussian(4), GaussPoly.gaussian(np.diag([1, 2, 3, 4.0]))])
+        with pytest.raises(DimensionMismatch):
+            inv_p_power(mix, 2)
 
     @staticmethod
     def _row_count(fam):

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from pseudoht import gausspoly, witness
+from pseudoht import gausspoly, kernels, pairing, witness
 from pseudoht.clifford import Signature
+from pseudoht.gausspoly import GaussPoly
 from pseudoht.group import GroupStructure
+from pseudoht.kernels import KernelSelector
+from pseudoht.pairing import PairBudget
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
@@ -59,3 +62,41 @@ def test_tracer_wraps_a_witness_pass_and_restores_the_library():
         assert tracer.inclusive[key] > 0, key
     assert all(vars(cls)[name] is f for (cls, name), f in originals.items())
     assert all(getattr(witness, name) is f for name, f in functions.items())
+
+
+def _pairing_pass():
+    """pair_k (heaviside selector), pair_mr_heisenberg and pseudo_pair_n2 at
+    (0,1,2) on one off-centre test function, at a small budget."""
+    G = GroupStructure.from_signature(Signature(0, 1, 2))
+    phi = GaussPoly.gaussian(np.diag([1.0, 1.2, 0.9, 1.1, 1.3]), shift=[0.1, 0.0, -0.2, 0.0, 0.3])
+    budget = PairBudget(radial_geo_panels=4, radial_lin_panels=4, radial_order=6, sphere_pts=8,
+                        rho_nodes=32, t_panels=4, t_order=6, theta_hermite=16)
+    return [pairing.pair_k(2, 1, phi, KernelSelector.heaviside(), budget, with_error=False).value,
+            pairing.pair_mr_heisenberg(G, phi, budget, with_error=False).value,
+            *pairing.pseudo_pair_n2(G, phi, budget)]
+
+
+def test_tracer_wraps_a_pairing_pass_and_restores_the_library():
+    """The pairing loops run the wrapped mixture methods on node families
+    (`scaled` in pair_mr_heisenberg, `inverse_fourier` in inv_p_power); the
+    traced values are bit-identical to the untraced ones."""
+    originals = {(cls, name): vars(cls)[name] for cls, name in _wrapped()}
+    functions = {(mod, name): getattr(mod, name) for mod, name in (
+        (pairing, "pair_k"), (pairing, "pair_mr_heisenberg"), (pairing, "pseudo_pair_n2"),
+        (pairing, "batched_osc_integral"), (kernels, "batched_osc_integral"),
+        (kernels, "inv_p_power"), (gausspoly, "batched_osc_integral"))}
+    want = _pairing_pass()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        got = _pairing_pass()
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.counts["osc.calls"] > 0 and tracer.counts["gausspoly.restrict.calls"] > 0
+    for key in ("pairing.pair_k", "pairing.pair_mr_heisenberg", "pairing.pseudo_pair_n2",
+                "kernels.inv_p_power", "osc", "gausspoly.restrict", "gausspoly.algebra",
+                "gausspoly.fourier"):
+        assert tracer.inclusive[key] > 0, key
+    assert all(vars(cls)[name] is f for (cls, name), f in originals.items())
+    assert all(getattr(mod, name) is f for (mod, name), f in functions.items())

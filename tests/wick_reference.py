@@ -1,9 +1,9 @@
 """Test oracle for Gaussian integrals: Wick (Isserlis) pairings, term by term.
 
-`wick_integrate_against` computes what `TermStack.integrate_against` computes
-for one term, by re-expanding the polynomial about the mean and summing the
-Isserlis pairings of each monomial's moment (Isserlis, Biometrika 12 (1918)
-134), with det(M)^{-1/2} from the eigenvalues of M.
+`wick_integrate_against` computes what `GaussMixture.integrate_against`
+computes for one term, by re-expanding the polynomial about the mean and
+summing the Isserlis pairings of each monomial's moment (Isserlis,
+Biometrika 12 (1918) 134), with det(M)^{-1/2} from the eigenvalues of M.
 """
 import numpy as np
 
