@@ -7,9 +7,9 @@ budgets and tolerances echoed.  Reruns byte-reproduce the artifacts (JSON floats
 in Python's shortest round-trip repr, CSV floats with 17 significant digits)
 apart from the wall times that report and verify-cone keep under "telemetry".
 
-Exit codes: 0 success / all checks passed, 1 usage error (bad input, an
-unreadable file), 2 numerical check failed its tolerance, 3 internal fault
-(any other exception; its message goes to stderr).
+Exit codes: 0 success / all checks passed, 1 usage error (bad arguments or
+input, an unreadable file), 2 numerical check failed its tolerance, 3 internal
+fault (any other exception; its message goes to stderr).
 """
 from __future__ import annotations
 
@@ -60,6 +60,12 @@ def _parse_sig(text):
     if len(parts) == 3:
         return Signature(*parts)
     raise SystemExit("signature must be 'r,s' or 'r,s,n'")
+
+
+def _at_least_one(text):
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------- commands
@@ -221,10 +227,16 @@ def cmd_report(args) -> int:
     return EXIT_OK if out["all_passed"] else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_USAGE, not argparse's 2 (EXIT_CHECK_FAILED), subparsers too."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="pseudoht",
-                                 description="pseudo H-type groups and ultra-hyperbolic "
-                                             "fundamental solutions")
+    ap = _Parser(prog="pseudoht",
+                 description="pseudo H-type groups and ultra-hyperbolic fundamental solutions")
     ap.add_argument("--output", "-o", default="-", help="output path (default stdout)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -236,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="tabulate kernels")
     p.add_argument("mode", choices=["eval", "cone"])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--s", type=int, default=1)
+    p.add_argument("--n", type=_at_least_one, default=2)
+    p.add_argument("--s", type=_at_least_one, default=1)
     p.add_argument("--selector", default="constant", choices=["constant", "heaviside"])
     p.add_argument("--lam", default="1")
     p.add_argument("--count", type=int, default=32)
@@ -298,8 +310,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except SystemExit:
-        raise
     except BrokenPipeError:
         return EXIT_OK
     except (PseudoHTError, ValueError, OSError) as exc:  # bad input

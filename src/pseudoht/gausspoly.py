@@ -484,11 +484,11 @@ class GaussMixture(Sequence):
     polynomial sum_m coef[i, m] (u - shift[i])^expo[m].  `GaussMixture(terms)`
     takes GaussPoly terms and mixtures over one dim and holds their terms
     over the union of their monomials; `_of` wraps the arrays unchecked.  A
-    node family (the restrictions of one term) holds its one form as a
-    broadcast view (`form`).  An integer index builds that term as a
-    GaussPoly; an index array or a slice gives the mixture of those terms.
-    evaluate, integral and integrate_against sum the terms, while the
-    oscillatory engine gives one value per term.
+    node family (the restrictions of one term), like any mixture whose terms
+    have one form, holds it as a broadcast view (`form`).  An integer index
+    builds that term as a GaussPoly; an index array or a slice gives the
+    mixture of those terms.  evaluate, integral and integrate_against sum the
+    terms, while the oscillatory engine gives one value per term.
     """
 
     __slots__ = ("quad", "expo", "coef", "shift", "freq")
@@ -715,7 +715,7 @@ class GaussMixture(Sequence):
 
 def _concat(parts: list) -> tuple:
     """(quad, expo, coef, shift, freq) of the terms of all mixtures, over the
-    union of their monomials."""
+    union of their monomials; one form shared by every term stays one."""
     if len(parts) == 1:
         s = parts[0]
         return s.quad, s.expo, s.coef, s.shift, s.freq
@@ -726,8 +726,10 @@ def _concat(parts: list) -> tuple:
     for s in parts:
         np.add.at(coef[lo:lo + len(s)].T, col[m:m + len(s.expo)], s.coef.T)
         lo, m = lo + len(s), m + len(s.expo)
-    return (np.concatenate([s.quad for s in parts]), expo[first], coef,
-            np.concatenate([s.shift for s in parts]), np.concatenate([s.freq for s in parts]))
+    quad = np.concatenate([s.quad for s in parts])
+    return (np.broadcast_to(quad[:1], quad.shape) if np.all(quad == quad[:1]) else quad,
+            expo[first], coef, np.concatenate([s.shift for s in parts]),
+            np.concatenate([s.freq for s in parts]))
 
 
 def as_terms(phi) -> list:
@@ -764,14 +766,10 @@ def apply_operator(phi, op: list):
 
 # ------------------------------------------------------------- node families
 
-# The oscillatory engine works in passes over tiles of (node, frequency)
-# pairs whose complex temporaries take about _OSC_BYTES (`_tile`, sized in
-# `batched_osc_integral`), so a one-monomial table pass covers a couple of
-# thousand pairs and a wide polynomial pass several hundred; `node_blocks`
-# splits the nodes of a weighted sum so that each engine call returns at most
-# _OSC_BLOCK values.
+# The one working-set budget of the oscillatory engine's passes (`_tile`) and
+# its callers' blocked loops (`osc_items`): a one-monomial table pass covers a
+# couple of thousand pairs and a wide polynomial pass several hundred.
 _OSC_BYTES = 16384 * 16
-_OSC_BLOCK = 8192
 
 
 def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> GaussMixture:
@@ -797,17 +795,6 @@ def _restrict_family(term: GaussPoly, fixed: list, values: np.ndarray) -> GaussM
 
 
 # ------------------------------------------------------- oscillatory engine
-
-def node_blocks(count: int, nw: int) -> list:
-    """Slices covering range(count), each of at most _OSC_BLOCK // nw nodes.
-
-    A caller that contracts each engine result with its quadrature weights
-    calls `batched_osc_integral` once per block, so no (N, Nw) value array
-    over all N nodes is held.
-    """
-    step = max(1, _OSC_BLOCK // nw)
-    return [slice(lo, lo + step) for lo in range(0, count, step)]
-
 
 def equal_rows(key: np.ndarray):
     """The rows of a 2-D key array grouped by value: (order, starts).
@@ -849,21 +836,28 @@ def _tau_diagonalize(fam: GaussMixture, tau: np.ndarray):
                             np.linalg.solve(S, fam.shift.T).T, fam.freq @ S), T * det
 
 
+def osc_items(slots: int) -> int:
+    """How many items of `slots` complex temporaries fit in _OSC_BYTES (>= 1)."""
+    return max(1, _OSC_BYTES // (16 * slots))
+
+
 def _tile(shape: tuple, slots: int) -> tuple:
     """(rows, cols) of the engine's passes over a (nodes, Nw) frequency array:
     tiles of whole nodes by a chunk of frequencies, of at most
-    _OSC_BYTES // (16 slots) pairs, where a pair holds `slots` complex
-    temporaries at once; a longer row splits into equal chunks."""
-    size = max(1, _OSC_BYTES // (16 * slots))
+    osc_items(slots) pairs; a longer row splits into equal chunks."""
+    size = osc_items(slots)
     cols = max(1, -(-shape[1] // max(1, -(-shape[1] // size))))
     return max(1, size // cols), cols
 
 
 def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = False,
-                         conj_coef: np.ndarray | None = None) -> np.ndarray:
+                         conj_coef: np.ndarray | None = None,
+                         weights: np.ndarray | None = None) -> np.ndarray:
     """integral phi_i(u) exp(i w[i, k] P_tau(u)) du for each term phi_i of a
     family and each of its frequencies w[i, k]: w has shape (N, Nw), row i
-    for term i, and the result has the shape of w.
+    for term i, and the result has the shape of w.  With weights (Nw,),
+    shared by all rows, each pass contracts its values with its slice of
+    them, so the result drops the Nw axis and no (N, Nw) array is formed.
 
     phi is a GaussMixture whose terms share one form (`form`), such as a
     node family from `GaussPoly.restrict`, or a GaussPoly, its one-term
@@ -924,8 +918,9 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
     if A is None:
         raise DimensionMismatch("the engine needs terms that share one form")
     w = np.asarray(w, float)
-    if w.ndim != 2 or len(w) != len(fam):
-        raise DimensionMismatch(f"w must have shape ({len(fam)}, Nw), one row per term")
+    if (w.ndim != 2 or len(w) != len(fam)
+            or weights is not None and np.shape(weights) != w.shape[1:]):
+        raise DimensionMismatch(f"w must have shape ({len(fam)}, Nw) and weights (Nw,)")
     width = len(fam.expo) if table else 0
     if np.count_nonzero(A - np.diag(np.diagonal(A))):
         fam, basis = _tau_diagonalize(fam, tau)
@@ -974,11 +969,12 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
     if gather:
         slots += 1 + len(expo) + width + sum(k + 1 for *_, k in rec)
     rows, cols = _tile(w.shape, slots)
-    out = np.empty(w.shape + ((width,) if table else ()), dtype=complex)
+    out = np.zeros(w.shape[:1 + (weights is None)] + ((width,) if table else ()), dtype=complex)
     for r0 in range(0, nodes, rows):
         rs = slice(r0, r0 + rows)
         for c0 in range(0, nw, cols):
-            wc = w[rs, c0:c0 + cols]
+            cs = slice(c0, c0 + cols)
+            wc = w[rs, cs]
             w4 = 4.0 * wc * wc
             X, Y = x0 + x1 * w4, y1 * wc
             q = np.sqrt(0.5 * (np.sqrt(X * X + Y * Y) + X))
@@ -1010,18 +1006,20 @@ def batched_osc_integral(phi, w: np.ndarray, tau: np.ndarray, table: bool = Fals
                         mom[h] = mu[p] * mom[h - 1] + (h - 1) * sl[p] * mom[h - 2]
                     mono = mono * mom[expo[:, j]]
             if table:
-                tab = (back @ (pref * mono).reshape(len(col), wc.size)).reshape((width,) + wc.shape)
-                out[rs, c0:c0 + cols] = tab.transpose(1, 2, 0)
-                continue
-            if gather:
-                vals = [np.matmul(cb[rs, None], mono.transpose(1, 0, 2))[:, 0] for cb in blocks]
+                val = np.moveaxis(np.tensordot(back, pref * mono, 1), 0, -1)
             else:
-                vals = [cb[rs, K:] + np.matmul(cb[rs, None, :K], tile.transpose(1, 0, 2))[:, 0]
-                        if K else cb[rs, K:] for cb in blocks]
-            val = pref * vals[0]
-            if len(vals) > 1:
-                val += np.conj(pref * vals[1])
-            out[rs, c0:c0 + cols] = val
+                if gather:
+                    vals = [np.matmul(cb[rs, None], mono.transpose(1, 0, 2))[:, 0] for cb in blocks]
+                else:
+                    vals = [cb[rs, K:] + np.matmul(cb[rs, None, :K], tile.transpose(1, 0, 2))[:, 0]
+                            if K else cb[rs, K:] for cb in blocks]
+                val = pref * vals[0]
+                if len(vals) > 1:
+                    val += np.conj(pref * vals[1])
+            if weights is None:
+                out[rs, cs] = val
+            else:
+                out[rs] += np.tensordot(val, weights[cs], (1, 0))
     return out
 
 

@@ -37,7 +37,6 @@ from .gausspoly import (
     batched_osc_integral,
     collect,
     equal_rows,
-    node_blocks,
 )
 from .quadrature import (
     composite_legendre,
@@ -301,10 +300,10 @@ def inv_p_power(psi, n: int):
     terms with forms of their own raise DimensionMismatch.
 
     The terms that share a (shift, frequency) row, as `equal_rows` groups
-    them, differ only in their coefficients: each such row runs the engine
-    once in table mode, and a term's value is its coefficients against the
-    weighted table.  The nodes of a block-diagonal restriction all share one
-    row.
+    them, differ only in their coefficients: each half runs the engine once
+    in table mode on the distinct rows, contracted with the half's weights,
+    and a term's value is its coefficients against its row's weighted table.
+    The nodes of a block-diagonal restriction all share one row.
     """
     if n < 2:
         raise UnsupportedN("1/P^{n-1} needs n >= 2")
@@ -316,19 +315,14 @@ def inv_p_power(psi, n: int):
     tau = np.array([1.0] * n + [-1.0] * n)
     pref = 1j ** (n - 1) / math.factorial(n - 2)
 
-    def weighted(rows, w, weights):
-        """The engine tables of rows at the frequencies w, contracted with weights."""
-        return np.concatenate([
-            np.einsum("gwm,w->gm", batched_osc_integral(
-                rows[b], np.broadcast_to(w, (len(rows[b]), w.size)), tau, True), weights)
-            for b in node_blocks(len(rows), w.size)])
-
     def on_nodes(f, idx, w, weights):
         sub = f[idx]
         order, starts = equal_rows(np.column_stack([sub.shift, sub.freq]))
         group = np.empty(idx.size, dtype=int)
         group[order] = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, idx.size]))
-        return np.sum(sub.coef * weighted(sub[order[starts]], w, weights)[group], axis=1)
+        tables = batched_osc_integral(sub[order[starts]], np.broadcast_to(w, (starts.size, w.size)),
+                                      tau, True, weights=weights)
+        return np.sum(sub.coef * tables[group], axis=1)
 
     def i1(npts: int, idx) -> np.ndarray:
         t, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)

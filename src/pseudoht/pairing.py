@@ -32,7 +32,7 @@ from .gausspoly import (
     as_terms,
     batched_osc_integral,
     equal_rows,
-    node_blocks,
+    osc_items,
 )
 from .group import GroupStructure, tau_signs
 from .kernels import KernelSelector, kernel_prefactor
@@ -170,7 +170,8 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     negated and runs in the same engine pass, as conj_coef.  A block-diagonal
     term with b = 0 costs one engine row per radial node whatever the sphere
     budget and selector, an off-centre one a row per half, a coupled one a
-    row per distinct center and half.
+    row per distinct center and half, in one engine call per term and
+    rho-rule that contracts the rho weights.
     """
     d = 2 * n + s
     theta_axes = list(range(2 * n, d))
@@ -185,25 +186,24 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     lam, mu = np.array([sel.lam_mu(om) for om in sphere], dtype=complex).T
     halves = np.concatenate([np.outer(ws * lam, [1, 0]), np.outer(ws * mu, [0, -1])])
 
-    # blocks of radial nodes that share a rho-rule, so their frequencies form
-    # one array
+    # the radial nodes that share a rho-rule, so their frequencies form one array
     counts = _rho_nodes_for(radial, budget.rho_nodes)
-    groups = [(*_rho_rule_for(n, npts), js[b]) for npts in dict.fromkeys(counts.tolist())
-              for js in [np.flatnonzero(counts == npts)] for b in node_blocks(len(js), npts)]
+    groups = [(*_rho_rule_for(n, npts), np.flatnonzero(counts == npts))
+              for npts in dict.fromkeys(counts.tolist())]
 
     total = 0.0 + 0.0j
     for term in fphi_terms:
         fam = term.restrict(theta_axes, _center_nodes(radial, sphere))
         for rho, wq, js in groups:
-            # rows k R + j of the block, sphere node k slowest, lam- then mu-half
+            # rows k R + j of the group, sphere node k slowest, lam- then mu-half
             rows = np.tile((np.arange(len(sphere))[:, None] * radial.size + js).ravel(), 2)
             row_w = np.repeat(halves, js.size, axis=0)
             keep = row_w.any(axis=1)
             merged, conj, mj = _merge_centers(fam, rows[keep], row_w[keep],
                                               np.tile(js, 2 * len(sphere))[keep])
             vals = batched_osc_integral(merged, rho[None, :] / radial[mj][:, None], tau,
-                                        conj_coef=conj if conj.any() else None)
-            total += np.sum(node_w[mj] * (vals @ wq))
+                                        conj_coef=conj if conj.any() else None, weights=wq)
+            total += np.sum(node_w[mj] * vals)
     return total, sorted(set(counts.tolist()))
 
 
@@ -290,16 +290,15 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
         # t-integral via rho = tanh t: sinh^{-n} t dt = (1-r^2)^{(n-2)/2} r^{-n} dr
         edges = np.concatenate([[0.0], np.geomspace(0.02, 1.0, b.t_panels)])
         rr, wr = composite_legendre(edges, b.t_order)
-        coth = 1.0 / rr
-        jac = (1.0 - rr ** 2) ** ((n - 2) / 2.0) / rr ** n
+        cvals = 0.25 / rr       # coth(t) / 4
+        tw = wr * (1.0 - rr ** 2) ** ((n - 2) / 2.0) / rr ** n
 
-        total = np.zeros(rr.shape, dtype=complex)
+        total = 0.0 + 0.0j
         for term in terms:
             s, bz, p0, spread = term_rates(term)
             # choose a Hermite order per t-node from the center frequency;
             # drop nodes whose guaranteed-minimal oscillation wipes the
             # Gaussian window below e^{-40}
-            cvals = coth / 4.0
             f_center = np.abs(bz - cvals * p0)
             f_lower = np.maximum(0.0, cvals * max(0.0, abs(p0) - spread) - abs(bz))
             keep = f_lower * s < 9.0
@@ -331,9 +330,8 @@ def pair_mr_heisenberg(G: GroupStructure, phi, budget: PairBudget | None = None,
                     # node K-1-k (at -w) is node k's conj_coef part; a middle node has weight 0
                     k = np.arange(len(fam) // 2, len(fam))
                     fam, w, conj = fam[k], w[k], fam.coef[::-1][k]
-                total[sel] += np.sum(batched_osc_integral(fam, w, tau, conj_coef=conj), axis=0)
-        total /= math.sqrt(2.0 * math.pi)
-        return mr_constant(n) * complex(np.sum(wr * jac * total))
+                total += batched_osc_integral(fam, w, tau, conj_coef=conj, weights=tw[sel]).sum()
+        return mr_constant(n) * total / math.sqrt(2.0 * math.pi)
 
     return _estimated(value_with, budget, budget.doubled(), with_error)
 
@@ -395,11 +393,10 @@ def _dual_scale_rule(r_max: float, fine, npts: int):
     return nodes.ravel(), (half * w).ravel(), np.repeat(np.nonzero(keep)[0], npts)
 
 
-# the v-table's rule (`_u_table`); bytes per block of its engine calls and of the contraction
+# the v-table's rule (`_u_table`)
 _V_PANEL = 0.25
 _V_NODES = 8
 _V_TAIL_ORDER = 20
-_V_BYTES = 1 << 16
 
 
 def _u_table(xunit: GaussPoly, pts: np.ndarray, n: int, tau: np.ndarray) -> np.ndarray:
@@ -426,7 +423,7 @@ def _u_table(xunit: GaussPoly, pts: np.ndarray, n: int, tau: np.ndarray) -> np.n
     x, wx = legendre_rule(_V_NODES)
     x = 0.5 * (x + 1.0)
     sums = np.zeros((gaps.size,) + tail.shape, dtype=complex)
-    step = max(1, _V_BYTES // (16 * _V_NODES * tail.shape[1]))
+    step = osc_items(_V_NODES * tail.shape[1])
     for lo in range(0, end[-1], step):
         i = np.arange(lo, min(lo + step, end[-1]))
         g = np.searchsorted(end, i, side="right")
@@ -460,7 +457,7 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
     comes from one v-table per term on all (t, r) nodes (`_u_table`).  The
     r-grids, graded at the coth(t)/4 feature scale, form one ragged (t, r)
     grid whose weights carry the t weights, contracted with the table in
-    blocks of _V_BYTES, so no (sphere x all (t, r)) array is held.  The
+    blocks (`osc_items`), so no (sphere x all (t, r)) array is held.  The
     t-integrand tends to a nonzero constant at t = 0, so no truncation is safe.
     """
     if n < 2:
@@ -491,7 +488,7 @@ def pair_second_form(n: int, s: int, phi, budget: PairBudget | None = None,
             G = _u_table(xunit, pts, n, tau)
             # sum_{r, m} W[r, m] G[at[r], m] with W[r, m] = sum_{om, j} w_r w_t
             # e^{-c r^2 + i gamma r} r^j P[om, j, m], in blocks of (t, r) nodes
-            step = max(1, _V_BYTES // (16 * (len(P) + P[0].size)))
+            step = osc_items(len(P) + P[0].size)
             for lo in range(0, rn.size, step):
                 blk = slice(lo, lo + step)
                 r = rn[blk, None]

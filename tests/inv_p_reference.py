@@ -1,15 +1,17 @@
 """The per-node engine route of `kernels.inv_p_power`, kept as a test oracle.
 
 Every node of a family runs the engine on its own row at every frequency of
-the two t-halves; the library instead runs it once per distinct (shift,
-frequency) row and contracts the table with each node's coefficients.
+the two t-halves, and the (N, Nw) values are contracted with the t weights
+here.  The library instead runs it once per distinct (shift, frequency) row
+in table mode, passes the weights to the engine, and contracts the weighted
+table with each node's coefficients.
 """
 import math
 
 import numpy as np
 
 from pseudoht.errors import UnsupportedN
-from pseudoht.gausspoly import GaussPoly, batched_osc_integral, node_blocks
+from pseudoht.gausspoly import GaussPoly, batched_osc_integral
 from pseudoht.kernels import _INV_P_TOL
 from pseudoht.quadrature import composite_legendre, refine_many
 
@@ -25,9 +27,7 @@ def inv_p_power_per_node(psi, n: int):
     pref = 1j ** (n - 1) / math.factorial(n - 2)
 
     def on_nodes(f, idx, w, weights):
-        freqs = np.broadcast_to(w, (idx.size, w.size))
-        return np.concatenate([batched_osc_integral(f[idx[b]], freqs[b], tau) @ weights
-                               for b in node_blocks(idx.size, w.size)])
+        return batched_osc_integral(f[idx], np.broadcast_to(w, (idx.size, w.size)), tau) @ weights
 
     def i1(npts: int, idx) -> np.ndarray:
         t, w = composite_legendre(np.linspace(0.0, 1.0, 5), npts)

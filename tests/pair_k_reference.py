@@ -1,12 +1,13 @@
 """The two-call engine routes of `pairing.pair_k` and `pair_mr_heisenberg`,
 kept as test oracles.
 
-`pair_k_two_calls` runs the engine once per (term, rho block, sign): the
+`pair_k_two_calls` runs the engine once per (term, rho-rule, sign): the
 lam-half at +rho/r and the mu-half at -rho/r, each over its own merged rows.
-`pair_mr_per_node` runs one engine row per theta node at its own frequency
-and contracts with the theta weights afterwards.  The library runs both
-halves (and the mirrored theta nodes) in one pass, through the identity
-U_m(-w; b, c) = conj U_m(w; -b, c).
+`pair_mr_per_node` runs one engine row per theta node at its own frequency.
+Both take the engine's plain (N, Nw) values and contract them with the
+quadrature weights here.  The library runs both halves (and the mirrored
+theta nodes) in one pass, through the identity
+U_m(-w; b, c) = conj U_m(w; -b, c), and passes the weights to the engine.
 """
 import math
 
@@ -17,7 +18,6 @@ from pseudoht.gausspoly import (
     as_terms,
     batched_osc_integral,
     equal_rows,
-    node_blocks,
 )
 from pseudoht.group import tau_signs
 from pseudoht.kernels import kernel_prefactor
@@ -57,8 +57,7 @@ def pair_k_two_calls(n: int, s: int, phi, sel, budget: PairBudget | None = None)
     counts: dict = {}
     for j, r in enumerate(radial):
         counts.setdefault(_rho_nodes_for(r, budget.rho_nodes), []).append(j)
-    groups = [(*_rho_rule_for(n, npts), np.array(js)[b]) for npts, js in counts.items()
-              for b in node_blocks(len(js), npts)]
+    groups = [(*_rho_rule_for(n, npts), np.array(js)) for npts, js in counts.items()]
     total = 0.0 + 0.0j
     for term in terms:
         fam = term.restrict(theta_axes, _center_nodes(radial, sphere))

@@ -166,15 +166,53 @@ class TestVerify:
         assert open(a).read() == open(b).read()
 
 
-def test_entry_point_runs():
+def run_module(args, timeout=60):
     """The module entry point, in a child process that sees the source tree
     (conftest's sys.path entry does not reach it)."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "pseudoht.cli", "catalog"],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, "-m", "pseudoht.cli"] + args, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
+
+
+def test_entry_point_runs():
+    proc = run_module(["catalog"])
     assert proc.returncode == 0
     assert '"catalog"' in proc.stdout
+
+
+class TestExitCodes:
+    """argparse's usage errors exit 1 as the library's do, not argparse's 2,
+    which is a failed check; --help exits 0."""
+
+    @pytest.mark.parametrize("args", [["validate"], ["bogus"], ["kernel", "eval", "--n", "x"]],
+                             ids=["missing_option", "unknown_command", "not_an_integer"])
+    def test_usage_errors_exit_1(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == cli.EXIT_USAGE == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [[], ["validate"]], ids=["top", "subcommand"])
+    def test_help_exits_0(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--help"])
+        assert exc.value.code == cli.EXIT_OK == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_failed_check_exits_2(self, tmp_path):
+        code, out = run_cli(["verify-nonexistence", "--flow-nodes", "16", "--tol", "0"],
+                            tmp_path, "x.json")
+        assert code == cli.EXIT_CHECK_FAILED == 2
+        assert not json.load(open(out))["passed"]
+
+    @pytest.mark.parametrize("args", [["eval", "--s", "0"], ["cone", "--s", "0"],
+                                      ["eval", "--n", "0"], ["cone", "--n", "-1"]])
+    def test_kernel_rejects_n_and_s_below_1(self, args):
+        """At parse time: an empty theta was redrawn forever (eval --s 0)."""
+        proc = run_module(["kernel"] + args, timeout=30)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert "must be an integer >= 1" in proc.stderr and not proc.stdout
 
 
 def test_internal_fault_exit_code(monkeypatch, capsys):

@@ -893,6 +893,56 @@ class TestNoLiveAxis:
         assert np.all(osc_family_reference(fam, w, TAU4) == 0)
 
 
+class TestWeights:
+    """With weights (Nw,), the engine contracts each row with them as it
+    goes: the weighted call equals the plain call contracted with
+    `@ weights`, to 1e-13 of the row's scale sum_k |weights[k] value[i, k]|."""
+
+    @staticmethod
+    def _family(rng, live, coupled):
+        form = _coupled_form(rng) if coupled else DIAG4
+        axes = dict(shift_axes=(0, 3), freq_axes=(1,)) if live else {}
+        return _engine_family(rng, form, 5, deg=3, **axes)
+
+    @staticmethod
+    def _check(fam, w, mode, weights):
+        other = fam.coef[::-1].copy() if mode == "conj_coef" else None
+        table = mode == "table"
+        plain = batched_osc_integral(fam, w, TAU4, table=table, conj_coef=other)
+        got = batched_osc_integral(fam, w, TAU4, table=table, conj_coef=other, weights=weights)
+        want = np.einsum("ik...,k->i...", plain, weights)
+        scale = np.einsum("ik...,k->i...", np.abs(plain), np.abs(weights))
+        assert got.shape == want.shape == (len(fam),) + plain.shape[2:]
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("mode", ["plain", "conj_coef", "table"])
+    @pytest.mark.parametrize("coupled", [False, True], ids=["diagonal", "coupled"])
+    @pytest.mark.parametrize("live", [False, True], ids=["dead", "live"])
+    def test_equals_the_contracted_values(self, live, coupled, mode, monkeypatch):
+        """Every mode on the direct route (dead axes) and the per-monomial one
+        (live axes), in one pass; then in passes of seven pairs: two nodes
+        per tile (3 frequencies), and a row in three chunks (16 frequencies),
+        each adding its slice of the weights."""
+        rng = np.random.default_rng(70 + 2 * live + coupled)
+        fam = self._family(rng, live, coupled)
+        assert coupled == bool(np.count_nonzero(fam.form - np.diag(np.diagonal(fam.form))))
+        tiles = _spy_tiles(monkeypatch)
+        self._check(fam, rng.uniform(-5.0, 5.0, size=(5, 16)), mode, rng.normal(size=16))
+        assert tiles[-1][2] >= 5 and tiles[-1][3] == 16
+        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 7 * 16 * tiles[0][1])
+        for nw, tile in ((3, (2, 3)), (16, (1, 6))):
+            self._check(fam, rng.uniform(-5.0, 5.0, size=(5, nw)), mode, rng.normal(size=nw))
+            assert tiles[-1][2:] == tile
+
+    def test_weights_take_one_per_frequency(self):
+        fam = _engine_family(np.random.default_rng(79), DIAG4, 2)
+        for weights in (np.ones(2), np.ones(4), np.ones((1, 3))):
+            with pytest.raises(DimensionMismatch):
+                batched_osc_integral(fam, np.ones((2, 3)), TAU4, weights=weights)
+        got = batched_osc_integral(fam, np.zeros((2, 0)), TAU4, table=True, weights=np.ones(0))
+        assert got.shape == (2, len(fam.expo)) and not got.any()
+
+
 # ------------------------------------------------- term stacks (per-term forms)
 
 NOT_SYMMETRIC = np.array([[1.0, 0.2], [0.0, 1.0]])
@@ -1049,6 +1099,22 @@ class TestTermStack:
         assert np.max(np.abs(fam.evaluate_many(U) - want)) <= 1e-13 * np.max(np.abs(want))
         want = sum(t.integral() for t in terms)
         assert abs(fam.integral() - want) <= 1e-13 * abs(want)
+
+    def test_terms_of_one_form_are_a_node_family(self):
+        """A mixture of terms that all have one form holds it as one form, and
+        the engine gives each term the value of its own one-term call."""
+        g = GaussPoly.iso_gaussian(4, a=2.0)
+        h = GaussPoly(4, 2.0 * np.eye(4), {(0, 0, 0, 0): 1.0, (1, 0, 2, 0): 0.5j},
+                      shift=[0.3, 0.0, -0.2, 0.0], freq=[0.0, 0.4, 0.0, -0.1])
+        mix = GaussMixture([g, h])
+        assert mix.form is not None and mix.quad.strides[0] == 0
+        w = np.random.default_rng(80).uniform(-5.0, 5.0, size=(2, 7))
+        for table in (False, True):
+            got = batched_osc_integral(mix, w, TAU4, table=table)
+            for i, t in enumerate((g, h)):
+                one = batched_osc_integral(t, w[i:i + 1], TAU4)
+                val = got[i] @ mix.coef[i] if table else got[i]
+                assert np.max(np.abs(val - one[0])) <= 1e-13 * np.max(np.abs(one))
 
     def test_engine_rejects_terms_with_forms_of_their_own(self):
         """The engine needs one form for all terms and one row of w per term."""

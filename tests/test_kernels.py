@@ -320,6 +320,14 @@ class TestInvP:
         with pytest.raises(DimensionMismatch):
             inv_p_power(mix, 2)
 
+    def test_terms_of_one_form_are_one_family(self):
+        """A mixture whose terms share one form gives one value per term."""
+        g = GaussPoly.iso_gaussian(4, a=2.0)
+        v = inv_p_power(g, 2)
+        assert v == 15.503138340149892j
+        got = inv_p_power(GaussMixture([g, g.scaled(2.0)]), 2)
+        assert np.max(np.abs(got - [v, 2 * v])) <= 1e-14 * abs(v)
+
     @staticmethod
     def _row_count(fam):
         return equal_rows(np.column_stack([fam.shift, fam.freq]))[1].size

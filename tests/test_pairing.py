@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pseudoht import pairing
+from pseudoht import gausspoly, pairing
 from pseudoht.clifford import Signature
 from pseudoht.errors import DimensionMismatch, OddN, UnsupportedN
 from pseudoht.gausspoly import GaussPoly
@@ -436,10 +436,11 @@ class TestSecondFormVTable:
 
     def test_blocks_do_not_change_the_table(self, monkeypatch):
         """Engine blocks of one subpanel and contraction blocks of one (t, r)
-        node give the same value to rounding."""
+        node, both sized by the engine's one budget, give the same value to
+        rounding."""
         n, s, phi = VTABLE_INPUTS["022_aniso"]
         base = pair_second_form(n, s, phi, with_error=False).value
-        monkeypatch.setattr(pairing, "_V_BYTES", 1)
+        monkeypatch.setattr(gausspoly, "_OSC_BYTES", 1)
         one = pair_second_form(n, s, phi, with_error=False).value
         assert abs(one - base) <= 1e-14 * abs(base)
 
