@@ -45,6 +45,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -85,22 +86,20 @@ class _Graded:
     """
 
     def __init__(self, dim: int, deg: int):
-        expo = np.zeros((1, 0), dtype=int)
-        for v in range(1, dim + 1):
-            # prepend a variable: degree-k rows over the tails of degree <= k
-            expo = np.concatenate([
-                np.column_stack([k - expo[:c].sum(axis=1), expo[:c]])
-                for k in range(deg + 1) for c in [math.comb(k + v - 1, v - 1)]])
-        n = len(expo)
-        self.expo, self.n = expo, n
-        self.up = np.full((dim, n + 1), n)
-        self.down = np.full((dim, n + 1), n)
-        for j in range(dim):
-            pos = _rank(expo + np.eye(dim, dtype=int)[j])
-            inside = pos < n
-            self.up[j, :n][inside] = pos[inside]
-            self.down[j, pos[inside]] = np.flatnonzero(inside)
-        self.fac = np.concatenate([expo.T + 1, np.zeros((dim, 1), dtype=int)], axis=1)
+        # `_rank` sums C(c_j, dim - j) over c_j = (degree of expo[j:]) + dim - 1 - j, a
+        # combinatorial number system: the rows are the sets c_0 > ... > c_{dim-1} in
+        # range(deg + dim), which combinations() lists in reverse order; expo + e_j raises
+        # c_0..c_j by one, so by Pascal's rule its rank adds C(c_i, dim - 1 - i) over i <= j
+        m, n, k = deg + dim, math.comb(deg + dim, dim), dim - np.arange(dim)
+        c = np.fromiter(chain.from_iterable(combinations(range(m), dim)), int, n * dim)
+        c = (m - 1 - c.reshape(n, dim))[::-1]
+        self.expo, self.n = -np.diff(c - k + 1, axis=1, append=0), n
+        pos = (np.arange(n)[:, None] + np.cumsum(_BINOM[c, k - 1], axis=1)).T   # expo + e_j
+        inside = pos < n
+        self.up, self.down = np.full((2, dim, n + 1), n)
+        self.up[:, :n][inside] = pos[inside]
+        self.down[np.nonzero(inside)[0], pos[inside]] = np.nonzero(inside)[1]
+        self.fac = np.concatenate([self.expo.T + 1, np.zeros((dim, 1), dtype=int)], axis=1)
         self.unit = np.eye(1, n + 1, dtype=complex)[0]
         self._down_by: dict = {}
 

@@ -29,6 +29,7 @@ from .errors import DimensionMismatch, OddN, UnsupportedN
 from .gausspoly import (
     GaussMixture,
     GaussPoly,
+    _rank,
     as_terms,
     batched_osc_integral,
     equal_rows,
@@ -140,7 +141,7 @@ def _merge_centers(fam: GaussMixture, rows: np.ndarray, weights: np.ndarray, js:
     """The weighted rows of fam that share a radial node and a center, summed.
 
     weights (R, 2) is row i's weight in the lam-half or, frequency negated,
-    the mu-half (`_pair_k_value`).  Rows with the same radial node js[i],
+    the mu-half (`_restricted_rows`).  Rows with the same radial node js[i],
     shift and frequency differ only in their coefficients, and the engine is
     linear in those, so the weighted sum of their integrals is the integral
     of one row with coefficients sum_i weights[i] coef[rows[i]].  Returns
@@ -155,6 +156,76 @@ def _merge_centers(fam: GaussMixture, rows: np.ndarray, weights: np.ndarray, js:
     return merged, coef[:, 1], js[first]
 
 
+def _restricted_rows(term: GaussPoly, n: int, radial: np.ndarray, sphere: np.ndarray,
+                     halves: np.ndarray):
+    """The engine rows of a term restricted at every (sphere x radial)
+    center, the route of a term whose theta-block is coupled to xi: a
+    function from the radial nodes js of a rho-rule group to
+    `_merge_centers` over their rows, weighted by halves (2, S) (lam-half,
+    then mu-half with its sign)."""
+    fam = term.restrict(range(2 * n, term.dim), _center_nodes(radial, sphere))
+    by_row = (halves[:, :, None] * np.eye(2)[:, None]).reshape(-1, 2)   # (2 S, 2)
+    S, R = len(sphere), len(radial)
+
+    def rows(js: np.ndarray):
+        # rows k R + j of the group, sphere node k slowest, lam- then mu-half
+        idx = np.tile((np.arange(S)[:, None] * R + js).ravel(), 2)
+        row_w = np.repeat(by_row, js.size, axis=0)
+        keep = row_w.any(axis=1)
+        return _merge_centers(fam, idx[keep], row_w[keep], np.tile(js, 2 * S)[keep])
+    return rows
+
+
+def _sphere_sums(term: GaussPoly, n: int, radial: np.ndarray, sphere: np.ndarray,
+                 halves: np.ndarray):
+    """For a term whose theta-block is uncoupled from xi, the rows of
+    `_restricted_rows` without restricting it at every center: a function
+    from the radial nodes js of a rho-rule group to (lam-half family, mu-half
+    block, each row's radial node).
+
+    Restricted at the center r om, such a term keeps its xi-form, shift and
+    frequency b, and the coefficient of a xi-monomial is the sum over its
+    monomials of coef times their theta-part and the theta-Gaussian at r om.
+    So the sphere sums with the weights halves (2, S) (lam-half, then
+    mu-half with its sign) are taken over the values of the distinct
+    theta-parts, then mapped onto the xi-monomials.  A radial node has one
+    row when b = 0 and else one row per half with a nonzero weight, the
+    mu-half at -b; the rows are in the order of `equal_rows` on (node,
+    shift, frequency).
+    """
+    xi, th = slice(0, 2 * n), slice(2 * n, term.dim)
+    # the distinct theta- and xi-parts t, u of the monomials (graded order)
+    # and the (T, U) map of coefficients from one to the other
+    _, t_first, t_of = np.unique(_rank(term.expo[:, th]), return_index=True, return_inverse=True)
+    _, u_first, u_of = np.unique(_rank(term.expo[:, xi]), return_index=True, return_inverse=True)
+    to_xi = np.zeros((t_first.size, u_first.size), dtype=complex)
+    np.add.at(to_xi, (t_of, u_of), term.coef)
+    centers = _center_nodes(radial, sphere)
+    q = centers - term.shift[th]
+    vals = np.exp(-0.5 * np.einsum("ni,ij,nj->n", q, term.quad[th, th], q)
+                  + 1j * (centers @ term.freq[th]))[:, None]
+    for i, e in enumerate(term.expo[t_first, th].T):
+        vals = vals * np.vander(q[:, i], e.max(initial=0) + 1, increasing=True)[:, e]
+    coef = np.tensordot(halves, vals.reshape(len(sphere), len(radial), t_first.size), 1) @ to_xi
+    expo = term.expo[u_first, xi]
+    b = term.freq[xi]
+    if b.any():
+        # a row per live half, the lam-half at b and the mu-half at -b; b
+        # sorts first when its first nonzero entry is negative
+        hs = [h for h in ((0, 1) if b[np.flatnonzero(b)[0]] < 0 else (1, 0)) if halves[h].any()]
+        sel, sign = np.eye(2)[hs], 1.0 - 2.0 * np.array(hs)
+    else:
+        sel, sign = np.ones((1, 2)), np.ones(1)
+
+    def rows(js: np.ndarray):
+        freq = np.tile(sign[:, None] * b, (js.size, 1))
+        c = (coef[:, js, None] * sel.T[:, None, :, None]).reshape(2, len(freq), len(expo))
+        merged = GaussMixture._of(term.quad[xi, xi], expo, c[0],
+                                  np.broadcast_to(term.shift[xi], freq.shape), freq)
+        return merged, c[1], np.repeat(js, len(sign))
+    return rows
+
+
 def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
                   budget: PairBudget) -> tuple:
     """The (radial x sphere) center quadrature of K^{lam,mu} against F phi,
@@ -164,19 +235,20 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     through its coefficients unless its theta-block is coupled to xi, so the
     sphere sum is taken inside the engine: per radial node and center, the
     lam-half (+rho/r) integrates sum_om w_om lam(om) c_om and the mu-half
-    (-rho/r) -sum_om w_om mu(om) c_om (`_merge_centers`); rows of zero weight
-    are dropped.  As U_m(-w; b, c) = conj U_m(w; -b, c) for monomial m at
-    xi-frequency b and centre c, the mu-half is keyed at +rho/r with b
-    negated and runs in the same engine pass, as conj_coef.  A block-diagonal
-    term with b = 0 costs one engine row per radial node whatever the sphere
-    budget and selector, an off-centre one a row per half, a coupled one a
-    row per distinct center and half, in one engine call per term and
-    rho-rule that contracts the rho weights.
+    (-rho/r) -sum_om w_om mu(om) c_om.  A block-diagonal term forms these
+    sums per radial node from its theta-part (`_sphere_sums`); a coupled one
+    is restricted at every center and its rows that share a radial node and
+    a center are summed (`_merge_centers`), rows of zero weight dropped.  As
+    U_m(-w; b, c) = conj U_m(w; -b, c) for monomial m at xi-frequency b and
+    centre c, the mu-half is keyed at +rho/r with b negated and runs in the
+    same engine pass, as conj_coef.  A block-diagonal term with b = 0 costs
+    one engine row per radial node whatever the sphere budget and selector,
+    an off-centre one a row per half, a coupled one a row per distinct
+    center and half, in one engine call per term and rho-rule that
+    contracts the rho weights.
     """
-    d = 2 * n + s
-    theta_axes = list(range(2 * n, d))
     tau = tau_signs(n)
-    r_max = _theta_envelope(fphi_terms, theta_axes)
+    r_max = _theta_envelope(fphi_terms, list(range(2 * n, 2 * n + s)))
     edges = geometric_edges(0.0, r_max, budget.radial_geo_panels,
                             budget.radial_lin_panels)
     radial, wr = composite_legendre(edges, budget.radial_order)
@@ -184,7 +256,7 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
     pref = kernel_prefactor(n, s)
     node_w = wr * radial ** (s - 1) * pref / radial
     lam, mu = np.array([sel.lam_mu(om) for om in sphere], dtype=complex).T
-    halves = np.concatenate([np.outer(ws * lam, [1, 0]), np.outer(ws * mu, [0, -1])])
+    halves = np.array([ws * lam, -ws * mu])
 
     # the radial nodes that share a rho-rule, so their frequencies form one array
     counts = _rho_nodes_for(radial, budget.rho_nodes)
@@ -193,14 +265,10 @@ def _pair_k_value(n: int, s: int, fphi_terms, sel: KernelSelector,
 
     total = 0.0 + 0.0j
     for term in fphi_terms:
-        fam = term.restrict(theta_axes, _center_nodes(radial, sphere))
+        route = _restricted_rows if term.quad[:2 * n, 2 * n:].any() else _sphere_sums
+        rows_of = route(term, n, radial, sphere, halves)
         for rho, wq, js in groups:
-            # rows k R + j of the group, sphere node k slowest, lam- then mu-half
-            rows = np.tile((np.arange(len(sphere))[:, None] * radial.size + js).ravel(), 2)
-            row_w = np.repeat(halves, js.size, axis=0)
-            keep = row_w.any(axis=1)
-            merged, conj, mj = _merge_centers(fam, rows[keep], row_w[keep],
-                                              np.tile(js, 2 * len(sphere))[keep])
+            merged, conj, mj = rows_of(js)
             vals = batched_osc_integral(merged, rho[None, :] / radial[mj][:, None], tau,
                                         conj_coef=conj if conj.any() else None, weights=wq)
             total += np.sum(node_w[mj] * vals)

@@ -8,11 +8,18 @@ difference as an error estimate, for one quadrature (`refine_until`) or for
 many independent ones at once (`refine_many`).
 
 Gauss-Legendre rules are built here in NumPy: Newton's method in theta
-(x = cos theta) on P_n(cos theta) from Tricomi's initial guesses (Hale and
-Townsend, SIAM J. Sci. Comput. 35 (2013) A652), in O(n) time and memory.
-P_n and its theta-derivative come from two formulas: the exact finite cosine
-series of P_n at the 12 to 14 nodes per half nearest each end (n sin theta <
-40), and Stieltjes' asymptotic expansion at the others.  Every node is within
+(x = cos theta) on P_n(cos theta), in O(n) time and memory, from the
+initial guesses of Hale and Townsend (SIAM J. Sci. Comput. 35 (2013) A652):
+Tricomi's expansion through its n^-4 term in the interior, and near each
+end Olver's expansion in the zeros j_k of J_0,
+theta_k = psi + (psi cot psi - 1) / (8 psi nu^2), psi = j_k / nu,
+nu = n + 1/2.  From these seeds one Newton step lands within 4 eps for
+every n from 21 up (checked to n = 32768), so a build evaluates P_n twice,
+the second time to confirm the step and to give the weights; below n = 21
+it takes at most three evaluations.  P_n and its theta-derivative come from two
+formulas: the exact finite cosine series of P_n at the 12 to 14 nodes per
+half nearest each end (n sin theta < 40, the nodes seeded by Olver's
+expansion), and Stieltjes' asymptotic expansion at the others.  Every node is within
 1 ulp and every weight within 2e-14 relative of 40-digit values up to
 n = 2048 (tests/test_quadrature.py); SciPy's weights are up to 3.4e-12 off
 for n <= 64.  Gauss-Hermite rules
@@ -43,9 +50,9 @@ import numpy as np
 from .errors import NotConverged, UnsupportedN
 
 
-# Newton steps before a rule raises NotConverged: from Tricomi's guesses
-# Legendre needs at most 3 for n <= 400 and up to n = 32768, and Hermite
-# from its eigenvalue seeds at most 2 for n <= 700
+# Newton steps before a rule raises NotConverged: from its seeds Legendre
+# needs one for 21 <= n <= 32768 and at most two below, and Hermite from its
+# eigenvalue seeds at most 2 for n <= 700
 _NEWTON_STEPS = 10
 # Legendre's Stieltjes expansion: terms kept, and the least n sin(theta) at
 # which it is used instead of the finite cosine series
@@ -118,27 +125,44 @@ def _legendre_theta(n: int, end: np.ndarray):
     return evaluate
 
 
+def _bessel_j0_zeros(count: int) -> np.ndarray:
+    """The first `count` positive zeros of J_0: McMahon's expansion (DLMF
+    10.21.19) through (8 a)^-7, a = (k - 1/4) pi, within 9e-9 relative from
+    the third zero on; the first two, where it is 1e-3 and 6e-7 off, to 16
+    digits."""
+    a = (np.arange(1, count + 1) - 0.25) * np.pi
+    b = 8.0 * a
+    j = a + 1 / b - 124 / (3 * b ** 3) + 120928 / (15 * b ** 5) - 401743168 / (105 * b ** 7)
+    return np.r_[2.404825557695773, 5.520078110286311, j[2:]][:count]
+
+
 @lru_cache(maxsize=256)
 def legendre_rule(npts: int):
     """Gauss-Legendre nodes (ascending) and weights for integral_{-1}^{1} f(x) dx.
 
     Newton in theta (x = cos theta) on P_n(cos theta) over the nonnegative
-    nodes, from Tricomi's initial guesses, in O(n) time: the 12 to 14 nodes
-    per half with n sin(theta) < 40 use the exact finite cosine series of
-    P_n, the rest Stieltjes' asymptotic expansion (`_legendre_theta`).  The
+    nodes, in O(n) time, seeded by Tricomi's expansion through n^-4 and, at
+    the 12 to 14 nodes per half with n sin(theta) < 40, by Olver's
+    Bessel-zero expansion; those nodes use the exact finite cosine series of
+    P_n, the rest Stieltjes' asymptotic expansion (`_legendre_theta`).  From
+    n = 21 up a build evaluates them twice (module docstring).  The
     last Newton correction is applied in x, x = cos(theta) + dtheta
     sin(theta), and the weights are 2 / (dP_n/dtheta)^2 at the node; the rule
     is mirrored, so it is exactly symmetric and the middle node of an odd
     rule is exactly 0.
     """
     n = _order(npts, "Gauss-Legendre")
-    half = (n + 1) // 2
-    theta = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
-    theta = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(theta))
+    half, nu = (n + 1) // 2, n + 0.5
+    phi = np.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3)
+                       - (39.0 - 28.0 / np.sin(phi) ** 2) / (384.0 * n ** 4)) * np.cos(phi))
+    end = n * np.sin(theta) < _STIELTJES_MIN
+    psi = _bessel_j0_zeros(np.count_nonzero(end)) / nu
+    theta[end] = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * nu ** 2)
     odd = n % 2
     if odd:
         theta[-1] = np.pi / 2  # the node x = 0, set exactly below
-    evaluate = _legendre_theta(n, n * np.sin(theta) < _STIELTJES_MIN)
+    evaluate = _legendre_theta(n, end)
     for _ in range(_NEWTON_STEPS):
         p, dp = evaluate(theta)
         step = p / dp

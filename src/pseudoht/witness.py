@@ -268,9 +268,20 @@ def certify_kernel_residual(w: WitnessFunction, flow_nodes: int | None = None) -
 def nonsolvability_report(w: WitnessFunction) -> dict:
     """Certified numbers for the local-solvability criterion, r > 0.
 
-    phi = c^{-1} F^{-1} psi with c = [F^{-1} psi](0) satisfies phi(0) = 1 and
-    Delta_{r,s} phi = 0 (numerically small); the constant sequence psi_j = phi
-    then kills every semi-norm product in the non-solvability criterion.
+    The criterion is Hormander's a-priori necessary condition (L. Hormander,
+    Linear Partial Differential Operators, Springer 1963, section 6.1): if L
+    is locally solvable at 0, there are a compact neighbourhood K of 0 and
+    C, N with
+        |integral f v| <= C ||f||_N ||L^T v||_N    for all f, v in C_c^inf(K),
+    ||.||_N the largest sup norm of a derivative of order <= N.  Corwin and
+    Rothschild (Acta Math. 147 (1981) 265-288) read it for homogeneous
+    left-invariant operators on nilpotent groups, where a Schwartz v with
+    v(0) != 0 and L^T v = 0, cut off and dilated, defeats the inequality.
+    Here L = Delta_{r,s} = L^T (left-invariant fields are divergence-free)
+    and v = phi = c^{-1} F^{-1} psi with c = [F^{-1} psi](0): `phi_at_0` is
+    |phi(0)| = 1 and `delta_phi_sup` the largest |Delta_{r,s} phi| on an
+    (x, z) grid, a sample of ||L^T v||_0 (numerically small), so the
+    constant sequence psi_j = phi kills every semi-norm product.
     Delta phi is evaluated through the eta-quadrature of exact per-node data:
     Delta_{r,s}(eta) applied to the xi-inverse transform of psi(., eta).
     """

@@ -15,6 +15,7 @@ from pseudoht.gausspoly import (
     batched_osc_integral,
 )
 from pseudoht.kernels import inv_p_power
+from graded_reference import graded_tables
 from osc_reference import osc_family_reference
 from radial_l1 import radial_l1_norm
 from wick_reference import gaussian_poly_integral, wick_integrate_against
@@ -301,6 +302,19 @@ class TestOperators:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             apply_operator(self.PHI, [(np.zeros((1, 3), dtype=int), np.ones(1), (1, 0, 0))])
+
+
+class TestGradedBasis:
+    @pytest.mark.parametrize("dim", range(7))
+    def test_tables_match_the_one_variable_at_a_time_build(self, dim):
+        """The one-pass basis against the recursive one (`tests/graded_reference.py`):
+        the same rows in the same order, and the same index maps, exactly."""
+        for deg in range(9):
+            b = gausspoly._Graded(dim, deg)
+            for got, want in zip((b.expo, b.up, b.down, b.fac), graded_tables(dim, deg)):
+                assert got.shape == want.shape and got.dtype == want.dtype, (dim, deg)
+                assert np.array_equal(got, want), (dim, deg)
+            assert np.array_equal(gausspoly._rank(b.expo), np.arange(b.n))
 
 
 class TestMixture:

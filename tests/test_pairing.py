@@ -274,6 +274,107 @@ class TestOneEnginePass:
                    pair_mr_per_node(heis2, phi))
 
 
+def _block_diagonal_phi(rng, n: int, s: int, centred_x: bool) -> GaussPoly:
+    """A random test function on R^{2n+s} whose x- and z-blocks are
+    uncoupled: random SPD blocks, centre and frequency (so its transform has
+    centres and frequencies in xi and theta; a centred x-block gives b = 0),
+    and a polynomial of six random monomials of degree <= 2 plus a constant."""
+    d = 2 * n + s
+    quad = np.zeros((d, d))
+    for blk in (slice(0, 2 * n), slice(2 * n, d)):
+        k = blk.stop - blk.start
+        B = rng.normal(size=(k, k)) * 0.3
+        quad[blk, blk] = np.eye(k) * rng.uniform(0.8, 1.4) + B @ B.T
+    shift, freq = rng.normal(size=d) * 0.4, rng.normal(size=d) * 0.5
+    if centred_x:
+        shift[:2 * n] = 0.0
+    basis = gausspoly._graded(d, 2).expo
+    expo = basis[np.r_[0, rng.choice(np.arange(1, len(basis)), 6, replace=False)]]
+    coef = rng.normal(size=7) * 0.3 + 1j * rng.normal(size=7) * 0.3
+    coef[0] = 1.0
+    return GaussPoly(d, quad, shift=shift, freq=freq, expo=expo, coef=coef)
+
+
+class TestSphereSums:
+    """A block-diagonal term's rows from its theta-part (`_sphere_sums`)
+    against the route of a coupled term, restriction at every center and
+    `_merge_centers` (`_restricted_rows`)."""
+
+    BUDGET = PairBudget(radial_geo_panels=4, radial_lin_panels=4, radial_order=6,
+                        sphere_pts=8, rho_nodes=32)
+    CASES = {f"{n}{s}_{sel.kind}_{'b0' if centred else 'b'}_{seed}": (n, s, sel, centred, seed)
+             for seed, (n, s, sel) in enumerate([
+                 (2, 1, KernelSelector.heaviside()),
+                 (2, 1, KernelSelector.constant(0.3 + 0.2j)),
+                 (1, 2, KernelSelector.constant(1.0)),
+                 (2, 2, KernelSelector.constant(0.3 + 0.2j)),
+                 (1, 3, KernelSelector.constant(0.0)),
+                 (2, 3, KernelSelector.constant(0.6 - 0.1j))])
+             for centred in (False, True)}
+
+    @staticmethod
+    def spied_rows(monkeypatch, route) -> list:
+        """Every (merged, conj, mj) the route hands to the engine."""
+        seen = []
+
+        def spy(*args):
+            rows = route(*args)
+
+            def recorded(js):
+                out = rows(js)
+                seen.append(out)
+                return out
+            return recorded
+
+        monkeypatch.setattr(pairing, "_sphere_sums", spy)
+        return seen
+
+    @staticmethod
+    def dense(merged, conj) -> np.ndarray:
+        """(rows, 2, basis) coefficients of both halves over the graded basis."""
+        b = gausspoly._graded(merged.dim, 2)
+        return np.stack([b.dense(merged.expo, merged.coef), b.dense(merged.expo, conj)], axis=1)
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_rows_and_value_match_the_per_center_route(self, monkeypatch, case):
+        n, s, sel, centred, seed = case
+        phi = _block_diagonal_phi(np.random.default_rng(seed), n, s, centred)
+        folded_rows = self.spied_rows(monkeypatch, pairing._sphere_sums)
+        folded = pair_k(n, s, phi, sel, self.BUDGET, with_error=False)
+        per_center_rows = self.spied_rows(monkeypatch, pairing._restricted_rows)
+        per_center = pair_k(n, s, phi, sel, self.BUDGET, with_error=False)
+
+        assert abs(per_center.value) >= 1e-4
+        assert abs(folded.value - per_center.value) <= 1e-14 * abs(per_center.value)
+        assert (folded.node_budget["rho_nodes_used"]
+                == per_center.node_budget["rho_nodes_used"])
+        assert len(folded_rows) == len(per_center_rows) > 0
+        for (got, got_conj, got_j), (want, want_conj, want_j) in zip(folded_rows,
+                                                                     per_center_rows):
+            assert np.array_equal(got_j, want_j)
+            assert np.array_equal(got.freq, want.freq) and np.array_equal(got.shift, want.shift)
+            assert np.array_equal(got.form, want.form)
+            assert got.freq.any() != centred
+            g, w = self.dense(got, got_conj), self.dense(want, want_conj)
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+    def test_coupled_terms_go_through_merge_centers(self, g022, monkeypatch):
+        merges = []
+        merge = pairing._merge_centers
+
+        def spy(fam, rows, weights, js):
+            merges.append(len(rows))
+            return merge(fam, rows, weights, js)
+
+        monkeypatch.setattr(pairing, "_merge_centers", spy)
+        pair_k(2, 2, g022.apply_delta_rs(PHI6), KernelSelector.constant(0.3), self.BUDGET,
+               with_error=False)
+        assert merges == []
+        pair_k(2, 2, g022.apply_delta_rs(g022.left_translate(PHI6, G6)),
+               KernelSelector.constant(0.3), self.BUDGET, with_error=False)
+        assert merges and min(merges) > 0
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("call", [
         lambda G: pair_k(2, 2, GaussPoly.iso_gaussian(7), with_error=False),

@@ -203,6 +203,39 @@ class TestLegendreRule:
         assert np.all(np.diff(x) > 0) and x[-1] < 1.0
         assert abs(w.sum() - 2.0) <= 1e-13 and abs(w @ x ** 2 - 2.0 / 3.0) <= 1e-13
 
+    @pytest.mark.parametrize("n, most", [(n, 3) for n in range(2, 21)]
+                             + [(n, 2) for n in (21, 32, 48)]
+                             + [(64 << k, 2) for k in range(7)])
+    def test_evaluations_from_the_seeds(self, monkeypatch, n, most):
+        """From Tricomi's interior seeds and Olver's Bessel-zero seeds near the
+        ends, one Newton step lands within 4 eps from n = 21 up, so the second
+        evaluation only confirms it (and gives the weights); below, a build
+        takes at most three."""
+        calls = []
+        theta_rule = quadrature._legendre_theta
+
+        def counting(order, end):
+            evaluate = theta_rule(order, end)
+
+            def counted(theta):
+                calls.append(theta.size)
+                return evaluate(theta)
+            return counted
+
+        monkeypatch.setattr(quadrature, "_legendre_theta", counting)
+        x, w = legendre_rule.__wrapped__(n)
+        assert 1 <= len(calls) <= most, len(calls)
+        assert abs(w.sum() - 2.0) <= 1e-13 and abs(w @ x ** 2 - 2.0 / 3.0) <= 1e-13
+
+    def test_bessel_zeros_against_mpmath(self):
+        """The seeds' zeros of J_0: within 1e-8 relative, the first two exactly."""
+        j = quadrature._bessel_j0_zeros(20)
+        want = np.array([float(mpmath.besseljzero(0, k)) for k in range(1, 21)])
+        assert np.all(np.abs(j - want) <= 1e-8 * want)
+        assert np.array_equal(j[:2], want[:2])
+        assert quadrature._bessel_j0_zeros(1).tolist() == [want[0]]
+        assert quadrature._bessel_j0_zeros(0).size == 0
+
     def test_composite_is_panelwise_affine_map(self):
         edges, m = np.array([0.0, 0.25, 1.0, 3.5]), 10
         x, w = legendre_rule(m)
